@@ -19,9 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import expit, logit
-from scipy.stats import norm
 
 from .inference import InputError, Milestones
 
@@ -123,9 +121,8 @@ class CohortCurve:
     """One cohort curve: levels v, mean excess rp, and occupancy.
 
     n carries counts for empirical curves and analytic weights otherwise;
-    se and mix are empirical-only. low_confidence marks points kept but not
-    trusted (thin bins). Levels must increase; volatility curves live on
-    (0, 1/2].
+    se and mix are empirical-only. Levels must increase; volatility curves
+    live on (0, 1/2].
     """
 
     kind: str
@@ -134,7 +131,6 @@ class CohortCurve:
     n: np.ndarray
     se: np.ndarray | None = None
     mix: np.ndarray | None = None
-    low_confidence: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     VALID_KINDS = ("momentum_plus", "momentum_minus", "volatility")
@@ -249,6 +245,12 @@ def _event_loglevel(v, sign_change: int, params: AnomalyParams):
     return params.H_p + math.log(params.rho) + sign_change * math.log(params.K) + logit(v)
 
 
+def _norm_logpdf(x, loc: float, scale: float):
+    """Normal log density, in scipy.stats.norm.logpdf's operation order."""
+    z = (x - loc) / scale
+    return -z**2 / 2.0 - 0.5 * math.log(2 * math.pi) - math.log(scale)
+
+
 def _log_occupancy(v, sign_change: int, params: AnomalyParams):
     """log density of Pi_t at v for one sign, mixing B with true weights."""
     v = np.asarray(v, float)
@@ -256,8 +258,8 @@ def _log_occupancy(v, sign_change: int, params: AnomalyParams):
     sd = params.sigma_l * math.sqrt(params.t)
     half_var = params.sigma_l**2 * params.t / 2.0
     w1 = params.p1_0
-    la = np.log(w1) + norm.logpdf(level, loc=half_var, scale=sd)
-    lb = np.log1p(-w1) + norm.logpdf(level, loc=-half_var, scale=sd)
+    la = np.log(w1) + _norm_logpdf(level, half_var, sd)
+    lb = np.log1p(-w1) + _norm_logpdf(level, -half_var, sd)
     return np.logaddexp(la, lb) - np.log(v * (1 - v))
 
 
@@ -407,6 +409,8 @@ def bin_averaged_momentum(edges, sign_change: int, params: AnomalyParams):
     expectation is sign*(density-weighted mean of the true change prob - c).
     Returns (centers, expected rp, bin occupancy mass given the sign).
     """
+    from scipy.integrate import quad
+
     edges = np.asarray(edges, float)
     if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
         raise InputError("edges must be an increasing 1-d array")

@@ -65,6 +65,8 @@ class RunConfig:
     analytic-curve lattice, the estimator, and execution. Derived quantities
     (priors, milestone times) are always recomputed from primitives; the
     config may state them, in which case they are cross-checked to 1e-12.
+    threads is a validated, echoed budget; it changes neither the work nor
+    any artifact.
     """
 
     market: MarketConfig
@@ -343,7 +345,7 @@ def _curve_params(rc: RunConfig, rho: float, K: float) -> AnomalyParams:
 
 
 def _cmd_simulate(rc: RunConfig, out: Path) -> int:
-    panel = simulate_market(rc.market, rc.seed, threads=rc.threads)
+    panel = simulate_market(rc.market, rc.seed)
     write_panel_csv(out / "panel.csv", panel)
     detail = []
     for a in range(min(10, panel.n_assets)):
@@ -411,7 +413,7 @@ def _cmd_curves(rc: RunConfig, out: Path) -> int:
 
 
 def _cmd_cohorts(rc: RunConfig, out: Path) -> int:
-    panel = simulate_market(rc.market, rc.seed, threads=rc.threads)
+    panel = simulate_market(rc.market, rc.seed)
     path = out / "cohorts.csv"
     first = True
     for t in rc.market.record_times:
@@ -427,9 +429,7 @@ def _cmd_cohorts(rc: RunConfig, out: Path) -> int:
 
 def _cmd_estimate(rc: RunConfig, out: Path) -> int:
     try:
-        res = roundtrip(
-            rc.market, rc.seed, t=rc.estimation_t, n_boot=rc.n_boot, threads=rc.threads
-        )
+        res = roundtrip(rc.market, rc.seed, t=rc.estimation_t, n_boot=rc.n_boot)
     except ShapeError as e:
         report = out / "estimate_FAILED.txt"
         with open(report, "w") as fh:
@@ -457,7 +457,7 @@ def _cmd_estimate(rc: RunConfig, out: Path) -> int:
 
 def _conservation_check(rc: RunConfig) -> float:
     cfg = replace(rc.market, n_assets=1000)
-    panel = simulate_market(cfg, rc.seed, threads=rc.threads)
+    panel = simulate_market(cfg, rc.seed)
     odds_pi = panel.pi / (1 - panel.pi)
     odds_Pi = panel.Pi / (1 - panel.Pi)
     K_pow = cfg.pricing.K ** panel.sign[:, None].astype(float)
@@ -530,7 +530,7 @@ def _validate_checks(rc: RunConfig):
     )
 
     cfg_ref = replace(rc.market, n_assets=20_000, b_measure="reference")
-    p_ref = simulate_market(cfg_ref, rc.seed, threads=rc.threads)
+    p_ref = simulate_market(cfg_ref, rc.seed)
     pi0 = cfg_ref.truth.pi1_0
     z_ref = 0.0
     for j in range(len(p_ref.times)):
@@ -539,7 +539,7 @@ def _validate_checks(rc: RunConfig):
     yield "reference-measure belief martingale (3 SE)", z_ref <= 3.0, f"max |z| {z_ref:.2f}"
 
     cfg_rne = replace(rc.market, n_assets=20_000, b_measure="rne")
-    p_rne = simulate_market(cfg_rne, rc.seed, threads=rc.threads)
+    p_rne = simulate_market(cfg_rne, rc.seed)
     z_rne = 0.0
     for sgn in (1, -1):
         sel = p_rne.sign == sgn
@@ -550,7 +550,7 @@ def _validate_checks(rc: RunConfig):
     yield "priced-measure belief martingale (3 SE)", z_rne <= 3.0, f"max |z| {z_rne:.2f}"
 
     cfg_small = replace(rc.market, n_assets=20_000)
-    p_small = simulate_market(cfg_small, rc.seed, threads=rc.threads)
+    p_small = simulate_market(cfg_small, rc.seed)
     t_mid = rc.market.record_times[min(2, len(rc.market.record_times) - 1)]
     dec = expost_decomposition(p_small, t_mid)
     z_dec = max(
@@ -559,13 +559,13 @@ def _validate_checks(rc: RunConfig):
     yield "ex-post decomposition reconciles (3 SE)", z_dec <= 3.0, f"max |z| {z_dec:.2f}"
 
     cfg_tiny = replace(rc.market, n_assets=2000)
-    pa = simulate_market(cfg_tiny, rc.seed, threads=1)
-    pb = simulate_market(cfg_tiny, rc.seed, threads=2)
+    pa = simulate_market(cfg_tiny, rc.seed)
+    pb = simulate_market(cfg_tiny, rc.seed)
     same = all(
         np.array_equal(getattr(pa, f), getattr(pb, f))
         for f in ("B", "sign", "loglr", "pi", "Pi", "S")
     )
-    yield "thread-count determinism", same, "panels identical across 1 and 2 workers"
+    yield "rerun determinism", same, "two simulations of one seed give identical panels"
 
     echoed = echo_config(rc)
     ok = echo_config(parse_config(echoed)) == echoed
@@ -622,7 +622,8 @@ def main(argv=None) -> int:
     ap.add_argument("--config", metavar="PATH", help="key-value config file")
     ap.add_argument("--seed", type=int, metavar="U64", help="override config seed")
     ap.add_argument("--out-dir", default="out", metavar="PATH")
-    ap.add_argument("--threads", type=int, metavar="N", help="override thread budget")
+    ap.add_argument("--threads", type=int, metavar="N",
+                    help="override thread budget (no effect on work or artifacts)")
     ap.add_argument("--grid-points", type=int, metavar="N",
                     help="override analytic grid resolution")
     args = ap.parse_args(argv)

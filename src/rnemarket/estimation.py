@@ -13,14 +13,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtri
 
 from .anomalies import CohortCurve
 from .inference import InputError, Milestones, window_check
 from .market import (
-    CohortSort,
     MarketConfig,
     MarketPanel,
+    cohort_stats,
     measure_expost_excess,
     simulate_market,
     sort_cohorts,
@@ -69,7 +69,7 @@ def _flatness_gate(rp: np.ndarray, se: np.ndarray) -> tuple[bool, dict]:
     wmean = float(np.sum(w * rp) / np.sum(w))
     q = float(np.sum(((rp - wmean) / se) ** 2))
     dof = len(rp) - 1
-    crit = float(chi2.ppf(FLATNESS_CONFIDENCE, dof))
+    crit = float(chdtri(dof, 1 - FLATNESS_CONFIDENCE))
     return q < crit, {
         "flatness_Q": q,
         "flatness_crit": crit,
@@ -197,54 +197,6 @@ def recover_params(v_max: float, rp_max: float, S_delta: float) -> tuple[float, 
     return rho_hat, K_hat
 
 
-def _vol_cells(panel: MarketPanel, sort: CohortSort):
-    """Per-asset cell index and excess value for fast (re)weighted curves."""
-    cfg = panel.config
-    b_hit = (panel.B == 1).astype(float)
-    side = sort.side_high.astype(int)
-    sign01 = (panel.sign == 1).astype(int)
-    centers = 0.5 * (sort.edges[:-1] + sort.edges[1:])
-    u = np.where(sort.side_high, 1.0 - centers[sort.bin_index], centers[sort.bin_index])
-    x = panel.sign * (b_hit - u) * cfg.pricing.S_delta
-    cell = (sort.bin_index * 4 + side * 2 + sign01).astype(np.int64)
-    return cell, x, centers
-
-
-def _vol_curve_from_cells(cell, x, centers, weights, n_bins: int):
-    """Balanced volatility curve from weighted cell statistics.
-
-    Mirrors market.measure_expost_excess: half/half sign arms per fold
-    side, fold sides weighted by (weighted) occupancy. With unit weights it
-    reproduces that function exactly; multinomial weights give bootstrap
-    resamples without touching the panel.
-    """
-    m = n_bins * 4
-    sw = np.bincount(cell, weights=weights, minlength=m)
-    swx = np.bincount(cell, weights=weights * x, minlength=m)
-    swx2 = np.bincount(cell, weights=weights * x * x, minlength=m)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean = swx / sw
-        var_cell = np.where(sw > 1, (swx2 - sw * mean**2) / np.maximum(sw - 1, 1) / sw, np.nan)
-    mean = mean.reshape(n_bins, 2, 2)
-    var_cell = var_cell.reshape(n_bins, 2, 2)
-    sw = sw.reshape(n_bins, 2, 2)
-    arm = 0.5 * (mean[:, :, 0] + mean[:, :, 1])
-    arm_var = 0.25 * (var_cell[:, :, 0] + var_cell[:, :, 1])
-    n_side = sw.sum(axis=2)
-    n_tot = n_side.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w_side = n_side / n_tot[:, None]
-    w_side = np.where(n_side > 0, w_side, 0.0)
-    contrib = np.where(n_side > 0, w_side * arm, 0.0)
-    rp = np.where(n_tot > 0, contrib.sum(axis=1), np.nan)
-    bad = ((n_side > 0) & ~np.isfinite(arm_var)).any(axis=1)
-    var = np.where(~bad, (w_side**2 * np.where(n_side > 0, arm_var, 0.0)).sum(axis=1), np.nan)
-    rp = np.where(bad, np.nan, rp)
-    with np.errstate(invalid="ignore"):
-        se = np.sqrt(var)
-    return rp, se, n_tot
-
-
 def _fold_median_level(panel: MarketPanel, idx: int) -> float:
     """Fallback level for featureless curves: fold of the median belief."""
     med = float(np.median(panel.Pi[:, idx]))
@@ -300,7 +252,6 @@ def roundtrip(
     seed: int,
     t: float | None = None,
     n_boot: int = 200,
-    threads: int = 1,
 ) -> EstimationResult:
     """Simulate, sort volatility cohorts, locate the peak, invert to (K, rho).
 
@@ -308,9 +259,10 @@ def roundtrip(
     K=1 signature, reported as a degenerate estimate (peak size at the
     curve's weighted mean, location at the folded median belief) flagged
     no_significant_peak. Other shape defects propagate as ShapeError with
-    the measured curve attached. Bootstrap intervals resample assets.
+    the measured curve attached. Bootstrap intervals resample assets: each
+    resample reweights the same cohort cells through cohort_stats.
     """
-    panel = simulate_market(config, seed, threads=threads)
+    panel = simulate_market(config, seed)
     if t is None:
         t, in_win = _pick_epoch(config)
     else:
@@ -349,15 +301,13 @@ def roundtrip(
     }
 
     if n_boot > 0:
-        cell, x, centers = _vol_cells(panel, sort)
-        n_bins = len(centers)
         rng = np.random.default_rng([seed, 0xB007])
         n = panel.n_assets
         boots = {"rho": [], "K": [], "v": [], "rp": []}
         for _ in range(n_boot):
             w = rng.multinomial(n, np.full(n, 1.0 / n)).astype(float)
-            rp_b, se_b, n_b = _vol_curve_from_cells(cell, x, centers, w, n_bins)
-            bc = CohortCurve("volatility", centers, rp_b, n_b, se=se_b)
+            rp_b, se_b, n_b = cohort_stats(panel, sort, w)["volatility"]
+            bc = CohortCurve("volatility", curve.v, rp_b, n_b, se=se_b)
             vb, rb, _, _ = _estimate_from_curve(
                 bc, config.n_min, lambda: _fold_median_weighted(panel, idx, w), lenient=True
             )

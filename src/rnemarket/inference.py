@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -96,15 +96,15 @@ class InferenceParams:
             var_d += sld * sld * (b - a)
         return var_z, var_d
 
+    def jump_grid(self, record_times) -> np.ndarray:
+        """Sorted grid of 0, the record times and the breakpoints inside them."""
+        inner = [p for p in self.breakpoints() if 0 < p < record_times[-1]]
+        return np.unique(np.concatenate([[0.0], np.asarray(record_times, float), inner]))
 
-@dataclass(frozen=True)
-class BeliefState:
-    """Snapshot of the inference state at one time."""
-
-    t: float
-    loglr: float
-    pi: float
-    prior_odds: float
+    def interval_variances(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Z-variance, D-variance) arrays of the l-increments between grid points."""
+        laws = [self.variance_between(a, b) for a, b in zip(times[:-1], times[1:])]
+        return np.array([z for z, _ in laws], float), np.array([d for _, d in laws], float)
 
 
 @dataclass(frozen=True)
@@ -153,21 +153,6 @@ class Milestones:
         )
 
 
-def loglr_increment(b: int, sigma_l: float, dt: float, gauss_noise: float) -> float:
-    """One exact log-LR increment.
-
-    b=1 drifts up at sigma_l^2/2 per unit time, b=0 drifts down; the noise
-    scales with sqrt(dt). Increments are Gaussian with these exact moments,
-    so there is no discretization bias at any step size.
-    """
-    if not (math.isfinite(sigma_l) and math.isfinite(dt) and math.isfinite(gauss_noise)):
-        raise InputError("non-finite input to loglr_increment")
-    if sigma_l < 0 or dt <= 0:
-        raise InputError("need sigma_l >= 0 and dt > 0")
-    drift = (1.0 if b == 1 else -1.0) * sigma_l * sigma_l / 2.0
-    return drift * dt + sigma_l * math.sqrt(dt) * gauss_noise
-
-
 def loglr_law(t: float, b: int, sigma_l: float) -> tuple[float, float]:
     """(mean, standard deviation) of l_t for outcome b at time t."""
     mean = (1.0 if b == 1 else -1.0) * sigma_l * sigma_l * t / 2.0
@@ -194,10 +179,6 @@ class BeliefPath:
     b: int
     prior: float
 
-    def state_at(self, i: int) -> BeliefState:
-        prior_odds = self.prior / (1 - self.prior)
-        return BeliefState(float(self.t[i]), float(self.loglr[i]), float(self.pi[i]), prior_odds)
-
 
 def _draw_noises(params: InferenceParams, times: np.ndarray, rng: np.random.Generator):
     """Draw the per-interval noises in the frozen order: D first, then Z.
@@ -206,10 +187,7 @@ def _draw_noises(params: InferenceParams, times: np.ndarray, rng: np.random.Gene
     the stream layout identical between belief-only and priced simulations.
     """
     n = len(times) - 1
-    var_z = np.empty(n)
-    var_d = np.empty(n)
-    for i in range(n):
-        var_z[i], var_d[i] = params.variance_between(times[i], times[i + 1])
+    var_z, var_d = params.interval_variances(times)
     z_d = rng.standard_normal(n)
     if np.any(var_z > 0):
         z_z = rng.standard_normal(n)
@@ -241,8 +219,7 @@ def simulate_belief_path(
         n_steps = int(round(params.t_max / params.dt))
         times = np.linspace(0.0, n_steps * params.dt, n_steps + 1)
     else:
-        inner = [p for p in params.breakpoints() if 0 < p < record_times[-1]]
-        times = np.unique(np.concatenate([[0.0], np.asarray(record_times, float), inner]))
+        times = params.jump_grid(record_times)
         if times[-1] > params.t_max:
             raise InputError("record_times exceed t_max")
 

@@ -5,14 +5,13 @@ with a random direction, prices them canonically, and measures the cohort
 curves (momentum by belief level, low-risk by belief volatility) that the
 analytic module predicts. Reproducibility is exact: every asset draws from
 its own counter-based substream keyed by (seed, asset_id), so the panel is
-bit-identical for any worker count.
+bit-identical on every run of one (config, seed).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,13 +30,12 @@ __all__ = [
     "make_config",
     "simulate_market",
     "sort_cohorts",
+    "cohort_stats",
     "measure_expost_excess",
     "expost_decomposition",
     "write_panel_csv",
     "write_cohorts_csv",
 ]
-
-CHUNK = 8192
 
 
 class ResourceLimitError(RuntimeError):
@@ -159,20 +157,6 @@ class MarketPanel:
         return expit(prior + self.loglr[:, idx])
 
 
-def _grid_and_interval_laws(config: MarketConfig):
-    inf = config.inference
-    last = config.record_times[-1]
-    inner = [p for p in inf.breakpoints() if 0 < p < last]
-    times = np.unique(np.concatenate([[0.0], np.asarray(config.record_times, float), inner]))
-    n_int = len(times) - 1
-    var_z = np.empty(n_int)
-    var_d = np.empty(n_int)
-    for i in range(n_int):
-        var_z[i], var_d[i] = inf.variance_between(times[i], times[i + 1])
-    rec_idx = np.searchsorted(times, np.asarray(config.record_times, float))
-    return times, var_z, var_d, rec_idx
-
-
 def _b_prob(config: MarketConfig, sign: int) -> float:
     if config.b_measure == "truth":
         return config.truth.p1_0
@@ -181,15 +165,17 @@ def _b_prob(config: MarketConfig, sign: int) -> float:
     return config.Pi1_0(sign)
 
 
-def simulate_market(config: MarketConfig, seed: int, threads: int = 1) -> MarketPanel:
+def simulate_market(config: MarketConfig, seed: int) -> MarketPanel:
     """Simulate the panel with exact Gaussian jumps between recorded epochs.
 
     Per asset, the substream order is: sign uniform, outcome uniform, the
     D-stream normals for every interval, then the Z-stream normals only if
-    some interval carries Z-variance. Chunked over assets with a fixed chunk
-    size; identical output for any thread count.
+    some interval carries Z-variance.
     """
-    times, var_z, var_d, rec_idx = _grid_and_interval_laws(config)
+    inf = config.inference
+    times = inf.jump_grid(config.record_times)
+    var_z, var_d = inf.interval_variances(times)
+    rec_idx = np.searchsorted(times, np.asarray(config.record_times, float))
     n_int = len(times) - 1
     if config.n_assets * n_int > config.max_asset_steps:
         raise ResourceLimitError(
@@ -214,44 +200,35 @@ def simulate_market(config: MarketConfig, seed: int, threads: int = 1) -> Market
     prem = np.array([pr.premium_to_go(t) for t in times])
     s_delta = np.array([pr.s_delta_at(t) for t in times])
 
-    def fill(lo: int, hi: int) -> None:
-        for a in range(lo, hi):
-            rng = np.random.Generator(np.random.Philox(key=[seed, a]))
-            u_sign = rng.random()
-            u_b = rng.random()
-            s = 1 if u_sign < config.sign_prob_plus else -1
-            b = 1 if u_b < _b_prob(config, s) else 0
-            z_d = rng.standard_normal(n_int)
-            z_z = rng.standard_normal(n_int) if need_z else None
-            incr = (1.0 if b == 1 else -1.0) * half + sd_d * z_d
-            if z_z is not None:
-                incr = incr + sd_z * z_z
-            l_path = np.concatenate([[0.0], np.cumsum(incr)])
-            y = np.full(len(times), pr.y_minus0)
-            if pr.sigma_Z > 0 or pr.rZ_delta > 0:
-                up = (b == 1) == (s == 1)
-                dy = pr.sigma_Z * np.sqrt(dts) * z_z if pr.sigma_Z > 0 else np.zeros(n_int)
-                if up and pr.rZ_delta > 0:
-                    dy = dy + pr.rZ_delta * dts
-                y[1:] += np.cumsum(dy)
-            pi_path = posterior_from_loglr(prior_odds, l_path)
-            Pi_path = rne_belief(pi_path, pr.K, s)
-            up_prob = Pi_path if s == 1 else 1.0 - Pi_path
-            s_path = canonical_price(y, s_delta, up_prob, prem)
-            B[a] = b
-            sign[a] = s
-            loglr[a] = l_path[rec_idx]
-            pi[a] = pi_path[rec_idx]
-            Pi[a] = Pi_path[rec_idx]
-            S[a] = s_path[rec_idx]
-
-    bounds = [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
-    if threads <= 1 or len(bounds) == 1:
-        for lo, hi in bounds:
-            fill(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
+    for a in range(n):
+        rng = np.random.Generator(np.random.Philox(key=[seed, a]))
+        u_sign = rng.random()
+        u_b = rng.random()
+        s = 1 if u_sign < config.sign_prob_plus else -1
+        b = 1 if u_b < _b_prob(config, s) else 0
+        z_d = rng.standard_normal(n_int)
+        z_z = rng.standard_normal(n_int) if need_z else None
+        incr = (1.0 if b == 1 else -1.0) * half + sd_d * z_d
+        if z_z is not None:
+            incr = incr + sd_z * z_z
+        l_path = np.concatenate([[0.0], np.cumsum(incr)])
+        y = np.full(len(times), pr.y_minus0)
+        if pr.sigma_Z > 0 or pr.rZ_delta > 0:
+            up = (b == 1) == (s == 1)
+            dy = pr.sigma_Z * np.sqrt(dts) * z_z if pr.sigma_Z > 0 else np.zeros(n_int)
+            if up and pr.rZ_delta > 0:
+                dy = dy + pr.rZ_delta * dts
+            y[1:] += np.cumsum(dy)
+        pi_path = posterior_from_loglr(prior_odds, l_path)
+        Pi_path = rne_belief(pi_path, pr.K, s)
+        up_prob = Pi_path if s == 1 else 1.0 - Pi_path
+        s_path = canonical_price(y, s_delta, up_prob, prem)
+        B[a] = b
+        sign[a] = s
+        loglr[a] = l_path[rec_idx]
+        pi[a] = pi_path[rec_idx]
+        Pi[a] = Pi_path[rec_idx]
+        S[a] = s_path[rec_idx]
 
     return MarketPanel(
         config=config, seed=seed, times=np.asarray(config.record_times, float),
@@ -270,15 +247,6 @@ class CohortSort:
     bin_index: np.ndarray
     side_high: np.ndarray | None
     curves: dict
-
-
-def _mix_and_se(sign: np.ndarray, members: np.ndarray) -> tuple[float, float]:
-    n_plus = int(np.sum(sign[members] == 1))
-    n_minus = int(np.sum(sign[members] == -1))
-    if n_plus == 0 or n_minus == 0:
-        return math.nan, math.nan
-    mix = n_plus / n_minus
-    return mix, mix * math.sqrt(1 / n_plus + 1 / n_minus)
 
 
 def sort_cohorts(
@@ -322,12 +290,11 @@ def sort_cohorts(
     centers = 0.5 * (edges[:-1] + edges[1:])
 
     n_b = len(centers)
-    counts = np.bincount(bin_index, minlength=n_b).astype(float)
-    mix = np.full(n_b, np.nan)
-    for b in range(n_b):
-        members = bin_index == b
-        if counts[b] > 0:
-            mix[b], _ = _mix_and_se(panel.sign, members)
+    n_plus = np.bincount(bin_index[panel.sign == 1], minlength=n_b)
+    n_minus = np.bincount(bin_index[panel.sign == -1], minlength=n_b)
+    counts = (n_plus + n_minus).astype(float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mix = np.where((n_plus > 0) & (n_minus > 0), n_plus / n_minus, np.nan)
 
     nanrp = np.full(n_b, np.nan)
     if conditioning == "volatility":
@@ -339,104 +306,70 @@ def sort_cohorts(
         }
         side_high = vals > 0.5
     else:
-        curves = {}
-        for kind, s in (("momentum_plus", 1), ("momentum_minus", -1)):
-            csel = np.bincount(bin_index[panel.sign == s], minlength=n_b).astype(float)
-            curves[kind] = CohortCurve(
-                kind, centers, nanrp.copy(), csel, mix=mix.copy(),
+        curves = {
+            kind: CohortCurve(
+                kind, centers, nanrp.copy(), csel.astype(float), mix=mix.copy(),
                 meta={"t": t, "edges": edges},
             )
+            for kind, csel in (("momentum_plus", n_plus), ("momentum_minus", n_minus))
+        }
         side_high = None
     return CohortSort(conditioning, t, idx, edges, bin_index, side_high, curves)
 
 
-def _cell_stats(x: np.ndarray) -> tuple[float, float, int]:
-    n = len(x)
-    if n == 0:
-        return math.nan, math.nan, 0
-    m = float(np.mean(x))
-    var = float(np.var(x, ddof=1)) / n if n > 1 else math.nan
-    return m, var, n
+def cohort_stats(panel: MarketPanel, sort: CohortSort, weights=None) -> dict:
+    """Weighted excess statistics of the sorted cohorts: {kind: (rp, se, n)}.
+
+    Each asset falls in one cell (bin, fold side, sign) and is scored as
+    sign*(1_{B=1} - u)*S_delta against a level u constant on the cell: the
+    bin center, or 1 - center on the high side of the fold. So the weight w
+    and hit weight h of a cell give its statistics exactly: p = h/w, mean
+    sign*(p - u)*S_delta, variance of the mean S_delta^2*p(1-p)/(w-1) for
+    w > 1 (NaN otherwise). Momentum curves are the sign cells themselves.
+    Volatility curves average the two sign arms half/half on each side of
+    the fold (the unconditional mix) and weight the fold sides by
+    occupancy, matching the analytic composition; a bin with an occupied
+    side whose arms cannot both be measured is NaN. Unit weights give the
+    measurement; integer weights w_i give the panel with asset i repeated
+    w_i times, which is how the bootstrap resamples.
+    """
+    n_b = len(sort.edges) - 1
+    centers = 0.5 * (sort.edges[:-1] + sort.edges[1:])
+    w = np.ones(panel.n_assets) if weights is None else np.asarray(weights, float)
+    high = np.zeros(panel.n_assets, bool) if sort.side_high is None else sort.side_high
+    cell = (sort.bin_index * 2 + high) * 2 + (panel.sign == 1)
+    w_c = np.bincount(cell, weights=w, minlength=4 * n_b).reshape(n_b, 2, 2)
+    h_c = np.bincount(cell, weights=w * (panel.B == 1), minlength=4 * n_b).reshape(n_b, 2, 2)
+    u = np.stack([centers, 1.0 - centers], axis=1)[:, :, None]
+    S_delta = panel.config.pricing.S_delta
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p = h_c / w_c
+        mean = np.array([-1.0, 1.0]) * (p - u) * S_delta
+        var = np.where(w_c > 1, S_delta**2 * p * (1 - p) / (w_c - 1), np.nan)
+    if sort.conditioning == "pi_level":
+        return {
+            kind: (mean[:, 0, j], np.sqrt(var[:, 0, j]), w_c[:, 0, j])
+            for kind, j in (("momentum_plus", 1), ("momentum_minus", 0))
+        }
+    n_side = w_c.sum(axis=2)
+    n_tot = n_side.sum(axis=1)
+    occupied = n_side > 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w_side = np.where(occupied, n_side / n_tot[:, None], 0.0)
+    arm = np.where(occupied, 0.5 * (mean[:, :, 1] + mean[:, :, 0]), 0.0)
+    arm_var = np.where(occupied, 0.25 * (var[:, :, 1] + var[:, :, 0]), 0.0)
+    bad = ~np.isfinite(arm_var).all(axis=1) | (n_tot == 0)
+    rp = np.where(bad, np.nan, (w_side * arm).sum(axis=1))
+    se = np.where(bad, np.nan, np.sqrt((w_side**2 * arm_var).sum(axis=1)))
+    return {"volatility": (rp, se, n_tot)}
 
 
 def measure_expost_excess(panel: MarketPanel, cohorts: CohortSort) -> dict:
-    """Fill cohort curves with empirical mean excess against resolved outcomes.
-
-    Momentum curves score each member against the bin center with its own
-    sign: sign*(1_{B=1} - v_bin)*S_delta. Volatility curves average the two
-    sign arms half/half on each side of the fold (the unconditional mix) and
-    weight the fold sides by occupancy, matching the analytic composition.
-    Points below n_min members are kept but flagged low-confidence.
-    """
-    cfg = panel.config
-    S_delta = cfg.pricing.S_delta
-    idx = cohorts.t_index
-    b_hit = (panel.B == 1).astype(float)
+    """Fill the sorted cohort curves with the unit-weight cohort_stats."""
     out = {}
-    if cohorts.conditioning == "pi_level":
-        for kind, s in (("momentum_plus", 1), ("momentum_minus", -1)):
-            base = cohorts.curves[kind]
-            n_b = len(base.v)
-            rp = np.full(n_b, np.nan)
-            se = np.full(n_b, np.nan)
-            n = np.zeros(n_b)
-            sel = panel.sign == s
-            for b in range(n_b):
-                members = sel & (cohorts.bin_index == b)
-                x = s * (b_hit[members] - base.v[b]) * S_delta
-                m, var, cnt = _cell_stats(x)
-                rp[b] = m
-                se[b] = math.sqrt(var) if cnt > 1 else math.nan
-                n[b] = cnt
-            out[kind] = CohortCurve(
-                kind, base.v, rp, n, se=se, mix=base.mix,
-                low_confidence=n < cfg.n_min, meta=dict(base.meta),
-            )
-        return out
-
-    base = cohorts.curves["volatility"]
-    n_b = len(base.v)
-    rp = np.full(n_b, np.nan)
-    se = np.full(n_b, np.nan)
-    n = np.zeros(n_b)
-    for b in range(n_b):
-        members = cohorts.bin_index == b
-        n[b] = np.sum(members)
-        if n[b] == 0:
-            continue
-        side_means = []
-        side_vars = []
-        side_n = []
-        ok = True
-        for high in (False, True):
-            side = members & (cohorts.side_high == high)
-            n_side = int(np.sum(side))
-            if n_side == 0:
-                continue
-            u = 1.0 - base.v[b] if high else base.v[b]
-            arm_m = []
-            arm_v = []
-            for s in (1, -1):
-                cell = side & (panel.sign == s)
-                x = s * (b_hit[cell] - u) * S_delta
-                m, var, cnt = _cell_stats(x)
-                if cnt == 0 or not np.isfinite(var):
-                    ok = False
-                arm_m.append(m)
-                arm_v.append(var)
-            side_means.append(0.5 * (arm_m[0] + arm_m[1]))
-            side_vars.append(0.25 * (arm_v[0] + arm_v[1]))
-            side_n.append(n_side)
-        if not side_n:
-            continue
-        w = np.asarray(side_n, float) / float(sum(side_n))
-        if ok:
-            rp[b] = float(np.dot(w, side_means))
-            se[b] = float(math.sqrt(np.dot(w**2, side_vars)))
-    out["volatility"] = CohortCurve(
-        "volatility", base.v, rp, n, se=se, mix=base.mix,
-        low_confidence=(n < cfg.n_min) | ~np.isfinite(rp), meta=dict(base.meta),
-    )
+    for kind, (rp, se, n) in cohort_stats(panel, cohorts).items():
+        base = cohorts.curves[kind]
+        out[kind] = CohortCurve(kind, base.v, rp, n, se=se, mix=base.mix, meta=dict(base.meta))
     return out
 
 

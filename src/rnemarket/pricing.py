@@ -289,8 +289,7 @@ def simulate_price_path(
         n_steps = int(round(min(inf.t_max, params.t_max) / inf.dt))
         times = np.linspace(0.0, n_steps * inf.dt, n_steps + 1)
     else:
-        inner = [p for p in inf.breakpoints() if 0 < p < record_times[-1]]
-        times = np.unique(np.concatenate([[0.0], np.asarray(record_times, float), inner]))
+        times = inf.jump_grid(record_times)
     n = len(times) - 1
     z_d = rng.standard_normal(n)
     need_z = params.sigma_Z > 0 or any(

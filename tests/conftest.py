@@ -18,13 +18,13 @@ def big_config():
 
 @pytest.fixture(scope="session")
 def big_panel(big_config):
-    return simulate_market(big_config, ACCEPT_SEED, threads=4)
+    return simulate_market(big_config, ACCEPT_SEED)
 
 
 @pytest.fixture(scope="session")
 def small_panel():
     cfg = make_config(n_assets=20_000)
-    return simulate_market(cfg, ACCEPT_SEED, threads=4)
+    return simulate_market(cfg, ACCEPT_SEED)
 
 
 # The acceptance tests record one verdict line each; echo them at the end of

@@ -48,7 +48,7 @@ def test_criterion_1_conserved_odds_on_a_dense_panel():
     t0 = time.perf_counter()
     times = tuple(np.linspace(0.008, 8.0, 1000))
     cfg = make_config(n_assets=1000, record_times=times)
-    panel = simulate_market(cfg, ACCEPT_SEED, threads=4)
+    panel = simulate_market(cfg, ACCEPT_SEED)
     ratio = (panel.pi / (1 - panel.pi)) / (panel.Pi / (1 - panel.Pi))
     target = cfg.pricing.K ** panel.sign.astype(float)
     dev = float(np.max(np.abs(ratio / target[:, None] - 1.0)))
@@ -152,11 +152,11 @@ def test_criterion_6_panel_cohorts_reproduce_the_curves(big_panel):
 
 
 def test_criterion_7_parameters_recover_from_the_panel(big_config):
-    res = roundtrip(big_config, ACCEPT_SEED, n_boot=200, threads=4)
+    res = roundtrip(big_config, ACCEPT_SEED, n_boot=200)
     err_K = abs(res.K_hat - 1.5)
     err_rho = abs(res.rho_hat - 9.0)
     cfg1 = make_config(n_assets=100_000, K=1.0)
-    res1 = roundtrip(cfg1, ACCEPT_SEED, n_boot=0, threads=4)
+    res1 = roundtrip(cfg1, ACCEPT_SEED, n_boot=0)
     check(
         7,
         err_K <= 0.15 and err_rho <= 1.8 and 0.95 <= res1.K_hat <= 1.05,
@@ -169,13 +169,13 @@ def test_criterion_7_parameters_recover_from_the_panel(big_config):
 def test_criterion_8_ensembles_follow_their_laws(big_panel):
     worst_z = 0.0
     cfg_ref = make_config(n_assets=20_000, b_measure="reference")
-    ref = simulate_market(cfg_ref, ACCEPT_SEED, threads=4)
+    ref = simulate_market(cfg_ref, ACCEPT_SEED)
     for j in range(len(ref.times)):
         x = ref.pi[:, j]
         se = np.std(x, ddof=1) / math.sqrt(len(x))
         worst_z = max(worst_z, abs(np.mean(x) - cfg_ref.truth.pi1_0) / se)
     cfg_rne = make_config(n_assets=20_000, b_measure="rne")
-    rne = simulate_market(cfg_rne, ACCEPT_SEED, threads=4)
+    rne = simulate_market(cfg_rne, ACCEPT_SEED)
     for s in (1, -1):
         sel = rne.sign == s
         for j in range(len(rne.times)):

@@ -13,6 +13,7 @@ from scipy.stats import norm
 from rnemarket.anomalies import (
     AnomalyParams,
     CohortCurve,
+    _log_occupancy,
     analytic_curve,
     bin_averaged_momentum,
     default_grid,
@@ -261,3 +262,17 @@ def test_anomaly_params_window_properties():
         AnomalyParams.from_primitives(0.49, -1.0, 1.5, SIGMA, T)
     with pytest.raises(InputError):
         AnomalyParams.from_primitives(0.49, 9.0, 0.9, SIGMA, T)
+
+
+def test_log_occupancy_is_bit_equal_to_the_scipy_stats_form():
+    v = np.linspace(1e-6, 1 - 1e-6, 20_001)
+    for rho, K, t in ((9.0, 1.5, T), (1.0, 1.0, 0.3), (27.0, 1.9, 8.0)):
+        p = params_at(rho=rho, K=K, t=t)
+        for s in (1, -1):
+            level = p.H_p + math.log(p.rho) + s * math.log(p.K) + logit(v)
+            sd = p.sigma_l * math.sqrt(p.t)
+            half_var = p.sigma_l**2 * p.t / 2.0
+            la = np.log(p.p1_0) + norm.logpdf(level, loc=half_var, scale=sd)
+            lb = np.log1p(-p.p1_0) + norm.logpdf(level, loc=-half_var, scale=sd)
+            want = np.logaddexp(la, lb) - np.log(v * (1 - v))
+            assert np.array_equal(_log_occupancy(v, s, p), want)

@@ -2,6 +2,9 @@
 
 import csv
 import filecmp
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -172,6 +175,7 @@ def test_validate_passes_on_the_default_model(tmp_path, capsys):
     report = (out / "validate_report.txt").read_text()
     assert "PASS" in report and "FAIL" not in report
     assert "conserved priced-odds ratio" in report
+    assert "rerun determinism" in report
 
 
 def test_bad_config_exits_two(tmp_path, capsys):
@@ -209,3 +213,15 @@ def test_estimate_reports_the_recovery(tmp_path, capsys):
     report = (out / "estimate_report.txt").read_text()
     assert "K_hat" in report and "bootstrap 95% CIs" in report
     assert "K_hat" in capsys.readouterr().out
+
+
+def test_cli_import_skips_scipy_stats_and_integrate():
+    code = (
+        "import sys, rnemarket.cli; "
+        "print(sorted({'scipy.stats', 'scipy.integrate'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

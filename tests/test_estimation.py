@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from rnemarket.anomalies import AnomalyParams, CohortCurve, analytic_curve, lowrisk_peak
 from rnemarket.estimation import (
+    FLATNESS_CONFIDENCE,
     EstimationResult,
     ShapeError,
     _estimate_from_curve,
+    _flatness_gate,
     find_peak,
     format_report,
     recover_params,
@@ -85,6 +87,15 @@ def test_find_peak_handles_a_boundary_peak():
     v_hat, rp_hat, _ = find_peak(curve, n_min=0)
     assert v_hat == pytest.approx(0.5, abs=1e-3)
     assert rp_hat == pytest.approx(0.1, abs=1e-3)
+
+
+def test_flatness_critical_value_equals_the_chi2_quantile():
+    from scipy.stats import chi2
+
+    for dof in range(1, 400):
+        rp = np.zeros(dof + 1)
+        _, stats = _flatness_gate(rp, np.ones(dof + 1))
+        assert stats["flatness_crit"] == float(chi2.ppf(FLATNESS_CONFIDENCE, dof))
 
 
 def test_recover_params_examples():
@@ -166,7 +177,7 @@ def test_significant_shape_defects_propagate_unless_lenient():
 
 def test_roundtrip_degenerate_unpriced_market():
     cfg = make_config(n_assets=20_000, rho=9.0, K=1.0)
-    res = roundtrip(cfg, ACCEPT_SEED, n_boot=0, threads=4)
+    res = roundtrip(cfg, ACCEPT_SEED, n_boot=0)
     assert 0.95 <= res.K_hat <= 1.05
     assert "no_significant_peak" in res.diagnostics["flags"]
     # location falls back to the prior point; rho is not identified here
@@ -175,7 +186,7 @@ def test_roundtrip_degenerate_unpriced_market():
 
 def test_roundtrip_degenerate_unbiased_unpriced_market():
     cfg = make_config(n_assets=20_000, rho=1.0, K=1.0)
-    res = roundtrip(cfg, ACCEPT_SEED, n_boot=0, threads=4)
+    res = roundtrip(cfg, ACCEPT_SEED, n_boot=0)
     assert 0.95 <= res.K_hat <= 1.05
     assert 0.9 <= res.rho_hat <= 1.3
     assert "no_significant_peak" in res.diagnostics["flags"]
@@ -184,7 +195,7 @@ def test_roundtrip_degenerate_unbiased_unpriced_market():
 
 def test_roundtrip_flat_topped_boundary_peak():
     cfg = make_config(n_assets=20_000, rho=1.0, K=1.5)
-    res = roundtrip(cfg, ACCEPT_SEED, t=1.2, n_boot=0, threads=4)
+    res = roundtrip(cfg, ACCEPT_SEED, t=1.2, n_boot=0)
     assert "peak_shape_unresolved" in res.diagnostics["flags"]
     assert 1.3 <= res.K_hat <= 1.9
 
@@ -202,7 +213,7 @@ def test_errors_shrink_with_panel_size():
     for seed in range(1, 21):
         for n in errs:
             cfg = make_config(n_assets=n)
-            res = roundtrip(cfg, seed, n_boot=0, threads=4)
+            res = roundtrip(cfg, seed, n_boot=0)
             errs[n].append((abs(res.K_hat - 1.5), abs(res.rho_hat - 9.0)))
     for j, name in enumerate(("K", "rho")):
         small = float(np.median([e[j] for e in errs[10_000]]))
@@ -212,7 +223,7 @@ def test_errors_shrink_with_panel_size():
 
 def test_report_and_csv_round_trip(tmp_path):
     cfg = make_config(n_assets=20_000)
-    res = roundtrip(cfg, ACCEPT_SEED, n_boot=40, threads=4)
+    res = roundtrip(cfg, ACCEPT_SEED, n_boot=40)
     text = format_report(res)
     assert f"K_hat={res.K_hat:.6g}" in text
     assert "bootstrap 95% CIs" in text

@@ -28,14 +28,6 @@ def _odds(x):
     return x / (1.0 - x)
 
 
-def test_thread_count_is_invisible():
-    cfg = make_config(n_assets=2000)
-    a = simulate_market(cfg, 7, threads=1)
-    b = simulate_market(cfg, 7, threads=3)
-    for name in ("B", "sign", "loglr", "pi", "Pi", "S"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-
-
 def test_panel_identities(small_panel):
     p = small_panel
     cfg = p.config
@@ -69,7 +61,7 @@ def test_assets_are_independent(small_panel):
 
 def test_reference_measure_beliefs_are_driftless():
     cfg = make_config(n_assets=20_000, b_measure="reference")
-    p = simulate_market(cfg, ACCEPT_SEED, threads=4)
+    p = simulate_market(cfg, ACCEPT_SEED)
     for j in range(len(p.times)):
         x = p.pi[:, j]
         z = abs(np.mean(x) - cfg.truth.pi1_0) / (np.std(x, ddof=1) / math.sqrt(len(x)))
@@ -78,7 +70,7 @@ def test_reference_measure_beliefs_are_driftless():
 
 def test_priced_measure_prices_are_driftless():
     cfg = make_config(n_assets=20_000, b_measure="rne")
-    p = simulate_market(cfg, ACCEPT_SEED, threads=4)
+    p = simulate_market(cfg, ACCEPT_SEED)
     for s in (1, -1):
         sel = p.sign == s
         prior = cfg.Pi1_0(s)
@@ -154,7 +146,7 @@ def test_momentum_cohorts_match_prediction(small_panel):
 
 def test_volatility_cohorts_match_prediction_when_unbiased():
     cfg = make_config(n_assets=20_000, rho=1.0)
-    panel = simulate_market(cfg, ACCEPT_SEED, threads=4)
+    panel = simulate_market(cfg, ACCEPT_SEED)
     t = 2.4
     pars = AnomalyParams.from_primitives(
         cfg.truth.p1_0, 1.0, cfg.pricing.K,
