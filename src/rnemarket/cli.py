@@ -253,8 +253,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("curves.grid_points must be at least 10")
     if rc.threads < 1:
         raise ConfigError("threads must be at least 1")
-    if rc.seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
+    if not 0 <= rc.seed < 2**64:
+        raise ConfigError("seed must be an integer in [0, 2^64)")
     if not rc.curves_rho or not rc.curves_K:
         raise ConfigError("curves.rho_list and curves.K_list must be nonempty")
 
@@ -637,8 +637,8 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot read config {args.config!r}: {e}") from e
         rc = parse_config(text)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be a nonnegative integer")
+            if not 0 <= args.seed < 2**64:
+                raise ConfigError("--seed must be an integer in [0, 2^64)")
             rc = replace(rc, seed=args.seed)
         if args.threads is not None:
             if args.threads < 1:

@@ -303,13 +303,16 @@ def roundtrip(
     if n_boot > 0:
         rng = np.random.default_rng([seed, 0xB007])
         n = panel.n_assets
+        order = np.argsort(panel.Pi[:, idx])
         boots = {"rho": [], "K": [], "v": [], "rp": []}
         for _ in range(n_boot):
-            w = rng.multinomial(n, np.full(n, 1.0 / n)).astype(float)
+            # n draws with replacement: the Multinomial(n, 1/n) resample counts
+            w = np.bincount(rng.integers(n, size=n), minlength=n).astype(float)
             rp_b, se_b, n_b = cohort_stats(panel, sort, w)["volatility"]
             bc = CohortCurve("volatility", curve.v, rp_b, n_b, se=se_b)
             vb, rb, _, _ = _estimate_from_curve(
-                bc, config.n_min, lambda: _fold_median_weighted(panel, idx, w), lenient=True
+                bc, config.n_min, lambda: _fold_median_weighted(panel.Pi[:, idx], order, w),
+                lenient=True,
             )
             rb = min(max(rb, 0.0), 0.499999 * S_delta)
             rho_b, K_b = recover_params(vb, rb, S_delta)
@@ -327,11 +330,10 @@ def roundtrip(
     )
 
 
-def _fold_median_weighted(panel: MarketPanel, idx: int, w: np.ndarray) -> float:
-    vals = panel.Pi[:, idx]
-    order = np.argsort(vals)
+def _fold_median_weighted(vals: np.ndarray, order: np.ndarray, w: np.ndarray) -> float:
+    """Fold of the w-weighted median of vals, with order = argsort(vals)."""
     cum = np.cumsum(w[order])
-    med = float(vals[order][np.searchsorted(cum, cum[-1] / 2.0)])
+    med = float(vals[order[np.searchsorted(cum, cum[-1] / 2.0)]])
     return min(med, 1.0 - med)
 
 

@@ -38,6 +38,12 @@ __all__ = [
 ]
 
 
+# Assets per evaluation block of simulate_market: large enough that the
+# per-block array work is amortized, small enough that the block's
+# temporaries stay a few MB beside the output arrays.
+ASSET_BLOCK = 4096
+
+
 class ResourceLimitError(RuntimeError):
     """Requested simulation exceeds the configured step budget."""
 
@@ -168,10 +174,17 @@ def _b_prob(config: MarketConfig, sign: int) -> float:
 def simulate_market(config: MarketConfig, seed: int) -> MarketPanel:
     """Simulate the panel with exact Gaussian jumps between recorded epochs.
 
-    Per asset, the substream order is: sign uniform, outcome uniform, the
-    D-stream normals for every interval, then the Z-stream normals only if
-    some interval carries Z-variance.
+    Asset a draws from Philox keyed by the exact 64-bit pair (seed, a), so
+    seed must lie in [0, 2**64). Per asset, the substream order is: sign
+    uniform, outcome uniform, the D-stream normals for every interval, then
+    the Z-stream normals only if some interval carries Z-variance. One bit
+    generator is reseated to each asset's key in turn; the draws land in a
+    block of ASSET_BLOCK assets and the paths, beliefs and prices of the
+    whole block are evaluated together, which bounds the working memory
+    whatever n_assets is.
     """
+    if not 0 <= seed < 2**64:
+        raise InputError("seed must lie in [0, 2**64)")
     inf = config.inference
     times = inf.jump_grid(config.record_times)
     var_z, var_d = inf.interval_variances(times)
@@ -189,6 +202,11 @@ def simulate_market(config: MarketConfig, seed: int) -> MarketPanel:
     half = (var_z + var_d) / 2.0
     dts = np.diff(times)
     prior_odds = config.truth.pi1_0 / (1 - config.truth.pi1_0)
+    b_prob = {s: _b_prob(config, s) for s in (1, -1)}
+    # the paths start at 0 and are only read at the record epochs (all > 0)
+    rec_col = rec_idx - 1
+    prem = np.array([pr.premium_to_go(t) for t in times])[rec_idx]
+    s_delta = np.array([pr.s_delta_at(t) for t in times])[rec_idx]
     n, T = config.n_assets, len(rec_idx)
 
     B = np.empty(n, dtype=np.int8)
@@ -197,38 +215,57 @@ def simulate_market(config: MarketConfig, seed: int) -> MarketPanel:
     pi = np.empty((n, T))
     Pi = np.empty((n, T))
     S = np.empty((n, T))
-    prem = np.array([pr.premium_to_go(t) for t in times])
-    s_delta = np.array([pr.s_delta_at(t) for t in times])
 
-    for a in range(n):
-        rng = np.random.Generator(np.random.Philox(key=[seed, a]))
-        u_sign = rng.random()
-        u_b = rng.random()
-        s = 1 if u_sign < config.sign_prob_plus else -1
-        b = 1 if u_b < _b_prob(config, s) else 0
-        z_d = rng.standard_normal(n_int)
-        z_z = rng.standard_normal(n_int) if need_z else None
-        incr = (1.0 if b == 1 else -1.0) * half + sd_d * z_d
-        if z_z is not None:
+    # Python ints convert to the C key words exactly, and index without
+    # allocating (numpy arrays would box a scalar per word per asset)
+    key = [seed, 0]
+    zeros = (0, 0, 0, 0)
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": key},
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
+    draws = np.empty((min(n, ASSET_BLOCK), 2 + n_int * (2 if need_z else 1)))
+
+    for lo in range(0, n, ASSET_BLOCK):
+        hi = min(lo + ASSET_BLOCK, n)
+        d = draws[: hi - lo]
+        for a, row in enumerate(d, lo):
+            key[1] = a
+            bitgen.state = fresh
+            rng.random(out=row[:2])
+            rng.standard_normal(out=row[2:])
+        z_d = d[:, 2 : 2 + n_int]
+        z_z = d[:, 2 + n_int :] if need_z else None
+        plus = d[:, 0] < config.sign_prob_plus
+        b = d[:, 1] < np.where(plus, b_prob[1], b_prob[-1])
+        incr = np.where(b, 1.0, -1.0)[:, None] * half + sd_d * z_d
+        if need_z:
             incr = incr + sd_z * z_z
-        l_path = np.concatenate([[0.0], np.cumsum(incr)])
-        y = np.full(len(times), pr.y_minus0)
+        l_rec = np.cumsum(incr, axis=1)[:, rec_col]
         if pr.sigma_Z > 0 or pr.rZ_delta > 0:
-            up = (b == 1) == (s == 1)
-            dy = pr.sigma_Z * np.sqrt(dts) * z_z if pr.sigma_Z > 0 else np.zeros(n_int)
-            if up and pr.rZ_delta > 0:
-                dy = dy + pr.rZ_delta * dts
-            y[1:] += np.cumsum(dy)
-        pi_path = posterior_from_loglr(prior_odds, l_path)
-        Pi_path = rne_belief(pi_path, pr.K, s)
-        up_prob = Pi_path if s == 1 else 1.0 - Pi_path
-        s_path = canonical_price(y, s_delta, up_prob, prem)
-        B[a] = b
-        sign[a] = s
-        loglr[a] = l_path[rec_idx]
-        pi[a] = pi_path[rec_idx]
-        Pi[a] = Pi_path[rec_idx]
-        S[a] = s_path[rec_idx]
+            dy = pr.sigma_Z * np.sqrt(dts) * z_z if pr.sigma_Z > 0 else np.zeros_like(incr)
+            if pr.rZ_delta > 0:
+                dy[b == plus] += pr.rZ_delta * dts
+            y = pr.y_minus0 + np.cumsum(dy, axis=1)[:, rec_col]
+        else:
+            y = pr.y_minus0
+        pi_rec = posterior_from_loglr(prior_odds, l_rec)
+        Pi_rec = np.empty_like(pi_rec)
+        Pi_rec[plus] = rne_belief(pi_rec[plus], pr.K, 1)
+        Pi_rec[~plus] = rne_belief(pi_rec[~plus], pr.K, -1)
+        up_prob = np.where(plus[:, None], Pi_rec, 1.0 - Pi_rec)
+        B[lo:hi] = b
+        sign[lo:hi] = np.where(plus, 1, -1)
+        loglr[lo:hi] = l_rec
+        pi[lo:hi] = pi_rec
+        Pi[lo:hi] = Pi_rec
+        S[lo:hi] = canonical_price(y, s_delta, up_prob, prem)
 
     return MarketPanel(
         config=config, seed=seed, times=np.asarray(config.record_times, float),

@@ -168,6 +168,17 @@ def test_seed_flag_changes_the_draw_and_repeats_exactly(tmp_path):
     assert not filecmp.cmp(outs["a"], outs["b"], shallow=False)
 
 
+def test_seeds_outside_u64_are_config_errors(tmp_path, capsys):
+    assert parse_config(f"seed = {2**64 - 1}\n").seed == 2**64 - 1
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config(f"seed = {2**64}\n")
+    cfg = _write(tmp_path, "c.cfg", SMALL)
+    for seed in ("18446744073709551616", "-1"):
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o"),
+                     "--seed", seed]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+
 def test_validate_passes_on_the_default_model(tmp_path, capsys):
     cfg = _write(tmp_path, "c.cfg", "")
     out = tmp_path / "out"

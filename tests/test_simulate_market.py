@@ -1,0 +1,140 @@
+"""simulate_market against the per-asset reference loop, bit for bit."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from rnemarket.inference import InferenceParams, InputError, posterior_from_loglr
+from rnemarket.market import (
+    ASSET_BLOCK,
+    MarketPanel,
+    _b_prob,
+    make_config,
+    simulate_market,
+)
+from rnemarket.pricing import canonical_price, rne_belief
+
+FIELDS = ("times", "B", "sign", "loglr", "pi", "Pi", "S")
+
+CONFIGS = {
+    "default": {},
+    "z_stream": dict(
+        sigma_Z=0.1, rZ_delta=0.05, bsure_premium_drift=0.01,
+        inference=InferenceParams(sigma_lZ=0.5, schedule=((1.0, 0.3, 0.4), (3.0, 0.5, 0.2))),
+    ),
+    "rne": dict(b_measure="rne", K=2.0, sign_prob_plus=0.3),
+    "reference": dict(b_measure="reference", rZ_delta=0.05),
+}
+SIZES = (1, ASSET_BLOCK - 1, ASSET_BLOCK, ASSET_BLOCK + 1, 3 * ASSET_BLOCK + 7)
+SEEDS = (0, 112, 2**63 - 1)
+
+
+def reference_simulate_market(config, seed):
+    """The per-asset loop that simulated the panel before the block kernel.
+
+    Asset a gets its own Generator(Philox(key=[seed, a])); seed < 2**63, so
+    the key list converts exactly.
+    """
+    inf = config.inference
+    times = inf.jump_grid(config.record_times)
+    var_z, var_d = inf.interval_variances(times)
+    rec_idx = np.searchsorted(times, np.asarray(config.record_times, float))
+    n_int = len(times) - 1
+    pr = config.pricing
+    need_z = pr.sigma_Z > 0 or np.any(var_z > 0)
+    sd_z = np.sqrt(var_z)
+    sd_d = np.sqrt(var_d)
+    half = (var_z + var_d) / 2.0
+    dts = np.diff(times)
+    prior_odds = config.truth.pi1_0 / (1 - config.truth.pi1_0)
+    n, T = config.n_assets, len(rec_idx)
+
+    B = np.empty(n, dtype=np.int8)
+    sign = np.empty(n, dtype=np.int8)
+    loglr = np.empty((n, T))
+    pi = np.empty((n, T))
+    Pi = np.empty((n, T))
+    S = np.empty((n, T))
+    prem = np.array([pr.premium_to_go(t) for t in times])
+    s_delta = np.array([pr.s_delta_at(t) for t in times])
+
+    for a in range(n):
+        rng = np.random.Generator(np.random.Philox(key=[seed, a]))
+        u_sign = rng.random()
+        u_b = rng.random()
+        s = 1 if u_sign < config.sign_prob_plus else -1
+        b = 1 if u_b < _b_prob(config, s) else 0
+        z_d = rng.standard_normal(n_int)
+        z_z = rng.standard_normal(n_int) if need_z else None
+        incr = (1.0 if b == 1 else -1.0) * half + sd_d * z_d
+        if z_z is not None:
+            incr = incr + sd_z * z_z
+        l_path = np.concatenate([[0.0], np.cumsum(incr)])
+        y = np.full(len(times), pr.y_minus0)
+        if pr.sigma_Z > 0 or pr.rZ_delta > 0:
+            up = (b == 1) == (s == 1)
+            dy = pr.sigma_Z * np.sqrt(dts) * z_z if pr.sigma_Z > 0 else np.zeros(n_int)
+            if up and pr.rZ_delta > 0:
+                dy = dy + pr.rZ_delta * dts
+            y[1:] += np.cumsum(dy)
+        pi_path = posterior_from_loglr(prior_odds, l_path)
+        Pi_path = rne_belief(pi_path, pr.K, s)
+        up_prob = Pi_path if s == 1 else 1.0 - Pi_path
+        s_path = canonical_price(y, s_delta, up_prob, prem)
+        B[a] = b
+        sign[a] = s
+        loglr[a] = l_path[rec_idx]
+        pi[a] = pi_path[rec_idx]
+        Pi[a] = Pi_path[rec_idx]
+        S[a] = s_path[rec_idx]
+
+    return MarketPanel(
+        config=config, seed=seed, times=np.asarray(config.record_times, float),
+        B=B, sign=sign, loglr=loglr, pi=pi, Pi=Pi, S=S,
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_matches_reference_loop_bit_for_bit(name, seed):
+    # asset a's draws depend on (seed, a) alone, so the reference panel of
+    # the largest size holds the reference of every smaller one as a prefix
+    ref = reference_simulate_market(make_config(n_assets=max(SIZES), **CONFIGS[name]), seed)
+    for n in SIZES:
+        got = simulate_market(make_config(n_assets=n, **CONFIGS[name]), seed)
+        for f in FIELDS:
+            want = getattr(ref, f) if f == "times" else getattr(ref, f)[:n]
+            have = getattr(got, f)
+            assert have.dtype == want.dtype, (f, n)
+            assert np.array_equal(have, want), (f, n)
+
+
+def test_distinct_seeds_give_distinct_panels():
+    # 2**63 + 1 and 2**64 - 1 used to alias through a float64 key
+    seeds = (0, 1, 2**53 + 1, 2**63 - 1, 2**63 + 1, 2**64 - 1)
+    cfg = make_config(n_assets=64)
+    panels = [simulate_market(cfg, s) for s in seeds]
+    for i in range(len(seeds)):
+        for j in range(i):
+            assert not np.array_equal(panels[i].loglr, panels[j].loglr), (seeds[i], seeds[j])
+
+
+def test_seed_outside_the_u64_range_is_rejected():
+    cfg = make_config(n_assets=4)
+    for seed in (-1, 2**64):
+        with pytest.raises(InputError, match="seed"):
+            simulate_market(cfg, seed)
+
+
+def test_working_memory_is_bounded_by_the_block():
+    cfg = make_config(n_assets=100_000)
+    T = len(cfg.record_times)
+    outputs = cfg.n_assets * (2 + 4 * T * 8)
+    tracemalloc.start()
+    try:
+        simulate_market(cfg, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= outputs + 4 * 2**20, (peak, outputs)
