@@ -159,12 +159,22 @@ _SCHEMA = {
 _DERIVED_KEYS = ("pi1_0", "Pi1_0_plus", "Pi1_0_minus", "t_p", "t_K", "t_rho")
 
 
-def parse_config(text: str) -> RunConfig:
+def _finite(value) -> bool:
+    """False if a parsed value, or any float inside a list or schedule, is NaN or infinite."""
+    if isinstance(value, tuple):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def parse_config(text: str, overrides=None) -> RunConfig:
     """Parse a key-value config document into a validated RunConfig.
 
     Lines are ``key = value``; ``#`` starts a comment; unknown or duplicate
-    keys and malformed values are rejected with their line number. Stated
-    ``derived.*`` values are checked against recomputation to 1e-12.
+    keys and malformed or non-finite values are rejected with their line
+    number. Stated ``derived.*`` values are checked against recomputation
+    to 1e-12. overrides maps a key to (source, value), e.g. a command-line
+    flag; it replaces the document's value and goes through the same
+    checks, whose errors name the source.
     """
     values = {}
     derived_stated = {}
@@ -180,25 +190,32 @@ def parse_config(text: str) -> RunConfig:
         val = val.strip()
         if key in where:
             raise ConfigError(
-                f"line {lineno}: duplicate key {key!r} (first set on line {where[key]})"
+                f"line {lineno}: duplicate key {key!r} (first set on {where[key]})"
             )
-        where[key] = lineno
-        if key.startswith("derived."):
-            name = key[len("derived."):]
+        where[key] = f"line {lineno}"
+        name = key.removeprefix("derived.")
+        if name != key:
+            target, parse = derived_stated, float
             if name not in _DERIVED_KEYS:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            try:
-                derived_stated[name] = float(val)
-            except ValueError as e:
-                raise ConfigError(f"line {lineno}: invalid value for {key!r}: {e}") from e
-            continue
-        if key not in _SCHEMA:
+        elif key in _SCHEMA:
+            target, parse = values, _SCHEMA[key][0]
+        else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        parse, _ = _SCHEMA[key]
         try:
-            values[key] = parse(val)
+            parsed = parse(val)
         except ValueError as e:
             raise ConfigError(f"line {lineno}: invalid value for {key!r}: {e}") from e
+        if not _finite(parsed):
+            raise ConfigError(f"line {lineno}: non-finite value for {key!r}: {val!r}")
+        target[name] = parsed
+    for key, (source, value) in (overrides or {}).items():
+        values[key] = value
+        where[key] = source
+
+    def check(ok: bool, key: str, message: str) -> None:
+        if not ok:
+            raise ConfigError(f"{where[key]}: {message}" if key in where else message)
 
     get = lambda k: values.get(k, _SCHEMA[k][1])
     try:
@@ -247,14 +264,10 @@ def parse_config(text: str) -> RunConfig:
         )
     except InputError as e:
         raise ConfigError(str(e)) from e
-    if rc.n_boot < 0:
-        raise ConfigError("estimation.n_boot must be nonnegative")
-    if rc.grid_points < 10:
-        raise ConfigError("curves.grid_points must be at least 10")
-    if rc.threads < 1:
-        raise ConfigError("threads must be at least 1")
-    if not 0 <= rc.seed < 2**64:
-        raise ConfigError("seed must be an integer in [0, 2^64)")
+    check(rc.n_boot >= 0, "estimation.n_boot", "estimation.n_boot must be nonnegative")
+    check(rc.grid_points >= 10, "curves.grid_points", "curves.grid_points must be at least 10")
+    check(rc.threads >= 1, "threads", "threads must be at least 1")
+    check(0 <= rc.seed < 2**64, "seed", "seed must be an integer in [0, 2^64)")
     if not rc.curves_rho or not rc.curves_K:
         raise ConfigError("curves.rho_list and curves.K_list must be nonempty")
 
@@ -635,19 +648,12 @@ def main(argv=None) -> int:
                 text = Path(args.config).read_text()
             except OSError as e:
                 raise ConfigError(f"cannot read config {args.config!r}: {e}") from e
-        rc = parse_config(text)
-        if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError("--seed must be an integer in [0, 2^64)")
-            rc = replace(rc, seed=args.seed)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads must be at least 1")
-            rc = replace(rc, threads=args.threads)
-        if args.grid_points is not None:
-            if args.grid_points < 10:
-                raise ConfigError("--grid-points must be at least 10")
-            rc = replace(rc, grid_points=args.grid_points)
+        flags = {
+            "seed": ("--seed", args.seed),
+            "threads": ("--threads", args.threads),
+            "curves.grid_points": ("--grid-points", args.grid_points),
+        }
+        rc = parse_config(text, {k: v for k, v in flags.items() if v[1] is not None})
         return run_subcommand(args.command, rc, args.out_dir)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -106,6 +106,19 @@ class InferenceParams:
         laws = [self.variance_between(a, b) for a, b in zip(times[:-1], times[1:])]
         return np.array([z for z, _ in laws], float), np.array([d for _, d in laws], float)
 
+    def path_grid(self, record_times=None, t_max=None):
+        """(times, cols): a simulation grid and the columns reported on it.
+
+        Without record_times, the dense dt-grid up to t_max (default
+        self.t_max) with every column reported; with them, the jump grid
+        with the columns of the record times.
+        """
+        if record_times is None:
+            n_steps = int(round((self.t_max if t_max is None else t_max) / self.dt))
+            return np.linspace(0.0, n_steps * self.dt, n_steps + 1), slice(None)
+        times = self.jump_grid(record_times)
+        return times, np.searchsorted(times, np.asarray(record_times, float))
+
 
 @dataclass(frozen=True)
 class Milestones:
@@ -180,20 +193,21 @@ class BeliefPath:
     prior: float
 
 
-def _draw_noises(params: InferenceParams, times: np.ndarray, rng: np.random.Generator):
-    """Draw the per-interval noises in the frozen order: D first, then Z.
+def loglr_paths(var_z, var_d, b, z) -> np.ndarray:
+    """Exact log-LR paths, one row per outcome in b, starting with a 0 column.
 
-    The Z block is drawn only when some interval carries Z-variance, keeping
-    the stream layout identical between belief-only and priced simulations.
+    var_z, var_d are the Z- and D-variances of the intervals; each row of z
+    holds a standard normal per interval for the D-stream, then one for the
+    Z-stream if drawn (if not, the Z term is left out). Each increment is
+    the outcome's drift +/- (var_z + var_d)/2 plus the noise of both streams.
     """
-    n = len(times) - 1
-    var_z, var_d = params.interval_variances(times)
-    z_d = rng.standard_normal(n)
-    if np.any(var_z > 0):
-        z_z = rng.standard_normal(n)
-    else:
-        z_z = np.zeros(n)
-    return var_z, var_d, z_d, z_z
+    n = np.size(var_d)
+    incr = np.where(b, 1.0, -1.0)[:, None] * ((var_z + var_d) / 2.0) + np.sqrt(var_d) * z[:, :n]
+    if z.shape[1] > n:
+        incr = incr + np.sqrt(var_z) * z[:, n:]
+    paths = np.zeros((incr.shape[0], incr.shape[1] + 1))
+    np.cumsum(incr, axis=1, out=paths[:, 1:])
+    return paths
 
 
 def simulate_belief_path(
@@ -208,31 +222,23 @@ def simulate_belief_path(
     `seed` may be anything numpy accepts, including an existing Generator.
     When record_times is given, the log-LR jumps directly between those
     times (adding any schedule breakpoints in between); otherwise a dense
-    dt-grid up to t_max is used.
+    dt-grid up to t_max is used. The draws are the D-stream normals of every
+    interval, then the Z-stream normals only if some interval carries
+    Z-variance.
     """
     if not 0 < prior < 1:
         raise InputError("prior must lie in (0,1)")
     if b not in (0, 1):
         raise InputError("b must be 0 or 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if record_times is None:
-        n_steps = int(round(params.t_max / params.dt))
-        times = np.linspace(0.0, n_steps * params.dt, n_steps + 1)
-    else:
-        times = params.jump_grid(record_times)
-        if times[-1] > params.t_max:
-            raise InputError("record_times exceed t_max")
-
-    var_z, var_d, z_d, z_z = _draw_noises(params, times, rng)
-    sign = 1.0 if b == 1 else -1.0
-    incr = sign * (var_z + var_d) / 2.0 + np.sqrt(var_d) * z_d + np.sqrt(var_z) * z_z
-    loglr = np.concatenate([[0.0], np.cumsum(incr)])
-    prior_odds = prior / (1 - prior)
-    pi = posterior_from_loglr(prior_odds, loglr)
-    if record_times is not None:
-        keep = np.isin(times, np.asarray(record_times, float))
-        return BeliefPath(times[keep], loglr[keep], pi[keep], b, prior)
-    return BeliefPath(t=times, loglr=loglr, pi=pi, b=b, prior=prior)
+    times, cols = params.path_grid(record_times)
+    if record_times is not None and times[-1] > params.t_max:
+        raise InputError("record_times exceed t_max")
+    var_z, var_d = params.interval_variances(times)
+    z = rng.standard_normal((1, (2 if np.any(var_z > 0) else 1) * len(var_d)))
+    loglr = loglr_paths(var_z, var_d, np.array([b == 1]), z)[0, cols]
+    pi = posterior_from_loglr(prior / (1 - prior), loglr)
+    return BeliefPath(t=times[cols], loglr=loglr, pi=pi, b=b, prior=prior)
 
 
 def resolution_diagnostic(params: InferenceParams, t: float) -> dict:

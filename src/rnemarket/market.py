@@ -18,8 +18,8 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .anomalies import CohortCurve
-from .inference import InferenceParams, InputError, posterior_from_loglr
-from .pricing import PricingParams, canonical_price, price_of_model_risk, rne_belief
+from .inference import InferenceParams, InputError, loglr_paths
+from .pricing import PricingParams, price_paths, rne_belief
 
 __all__ = [
     "ResourceLimitError",
@@ -177,18 +177,17 @@ def simulate_market(config: MarketConfig, seed: int) -> MarketPanel:
     Asset a draws from Philox keyed by the exact 64-bit pair (seed, a), so
     seed must lie in [0, 2**64). Per asset, the substream order is: sign
     uniform, outcome uniform, the D-stream normals for every interval, then
-    the Z-stream normals only if some interval carries Z-variance. One bit
-    generator is reseated to each asset's key in turn; the draws land in a
-    block of ASSET_BLOCK assets and the paths, beliefs and prices of the
-    whole block are evaluated together, which bounds the working memory
-    whatever n_assets is.
+    the Z-stream normals if pricing.draws_z. One bit generator is reseated
+    to each asset's key in turn; the draws land in a block of ASSET_BLOCK
+    assets, whose paths, beliefs and prices the shared path kernel
+    (loglr_paths, price_paths) evaluates together, which bounds the working
+    memory whatever n_assets is.
     """
     if not 0 <= seed < 2**64:
         raise InputError("seed must lie in [0, 2**64)")
     inf = config.inference
-    times = inf.jump_grid(config.record_times)
+    times, rec_idx = inf.path_grid(config.record_times)
     var_z, var_d = inf.interval_variances(times)
-    rec_idx = np.searchsorted(times, np.asarray(config.record_times, float))
     n_int = len(times) - 1
     if config.n_assets * n_int > config.max_asset_steps:
         raise ResourceLimitError(
@@ -196,17 +195,7 @@ def simulate_market(config: MarketConfig, seed: int) -> MarketPanel:
             f"max_asset_steps={config.max_asset_steps:g}"
         )
     pr = config.pricing
-    need_z = pr.sigma_Z > 0 or np.any(var_z > 0)
-    sd_z = np.sqrt(var_z)
-    sd_d = np.sqrt(var_d)
-    half = (var_z + var_d) / 2.0
-    dts = np.diff(times)
-    prior_odds = config.truth.pi1_0 / (1 - config.truth.pi1_0)
     b_prob = {s: _b_prob(config, s) for s in (1, -1)}
-    # the paths start at 0 and are only read at the record epochs (all > 0)
-    rec_col = rec_idx - 1
-    prem = np.array([pr.premium_to_go(t) for t in times])[rec_idx]
-    s_delta = np.array([pr.s_delta_at(t) for t in times])[rec_idx]
     n, T = config.n_assets, len(rec_idx)
 
     B = np.empty(n, dtype=np.int8)
@@ -230,7 +219,7 @@ def simulate_market(config: MarketConfig, seed: int) -> MarketPanel:
     }
     bitgen = np.random.Philox()
     rng = np.random.Generator(bitgen)
-    draws = np.empty((min(n, ASSET_BLOCK), 2 + n_int * (2 if need_z else 1)))
+    draws = np.empty((min(n, ASSET_BLOCK), 2 + n_int * (2 if pr.draws_z(var_z) else 1)))
 
     for lo in range(0, n, ASSET_BLOCK):
         hi = min(lo + ASSET_BLOCK, n)
@@ -240,32 +229,14 @@ def simulate_market(config: MarketConfig, seed: int) -> MarketPanel:
             bitgen.state = fresh
             rng.random(out=row[:2])
             rng.standard_normal(out=row[2:])
-        z_d = d[:, 2 : 2 + n_int]
-        z_z = d[:, 2 + n_int :] if need_z else None
         plus = d[:, 0] < config.sign_prob_plus
         b = d[:, 1] < np.where(plus, b_prob[1], b_prob[-1])
-        incr = np.where(b, 1.0, -1.0)[:, None] * half + sd_d * z_d
-        if need_z:
-            incr = incr + sd_z * z_z
-        l_rec = np.cumsum(incr, axis=1)[:, rec_col]
-        if pr.sigma_Z > 0 or pr.rZ_delta > 0:
-            dy = pr.sigma_Z * np.sqrt(dts) * z_z if pr.sigma_Z > 0 else np.zeros_like(incr)
-            if pr.rZ_delta > 0:
-                dy[b == plus] += pr.rZ_delta * dts
-            y = pr.y_minus0 + np.cumsum(dy, axis=1)[:, rec_col]
-        else:
-            y = pr.y_minus0
-        pi_rec = posterior_from_loglr(prior_odds, l_rec)
-        Pi_rec = np.empty_like(pi_rec)
-        Pi_rec[plus] = rne_belief(pi_rec[plus], pr.K, 1)
-        Pi_rec[~plus] = rne_belief(pi_rec[~plus], pr.K, -1)
-        up_prob = np.where(plus[:, None], Pi_rec, 1.0 - Pi_rec)
+        z = d[:, 2:]
         B[lo:hi] = b
         sign[lo:hi] = np.where(plus, 1, -1)
-        loglr[lo:hi] = l_rec
-        pi[lo:hi] = pi_rec
-        Pi[lo:hi] = Pi_rec
-        S[lo:hi] = canonical_price(y, s_delta, up_prob, prem)
+        loglr[lo:hi], pi[lo:hi], Pi[lo:hi], S[lo:hi] = price_paths(
+            pr, times, rec_idx, loglr_paths(var_z, var_d, b, z), b, plus, z
+        )
 
     return MarketPanel(
         config=config, seed=seed, times=np.asarray(config.record_times, float),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit
 
-from .inference import InferenceParams, InputError, posterior_from_loglr
+from .inference import InferenceParams, InputError, loglr_paths, posterior_from_loglr
 
 __all__ = [
     "PricingParams",
@@ -35,6 +35,7 @@ __all__ = [
     "premium_decomposition",
     "initial_price_state",
     "price_sde_step",
+    "price_paths",
     "simulate_price_path",
     "diffusion_price_of_risk",
     "verify_canonical_ode",
@@ -96,6 +97,10 @@ class PricingParams:
 
     def premium_to_go(self, t: float) -> float:
         return self.bsure_premium_drift * (self.t_max - t)
+
+    def draws_z(self, var_z) -> bool:
+        """Whether a priced path draws Z-stream normals: the anchor or the log-LR needs them."""
+        return self.sigma_Z > 0 or bool(np.any(var_z > 0))
 
 
 @dataclass(frozen=True)
@@ -235,8 +240,8 @@ def price_sde_step(
     z_z, z_d = noises
     t2 = state.t + dt
     var_z, var_d = inf.variance_between(state.t, t2)
-    drift = (1.0 if b == 1 else -1.0) * (var_z + var_d) / 2.0
-    loglr2 = state.loglr + drift + math.sqrt(var_d) * z_d + math.sqrt(var_z) * z_z
+    incr = loglr_paths(var_z, var_d, np.array([b == 1]), np.array([[z_d, z_z]]))[0, 1]
+    loglr2 = state.loglr + float(incr)
 
     prior_odds = params.pi0 / (1 - params.pi0)
     pi2 = float(posterior_from_loglr(prior_odds, loglr2))
@@ -256,6 +261,38 @@ def price_sde_step(
         "model": sd2 * pu2 - sd1 * pu1 + pu1 * params.rZ_delta * dt,
     }
     return PriceState(t=t2, loglr=loglr2, pi=pi2, Pi=Pi2, y_minus=y2, S=s2), parts
+
+
+def price_paths(params: PricingParams, times, cols, loglr, b, plus, z):
+    """(loglr, pi, Pi, S) at times[cols] along rows of exact log-LR paths.
+
+    loglr holds one path per row on the grid `times` (see loglr_paths, whose
+    normals z the anchor shares); b and plus flag each row's outcome and
+    whether its change raises value (params.sign_change is not read). The
+    anchor y_minus moves by sigma_Z times the Z noise, plus rZ_delta while
+    the up branch is realized. Pi is the priced probability of the change.
+    """
+    loglr = loglr[:, cols]
+    pi = posterior_from_loglr(params.pi0 / (1 - params.pi0), loglr)
+    Pi = np.empty_like(pi)
+    Pi[plus] = rne_belief(pi[plus], params.K, 1)
+    Pi[~plus] = rne_belief(pi[~plus], params.K, -1)
+    t = times[cols]
+    y = params.y_minus0
+    if params.sigma_Z > 0 or params.rZ_delta > 0:
+        dts = np.diff(times)
+        if params.sigma_Z > 0:
+            dy = params.sigma_Z * np.sqrt(dts) * z[:, len(dts) :]
+        else:
+            dy = np.zeros((len(b), len(dts)))
+        if params.rZ_delta > 0:
+            dy[b == plus] += params.rZ_delta * dts
+        y_path = np.zeros((len(b), len(times)))
+        np.cumsum(dy, axis=1, out=y_path[:, 1:])
+        y = y + y_path[:, cols]
+    up_prob = np.where(plus[:, None], Pi, 1.0 - Pi)
+    S = canonical_price(y, params.s_delta_at(t), up_prob, params.premium_to_go(t))
+    return loglr, pi, Pi, S
 
 
 @dataclass
@@ -279,48 +316,25 @@ def simulate_price_path(
 ) -> PricePath:
     """Simulate one priced path on a dense dt-grid (or given record times).
 
-    Schedule breakpoints should align with the grid so the anchor and the
+    The draws are the D-stream normals of every interval, then the Z-stream
+    normals if params.draws_z. On the panel's record times, fed a panel
+    asset's substream after its two uniforms, the path reproduces that
+    asset's panel row. Schedule
+    breakpoints should align with the dense grid so the anchor and the
     log-LR stay driven by the same Z-noise within each step; jump mode
     inserts the breakpoints automatically.
     """
     params.check_consistent(inf)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if record_times is None:
-        n_steps = int(round(min(inf.t_max, params.t_max) / inf.dt))
-        times = np.linspace(0.0, n_steps * inf.dt, n_steps + 1)
-    else:
-        times = inf.jump_grid(record_times)
-    n = len(times) - 1
-    z_d = rng.standard_normal(n)
-    need_z = params.sigma_Z > 0 or any(
-        inf.sigma_at(times[i])[0] > 0 for i in range(n)
-    ) or inf.sigma_lZ > 0
-    z_z = rng.standard_normal(n) if need_z else np.zeros(n)
-
-    state = initial_price_state(params)
-    out = [state]
-    for i in range(n):
-        state, _ = price_sde_step(state, params, inf, b, times[i + 1] - times[i], (z_z[i], z_d[i]))
-        out.append(state)
-    t = np.array([s.t for s in out])
-    Pi = np.array([s.Pi for s in out])
-    path = PricePath(
-        t=t,
-        loglr=np.array([s.loglr for s in out]),
-        pi=np.array([s.pi for s in out]),
-        Pi=Pi,
-        S=np.array([s.S for s in out]),
-        k_pi=price_of_model_risk(Pi, params.K),
-        b=b,
-        sign_change=params.sign_change,
+    times, cols = inf.path_grid(record_times, t_max=min(inf.t_max, params.t_max))
+    var_z, var_d = inf.interval_variances(times)
+    z = rng.standard_normal((1, (2 if params.draws_z(var_z) else 1) * len(var_d)))
+    b_row, plus = np.array([b == 1]), np.array([params.sign_change == 1])
+    rows = price_paths(params, times, cols, loglr_paths(var_z, var_d, b_row, z), b_row, plus, z)
+    loglr, pi, Pi, S = (r[0] for r in rows)
+    return PricePath(
+        times[cols], loglr, pi, Pi, S, price_of_model_risk(Pi, params.K), b, params.sign_change
     )
-    if record_times is not None:
-        keep = np.isin(t, np.asarray(record_times, float))
-        path = PricePath(
-            t[keep], path.loglr[keep], path.pi[keep], Pi[keep], path.S[keep],
-            path.k_pi[keep], b, params.sign_change,
-        )
-    return path
 
 
 def diffusion_price_of_risk(Pi: float, pi: float, sigma_l: float, K: float, S_delta: float) -> dict:

@@ -1,12 +1,16 @@
 """Config parsing, echo round trips, subcommands and exit codes."""
 
+import contextlib
 import csv
 import filecmp
+import io
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnemarket.cli import ConfigError, echo_config, main, parse_config
 
@@ -45,6 +49,72 @@ def test_parse_errors_carry_line_numbers():
         parse_config("market.n_assets = many\n")
     with pytest.raises(ConfigError, match=r"line 1: expected 'key = value'"):
         parse_config("seed 3\n")
+
+
+FLOAT_KEYS = (
+    "market.p1_0", "market.rho", "market.sign_prob_plus", "market.max_asset_steps",
+    "pricing.K", "pricing.S_delta", "pricing.bsure_premium_drift", "pricing.rZ_delta",
+    "pricing.sigma_Z", "pricing.y_minus0", "pricing.t_max",
+    "inference.sigma_lZ", "inference.sigma_lD", "inference.dt", "inference.t_max",
+    "estimation.t", "curves.t", "window.eps_p", "window.M_rho",
+    "derived.pi1_0", "derived.Pi1_0_plus", "derived.Pi1_0_minus",
+    "derived.t_p", "derived.t_K", "derived.t_rho",
+)
+# list-valued keys, with a valid value whose slots a non-finite token replaces
+LIST_KEYS = {
+    "market.record_times": ["0.6", "1.2", "2.4", "8.0"],
+    "curves.rho_list": ["3", "9"],
+    "curves.K_list": ["1.2", "1.5"],
+    "inference.schedule": ["1.0", "0.3", "0.4", "3.0", "0.5", "0.2"],
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    key=st.sampled_from(FLOAT_KEYS + tuple(LIST_KEYS)),
+    token=st.sampled_from(["nan", "NaN", "inf", "-inf", "+inf", "Infinity", "-Infinity"]),
+    slot=st.integers(0, 5),
+    filler=st.lists(st.sampled_from(["", "# note", "seed = 3"]), max_size=3, unique=True),
+)
+def test_non_finite_values_are_config_errors_on_their_line(
+    tmp_path_factory, key, token, slot, filler
+):
+    if key in LIST_KEYS:
+        parts = list(LIST_KEYS[key])
+        parts[slot % len(parts)] = token
+        if key == "inference.schedule":
+            value = ", ".join(":".join(parts[i : i + 3]) for i in (0, 3))
+        else:
+            value = ", ".join(parts)
+    else:
+        value = token
+    lineno = len(filler) + 1
+    text = "\n".join(filler + [f"{key} = {value}", "market.n_assets = 600"]) + "\n"
+    expected = f"line {lineno}: non-finite value for {key!r}"
+    with pytest.raises(ConfigError, match=expected):
+        parse_config(text)
+    path = tmp_path_factory.mktemp("nonfinite") / "c.cfg"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["curves", "--config", str(path), "--out-dir", str(path.parent / "o")])
+    assert code == 2
+    assert expected in err.getvalue()
+
+
+def test_flag_overrides_share_the_config_checks(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.cfg", "seed = 3\n")
+    for flag, value, message in (
+        ("--seed", "-1", "--seed: seed must be an integer in [0, 2^64)"),
+        ("--threads", "0", "--threads: threads must be at least 1"),
+        ("--grid-points", "9", "--grid-points: curves.grid_points must be at least 10"),
+    ):
+        assert main(["curves", "--config", cfg, "--out-dir", str(tmp_path / "o"),
+                     flag, value]) == 2
+        assert message in capsys.readouterr().err
+    # a flag replaces the document's value rather than duplicating its key
+    rc = parse_config("seed = 3\nthreads = 2\n", {"seed": ("--seed", 7)})
+    assert (rc.seed, rc.threads) == (7, 2)
 
 
 def test_comments_and_blank_lines_are_ignored():

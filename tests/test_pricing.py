@@ -147,6 +147,19 @@ def test_price_path_jump_mode_hits_record_times():
     assert np.array_equal(run.t, [0.6, 2.4, 8.0])
 
 
+def test_dense_path_draws_z_when_only_the_last_step_carries_it():
+    # the Z-stream switches on at 9.995, inside the last dt step [9.99, 10]:
+    # that step has Z-variance 0.25 * 0.005, so its increment needs Z noise
+    inf = InferenceParams(schedule=((9.995, 0.5, 0.5),))
+    run = simulate_price_path(inf, PricingParams(), 1, seed=4)
+    n = len(run.t) - 1
+    z_d, z_z = np.random.default_rng(4).standard_normal((2, n))
+    var_z, var_d = inf.variance_between(run.t[-2], run.t[-1])
+    assert var_z == pytest.approx(0.00125, rel=1e-9)
+    want = (var_z + var_d) / 2 + math.sqrt(var_d) * z_d[-1] + math.sqrt(var_z) * z_z[-1]
+    assert run.loglr[-1] - run.loglr[-2] == pytest.approx(want, abs=1e-12)
+
+
 def test_ensemble_drift_matches_diffusion_price_of_risk():
     # one short step from a common start under the holder's own measure:
     # E[dS]/dt should land on the model-risk drift mu
