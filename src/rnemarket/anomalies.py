@@ -342,19 +342,13 @@ def analytic_curve(kind: str, params: AnomalyParams, grid=None) -> CohortCurve:
     if grid is None:
         grid = default_grid(kind)
     grid = np.asarray(grid, float)
-    if kind == "momentum_plus":
-        rp = momentum_excess(grid, 1, params.rho, params.K, params.S_delta)
-        w = occupancy_density(grid, 1, params)
-    elif kind == "momentum_minus":
-        rp = momentum_excess(grid, -1, params.rho, params.K, params.S_delta)
-        w = occupancy_density(grid, -1, params)
-    elif kind == "volatility":
-        rp = vol_conditioned_excess(grid, params)
+    rp = _curve_values(kind, params, grid)
+    if kind == "volatility":
         w = np.exp(_log_folded_weight(grid, params)) + np.exp(
             _log_folded_weight(1 - grid, params)
         )
     else:
-        raise InputError(f"unknown curve kind {kind!r}")
+        w = occupancy_density(grid, 1 if kind == "momentum_plus" else -1, params)
     return CohortCurve(kind=kind, v=grid, rp=rp, n=w)
 
 

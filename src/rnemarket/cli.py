@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 config error, 3 validation/estimation failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -29,7 +28,7 @@ from .estimation import (
     roundtrip,
     write_roundtrip_csv,
 )
-from .inference import InferenceParams, InputError, Milestones
+from .inference import InferenceParams, InputError, Milestones, write_csv
 from .market import (
     MarketConfig,
     PricingParams,
@@ -379,48 +378,31 @@ def _cmd_simulate(rc: RunConfig, out: Path) -> int:
 
 def _cmd_curves(rc: RunConfig, out: Path) -> int:
     step = 1.0 / rc.grid_points
+    kinds = ("momentum_plus", "momentum_minus", "volatility")
     peak_rows = []
     for rho in rc.curves_rho:
         for K in rc.curves_K:
             params = _curve_params(rc, rho, K)
             fname = out / f"curve_rho{rho:g}_K{K:g}.csv"
-            with open(fname, "w", newline="") as fh:
-                w = csv.writer(fh, lineterminator="\n")
-                w.writerow(["kind", "v", "rp", "weight"])
-                for kind in ("momentum_plus", "momentum_minus", "volatility"):
-                    curve = analytic_curve(kind, params, grid=default_grid(kind, step))
-                    for i in range(len(curve.v)):
-                        w.writerow(
-                            [
-                                kind,
-                                f"{curve.v[i]:.17g}",
-                                f"{curve.rp[i]:.17g}",
-                                f"{curve.n[i]:.17g}",
-                            ]
-                        )
+            for i, kind in enumerate(kinds):
+                curve = analytic_curve(kind, params, grid=default_grid(kind, step))
+                write_csv(
+                    fname, ["kind", "v", "rp", "weight"], [kind, curve.v, curve.rp, curve.n],
+                    append=i > 0,
+                )
             print(f"wrote {fname}")
-            for kind in ("momentum_plus", "momentum_minus", "volatility"):
+            for kind in kinds:
                 rep = peak_report(kind, params, step=step, refine=step / 10)
                 peak_rows.append(
-                    [
-                        f"{rho:.17g}",
-                        f"{K:.17g}",
-                        kind,
-                        f"{rep['v_max']:.17g}",
-                        f"{rep['rp_max']:.17g}",
-                        f"{rep['v_formula']:.17g}",
-                        f"{rep['formula_value']:.17g}",
-                        f"{rep['abs_gap']:.17g}",
-                        f"{rep['v_abs_gap']:.17g}",
-                    ]
+                    [rho, K, kind, rep["v_max"], rep["rp_max"], rep["v_formula"],
+                     rep["formula_value"], rep["abs_gap"], rep["v_abs_gap"]]
                 )
-    with open(out / "peaks.csv", "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(
-            ["rho", "K", "kind", "v_max", "rp_max", "v_formula", "formula_value",
-             "abs_gap", "v_abs_gap"]
-        )
-        w.writerows(peak_rows)
+    write_csv(
+        out / "peaks.csv",
+        ["rho", "K", "kind", "v_max", "rp_max", "v_formula", "formula_value",
+         "abs_gap", "v_abs_gap"],
+        list(zip(*peak_rows)),
+    )
     print(f"wrote {out / 'peaks.csv'}")
     return 0
 

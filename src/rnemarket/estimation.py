@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import chdtri
 
 from .anomalies import CohortCurve
-from .inference import InputError, Milestones, window_check
+from .inference import InputError, Milestones, window_check, write_csv
 from .market import (
     MarketConfig,
     MarketPanel,
@@ -358,32 +358,27 @@ def format_report(res: EstimationResult) -> str:
 
 
 def write_roundtrip_csv(path, results: list[EstimationResult]) -> None:
-    import csv
-
-    cols = [
-        "K_true", "rho_true", "K_hat", "rho_hat", "v_max", "rp_max",
-        "K_ci_lo", "K_ci_hi", "rho_ci_lo", "rho_ci_hi", "n_assets", "seed",
-    ]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(cols)
-        for res in results:
-            d = res.diagnostics
-            kci = d.get("K_ci", (math.nan, math.nan))
-            rci = d.get("rho_ci", (math.nan, math.nan))
-            w.writerow(
-                [
-                    f"{d.get('K_true', math.nan):.17g}",
-                    f"{d.get('rho_true', math.nan):.17g}",
-                    f"{res.K_hat:.17g}",
-                    f"{res.rho_hat:.17g}",
-                    f"{res.v_max_hat:.17g}",
-                    f"{res.rp_max_hat:.17g}",
-                    f"{kci[0]:.17g}",
-                    f"{kci[1]:.17g}",
-                    f"{rci[0]:.17g}",
-                    f"{rci[1]:.17g}",
-                    d.get("n_assets", 0),
-                    d.get("seed", ""),
-                ]
-            )
+    diags = [res.diagnostics for res in results]
+    nan2 = (math.nan, math.nan)
+    write_csv(
+        path,
+        [
+            "K_true", "rho_true", "K_hat", "rho_hat", "v_max", "rp_max",
+            "K_ci_lo", "K_ci_hi", "rho_ci_lo", "rho_ci_hi", "n_assets", "seed",
+        ],
+        [
+            [d.get("K_true", math.nan) for d in diags],
+            [d.get("rho_true", math.nan) for d in diags],
+            [res.K_hat for res in results],
+            [res.rho_hat for res in results],
+            [res.v_max_hat for res in results],
+            [res.rp_max_hat for res in results],
+            [d.get("K_ci", nan2)[0] for d in diags],
+            [d.get("K_ci", nan2)[1] for d in diags],
+            [d.get("rho_ci", nan2)[0] for d in diags],
+            [d.get("rho_ci", nan2)[1] for d in diags],
+            [d.get("n_assets", 0) for d in diags],
+            # as objects: np.asarray would make int64 and uint64 seeds side by side floats
+            np.array([d.get("seed", "") for d in diags], dtype=object),
+        ],
+    )

@@ -12,7 +12,7 @@ odds identity O(pi_t) = O(pi_0) * exp(l_t) holds to machine precision.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,9 +27,40 @@ LOGLR_SATURATION = 700.0
 # realized outcome.
 RESOLVE_EPS = 0.01
 
+# Rows formatted per file write in write_csv: the formatted text held in
+# memory stays near 100 kB whatever the row count.
+CSV_BLOCK = 1024
+
 
 class InputError(ValueError):
     """Raised for invalid operation inputs (non-finite, out of range)."""
+
+
+def write_csv(path, header, columns, append=False) -> None:
+    """Write columns as CSV rows: the one format of every artifact.
+
+    Each column is a 1-d array or sequence (through np.asarray, so pass
+    integers beyond int64 as a uint64 or object array), or a scalar repeated
+    on every row. A float column prints as f"{x:.17g}", which parses back to
+    the same double; any other value prints as str. No field is quoted, so
+    values must not contain commas, quotes or line breaks. With append=True
+    the rows are added to the file without the header.
+    """
+    cols = [np.asarray(c) for c in columns]
+    lengths = {len(c) for c in cols if c.ndim}
+    if len(lengths) != 1:
+        raise InputError("write_csv needs array columns of one length")
+    (n,) = lengths
+    row = ",".join("{:.17g}" if c.dtype.kind == "f" else "{}" for c in cols) + "\n"
+    with open(path, "a" if append else "w", newline="") as fh:
+        if not append:
+            fh.write(",".join(header) + "\n")
+        for lo in range(0, n, CSV_BLOCK):
+            block = [
+                c[lo : lo + CSV_BLOCK].tolist() if c.ndim else itertools.repeat(c.item())
+                for c in cols
+            ]
+            fh.write("".join(map(row.format, *block)))
 
 
 @dataclass(frozen=True)
@@ -109,14 +140,18 @@ class InferenceParams:
     def path_grid(self, record_times=None, t_max=None):
         """(times, cols): a simulation grid and the columns reported on it.
 
-        Without record_times, the dense dt-grid up to t_max (default
-        self.t_max) with every column reported; with them, the jump grid
-        with the columns of the record times.
+        Without record_times, the dense dt-grid up to the horizon t_max
+        (default self.t_max) with every column reported; with them, the jump
+        grid with the columns of the record times, which must not pass the
+        horizon.
         """
+        horizon = self.t_max if t_max is None else t_max
         if record_times is None:
-            n_steps = int(round((self.t_max if t_max is None else t_max) / self.dt))
+            n_steps = int(round(horizon / self.dt))
             return np.linspace(0.0, n_steps * self.dt, n_steps + 1), slice(None)
         times = self.jump_grid(record_times)
+        if times[-1] > horizon:
+            raise InputError("record_times exceed the horizon")
         return times, np.searchsorted(times, np.asarray(record_times, float))
 
 
@@ -232,8 +267,6 @@ def simulate_belief_path(
         raise InputError("b must be 0 or 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     times, cols = params.path_grid(record_times)
-    if record_times is not None and times[-1] > params.t_max:
-        raise InputError("record_times exceed t_max")
     var_z, var_d = params.interval_variances(times)
     z = rng.standard_normal((1, (2 if np.any(var_z > 0) else 1) * len(var_d)))
     loglr = loglr_paths(var_z, var_d, np.array([b == 1]), z)[0, cols]
@@ -355,12 +388,11 @@ def redundancy_gap_growth(gprime0: float, l_limit: float = 40.0, b: int = 1) -> 
 
 def write_belief_paths_csv(path, runs: list[BeliefPath]) -> None:
     """Dump belief runs as rows (path_id, t, loglr, pi, B, resolved_flag)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["path_id", "t", "loglr", "pi", "B", "resolved_flag"])
-        for i, run in enumerate(runs):
-            for j in range(len(run.t)):
-                resolved = int(abs(run.pi[j] - run.b) < RESOLVE_EPS)
-                w.writerow(
-                    [i, f"{run.t[j]:.17g}", f"{run.loglr[j]:.17g}", f"{run.pi[j]:.17g}", run.b, resolved]
-                )
+    for i, run in enumerate(runs):
+        resolved = (np.abs(run.pi - run.b) < RESOLVE_EPS).astype(np.int64)
+        write_csv(
+            path,
+            ["path_id", "t", "loglr", "pi", "B", "resolved_flag"],
+            [i, run.t, run.loglr, run.pi, run.b, resolved],
+            append=i > 0,
+        )

@@ -10,7 +10,6 @@ bit-identical on every run of one (config, seed).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
@@ -18,7 +17,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .anomalies import CohortCurve
-from .inference import InferenceParams, InputError, loglr_paths
+from .inference import InferenceParams, InputError, loglr_paths, write_csv
 from .pricing import PricingParams, price_paths, rne_belief
 
 __all__ = [
@@ -423,22 +422,20 @@ def expost_decomposition(panel: MarketPanel, t: float) -> dict:
 
 def write_panel_csv(path, panel: MarketPanel) -> None:
     """Long-format panel rows (asset_id, t, pi, Pi, S, B, sign)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["asset_id", "t", "pi", "Pi", "S", "B", "sign"])
-        for a in range(panel.n_assets):
-            for j, t in enumerate(panel.times):
-                w.writerow(
-                    [
-                        a,
-                        f"{t:.17g}",
-                        f"{panel.pi[a, j]:.17g}",
-                        f"{panel.Pi[a, j]:.17g}",
-                        f"{panel.S[a, j]:.17g}",
-                        int(panel.B[a]),
-                        int(panel.sign[a]),
-                    ]
-                )
+    T = len(panel.times)
+    write_csv(
+        path,
+        ["asset_id", "t", "pi", "Pi", "S", "B", "sign"],
+        [
+            np.repeat(np.arange(panel.n_assets), T),
+            np.tile(panel.times, panel.n_assets),
+            panel.pi.ravel(),
+            panel.Pi.ravel(),
+            panel.S.ravel(),
+            np.repeat(panel.B, T),
+            np.repeat(panel.sign, T),
+        ],
+    )
 
 
 def write_cohorts_csv(path, measured: dict, t: float, append: bool = False) -> None:
@@ -447,22 +444,19 @@ def write_cohorts_csv(path, measured: dict, t: float, append: bool = False) -> N
     With append=True rows are added without a header, so several epochs can
     share one file.
     """
-    with open(path, "a" if append else "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        if not append:
-            w.writerow(["t", "kind", "v_bin", "rp", "se", "n", "mix_ratio"])
-        for kind in sorted(measured):
-            c = measured[kind]
-            for i in range(len(c.v)):
-                mix = c.mix[i] if c.mix is not None else math.nan
-                w.writerow(
-                    [
-                        f"{t:.17g}",
-                        kind,
-                        f"{c.v[i]:.17g}",
-                        f"{c.rp[i]:.17g}",
-                        f"{c.se[i]:.17g}" if c.se is not None else "nan",
-                        int(c.n[i]),
-                        f"{mix:.17g}",
-                    ]
-                )
+    for i, kind in enumerate(sorted(measured)):
+        c = measured[kind]
+        write_csv(
+            path,
+            ["t", "kind", "v_bin", "rp", "se", "n", "mix_ratio"],
+            [
+                t,
+                kind,
+                c.v,
+                c.rp,
+                math.nan if c.se is None else c.se,
+                c.n.astype(np.int64),
+                math.nan if c.mix is None else c.mix,
+            ],
+            append=append or i > 0,
+        )

@@ -15,14 +15,13 @@ ratio and the price identity hold to machine precision at every step.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, logit
 
-from .inference import InferenceParams, InputError, loglr_paths, posterior_from_loglr
+from .inference import InferenceParams, InputError, loglr_paths, posterior_from_loglr, write_csv
 
 __all__ = [
     "PricingParams",
@@ -385,20 +384,10 @@ def verify_canonical_ode(K: float, grid, candidate, h: float = 1e-4, sign_change
 
 def write_price_paths_csv(path, runs: list[PricePath]) -> None:
     """Dump priced runs as rows (path_id, t, pi, Pi, S, k_pi, B, sign)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["path_id", "t", "pi", "Pi", "S", "k_pi", "B", "sign"])
-        for i, run in enumerate(runs):
-            for j in range(len(run.t)):
-                w.writerow(
-                    [
-                        i,
-                        f"{run.t[j]:.17g}",
-                        f"{run.pi[j]:.17g}",
-                        f"{run.Pi[j]:.17g}",
-                        f"{run.S[j]:.17g}",
-                        f"{run.k_pi[j]:.17g}",
-                        run.b,
-                        run.sign_change,
-                    ]
-                )
+    for i, run in enumerate(runs):
+        write_csv(
+            path,
+            ["path_id", "t", "pi", "Pi", "S", "k_pi", "B", "sign"],
+            [i, run.t, run.pi, run.Pi, run.S, run.k_pi, run.b, run.sign_change],
+            append=i > 0,
+        )

@@ -1,5 +1,6 @@
 """Belief-process engine: exact Gaussian jumps, hurdles, diagnostics."""
 
+import csv
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnemarket.inference import (
+    CSV_BLOCK,
     InferenceParams,
     InputError,
     Milestones,
@@ -20,6 +22,7 @@ from rnemarket.inference import (
     resolution_diagnostic,
     simulate_belief_path,
     window_check,
+    write_csv,
 )
 
 SIGMA = 0.5
@@ -174,3 +177,77 @@ def test_write_belief_paths_csv_columns(tmp_path):
     write_belief_paths_csv(out, runs)
     header = out.read_text().splitlines()[0]
     assert header == "path_id,t,loglr,pi,B,resolved_flag"
+
+
+# floats whose 17-digit text is easy to get wrong: NaN, infinities, signed
+# zero, subnormals, the normal edge, integer-valued floats at and past 2**53
+_EDGE_FLOATS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308,
+    1e16, 2.0**53, 2.0**53 + 2, 1e17, -123456789012345678.0, 1.7976931348623157e308, 0.1,
+]
+
+
+def _reference_csv(path, header, columns, n, append):
+    """The per-row csv.writer form: 17 digits per float, raw value otherwise."""
+    cols = [c if isinstance(c, np.ndarray) else [c] * n for c in columns]
+    with open(path, "a" if append else "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        if not append:
+            w.writerow(header)
+        for i in range(n):
+            w.writerow([format(c[i], ".17g") if isinstance(c[i], float) else c[i] for c in cols])
+
+
+def _column(kind, n, rng, extra):
+    if kind == "float":
+        pool = np.array(_EDGE_FLOATS + extra)
+        # random bit patterns cover every exponent, subnormal and NaN payload
+        bits = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+        return np.where(rng.random(n) < 0.5, pool[rng.integers(len(pool), size=n)], bits)
+    if kind == "uint64":
+        col = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+        col[0] = 2**64 - 1
+        return col
+    if kind == "int64":
+        return rng.integers(-(2**63), 2**63, size=n, dtype=np.int64)
+    if kind == "pyint":
+        return np.array([0, 2**64 - 1, 2**63 + 1, 7], dtype=object)[rng.integers(4, size=n)]
+    if kind == "str":
+        return np.array(["momentum_plus", "volatility", "", "a_b"])[rng.integers(4, size=n)]
+    if kind == "float_scalar":
+        return float(extra[0]) if extra else -0.0
+    if kind == "int_scalar":
+        return 2**64 - 1
+    return "momentum_minus"
+
+
+_KINDS = ("float", "uint64", "int64", "pyint", "str", "float_scalar", "int_scalar", "str_scalar")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 3 * CSV_BLOCK + 1])
+    | st.integers(1, 40),
+    kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=7).map(lambda k: ["float"] + k),
+    extra=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_write_csv_matches_the_per_row_csv_writer(tmp_path_factory, n, kinds, extra, seed):
+    rng = np.random.default_rng(seed)
+    header = [f"c{i}" for i in range(len(kinds))]
+    d = tmp_path_factory.mktemp("csv")
+    got, want = d / "got.csv", d / "want.csv"
+    for m, append in ((n, False), (n // 2 + 1, True)):
+        cols = [_column(k, m, rng, extra) for k in kinds]
+        write_csv(got, header, cols, append=append)
+        _reference_csv(want, header, cols, m, append)
+        assert got.read_bytes() == want.read_bytes()
+    # appending added rows and no second header
+    assert got.read_text().splitlines().count(",".join(header)) == 1
+
+
+def test_write_csv_rejects_columns_of_different_lengths(tmp_path):
+    with pytest.raises(InputError):
+        write_csv(tmp_path / "x.csv", ["a", "b"], [np.zeros(3), np.zeros(4)])
+    with pytest.raises(InputError):
+        write_csv(tmp_path / "x.csv", ["a"], ["only a scalar"])
