@@ -61,15 +61,15 @@ class AnomalyParams:
 
     def __post_init__(self) -> None:
         if self.rho <= 0:
-            raise InputError("rho must be positive")
+            raise InputError("rho must be positive", "rho")
         if self.K < 1:
-            raise InputError("K must be >= 1")
+            raise InputError("K must be >= 1", "K")
         if self.S_delta <= 0:
-            raise InputError("S_delta must be positive")
+            raise InputError("S_delta must be positive", "S_delta")
         if self.sigma_l <= 0:
-            raise InputError("sigma_l must be positive")
+            raise InputError("sigma_l must be positive", "sigma_l")
         if self.t <= 0:
-            raise InputError("t must be positive")
+            raise InputError("t must be positive", "t")
 
     @classmethod
     def from_primitives(
@@ -83,7 +83,7 @@ class AnomalyParams:
         **kw,
     ) -> "AnomalyParams":
         if not 0 < p1_0 < 1:
-            raise InputError("p1_0 must lie in (0,1)")
+            raise InputError("p1_0 must lie in (0,1)", "p1_0")
         return cls(rho=rho, K=K, S_delta=S_delta, H_p=float(-logit(p1_0)),
                    sigma_l=sigma_l, t=t, **kw)
 

@@ -169,11 +169,12 @@ def parse_config(text: str, overrides=None) -> RunConfig:
     """Parse a key-value config document into a validated RunConfig.
 
     Lines are ``key = value``; ``#`` starts a comment; unknown or duplicate
-    keys and malformed or non-finite values are rejected with their line
-    number. Stated ``derived.*`` values are checked against recomputation
-    to 1e-12. overrides maps a key to (source, value), e.g. a command-line
-    flag; it replaces the document's value and goes through the same
-    checks, whose errors name the source.
+    keys and malformed, non-finite or out-of-range values are rejected with
+    their line number, and an error that involves several keys names the
+    line of each one the document states. Stated ``derived.*`` values are
+    checked against recomputation to 1e-12. overrides maps a key to
+    (source, value), e.g. a command-line flag; it replaces the document's
+    value and goes through the same checks, whose errors name the source.
     """
     values = {}
     derived_stated = {}
@@ -212,72 +213,105 @@ def parse_config(text: str, overrides=None) -> RunConfig:
         values[key] = value
         where[key] = source
 
-    def check(ok: bool, key: str, message: str) -> None:
+    def fail(message: str, keys):
+        """Raise message, prefixed by the lines or flags of the keys that set it."""
+        sources = [src for key, src in where.items() if key in keys]
+        raise ConfigError(f"{', '.join(sources)}: {message}" if sources else message)
+
+    def check(ok: bool, message: str, *keys: str) -> None:
         if not ok:
-            raise ConfigError(f"{where[key]}: {message}" if key in where else message)
+            fail(message, keys)
+
+    def build(section: str, make, aliases=None):
+        """make(), whose InputError names the keys of its fields.
+
+        A plain field f is the key section.f, a dotted one is a key itself,
+        and aliases maps a field to the keys it comes from.
+        """
+        try:
+            return make()
+        except InputError as e:
+            keys = []
+            for f in e.fields:
+                found = (aliases or {}).get(f, f if "." in f else f"{section}.{f}")
+                keys += [found] if isinstance(found, str) else found
+            fail(str(e), keys)
 
     get = lambda k: values.get(k, _SCHEMA[k][1])
-    try:
-        inference = InferenceParams(
-            sigma_lZ=get("inference.sigma_lZ"),
-            sigma_lD=get("inference.sigma_lD"),
-            dt=get("inference.dt"),
-            t_max=get("inference.t_max"),
-            schedule=get("inference.schedule"),
-        )
-        truth = TruthParams(p1_0=get("market.p1_0"), rho=get("market.rho"))
-        pricing = PricingParams(
-            K=get("pricing.K"),
-            S_delta=get("pricing.S_delta"),
-            bsure_premium_drift=get("pricing.bsure_premium_drift"),
-            rZ_delta=get("pricing.rZ_delta"),
-            sigma_Z=get("pricing.sigma_Z"),
-            y_minus0=get("pricing.y_minus0"),
-            t_max=get("pricing.t_max"),
-            pi0=truth.pi1_0,
-        )
-        market = MarketConfig(
-            n_assets=get("market.n_assets"),
-            truth=truth,
-            pricing=pricing,
-            inference=inference,
-            sign_prob_plus=get("market.sign_prob_plus"),
-            record_times=get("market.record_times"),
-            b_measure=get("market.b_measure"),
-            n_min=get("market.n_min"),
-            n_bins=get("market.n_bins"),
-            max_asset_steps=get("market.max_asset_steps"),
-        )
-        rc = RunConfig(
-            market=market,
-            estimation_t=get("estimation.t"),
-            n_boot=get("estimation.n_boot"),
-            curves_rho=get("curves.rho_list"),
-            curves_K=get("curves.K_list"),
-            curves_t=get("curves.t"),
-            grid_points=get("curves.grid_points"),
-            eps_p=get("window.eps_p"),
-            M_rho=get("window.M_rho"),
-            seed=get("seed"),
-            threads=get("threads"),
-        )
-    except InputError as e:
-        raise ConfigError(str(e)) from e
-    check(rc.n_boot >= 0, "estimation.n_boot", "estimation.n_boot must be nonnegative")
-    check(rc.grid_points >= 10, "curves.grid_points", "curves.grid_points must be at least 10")
-    check(rc.threads >= 1, "threads", "threads must be at least 1")
-    check(0 <= rc.seed < 2**64, "seed", "seed must be an integer in [0, 2^64)")
-    if not rc.curves_rho or not rc.curves_K:
-        raise ConfigError("curves.rho_list and curves.K_list must be nonempty")
+    inference = build("inference", lambda: InferenceParams(
+        sigma_lZ=get("inference.sigma_lZ"),
+        sigma_lD=get("inference.sigma_lD"),
+        dt=get("inference.dt"),
+        t_max=get("inference.t_max"),
+        schedule=get("inference.schedule"),
+    ))
+    truth = build("market", lambda: TruthParams(p1_0=get("market.p1_0"), rho=get("market.rho")))
+    pricing = build("pricing", lambda: PricingParams(
+        K=get("pricing.K"),
+        S_delta=get("pricing.S_delta"),
+        bsure_premium_drift=get("pricing.bsure_premium_drift"),
+        rZ_delta=get("pricing.rZ_delta"),
+        sigma_Z=get("pricing.sigma_Z"),
+        y_minus0=get("pricing.y_minus0"),
+        t_max=get("pricing.t_max"),
+        pi0=truth.pi1_0,
+    ))
+    market = build("market", lambda: MarketConfig(
+        n_assets=get("market.n_assets"),
+        truth=truth,
+        pricing=pricing,
+        inference=inference,
+        sign_prob_plus=get("market.sign_prob_plus"),
+        record_times=get("market.record_times"),
+        b_measure=get("market.b_measure"),
+        n_min=get("market.n_min"),
+        n_bins=get("market.n_bins"),
+        max_asset_steps=get("market.max_asset_steps"),
+    ))
+    rc = RunConfig(
+        market=market,
+        estimation_t=get("estimation.t"),
+        n_boot=get("estimation.n_boot"),
+        curves_rho=get("curves.rho_list"),
+        curves_K=get("curves.K_list"),
+        curves_t=get("curves.t"),
+        grid_points=get("curves.grid_points"),
+        eps_p=get("window.eps_p"),
+        M_rho=get("window.M_rho"),
+        seed=get("seed"),
+        threads=get("threads"),
+    )
+    t_est = rc.estimation_t
+    check(
+        t_est is None or sum(abs(t_est - t) <= 1e-12 for t in market.record_times) == 1,
+        "estimation.t must be auto or one of market.record_times",
+        "estimation.t", "market.record_times",
+    )
+    check(rc.n_boot >= 0, "estimation.n_boot must be nonnegative", "estimation.n_boot")
+    check(rc.grid_points >= 10, "curves.grid_points must be at least 10", "curves.grid_points")
+    check(rc.threads >= 1, "threads must be at least 1", "threads")
+    check(0 <= rc.seed < 2**64, "seed must be an integer in [0, 2^64)", "seed")
+    check(rc.curves_rho, "curves.rho_list must be nonempty", "curves.rho_list")
+    check(rc.curves_K, "curves.K_list must be nonempty", "curves.K_list")
 
-    derived = rc.derived()
+    # the signal-to-noise at t = 0 (derived) and at curves.t (the curve lattice)
+    sigma_keys = ("inference.sigma_lZ", "inference.sigma_lD", "inference.schedule")
+    derived = build("inference", rc.derived, {"sigma_l": sigma_keys})
+    curve_keys = {
+        "rho": "curves.rho_list", "K": "curves.K_list", "t": "curves.t",
+        "sigma_l": sigma_keys + ("curves.t",), "S_delta": "pricing.S_delta",
+    }
+    for rho in rc.curves_rho:
+        for K in rc.curves_K:
+            build("curves", lambda: _curve_params(rc, rho, K), curve_keys)
     for name, stated in derived_stated.items():
         actual = derived[name]
-        if abs(stated - actual) > 1e-12 * max(1.0, abs(actual)):
-            raise ConfigError(
-                f"derived.{name} = {stated!r} is inconsistent with the primitives "
-                f"(recomputed {actual!r})"
-            )
+        check(
+            abs(stated - actual) <= 1e-12 * max(1.0, abs(actual)),
+            f"derived.{name} = {stated!r} is inconsistent with the primitives "
+            f"(recomputed {actual!r})",
+            f"derived.{name}",
+        )
     return rc
 
 

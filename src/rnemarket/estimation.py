@@ -18,12 +18,14 @@ from scipy.special import chdtri
 from .anomalies import CohortCurve
 from .inference import InputError, Milestones, window_check, write_csv
 from .market import (
+    CohortSort,
     MarketConfig,
     MarketPanel,
-    cohort_stats,
+    cohort_codes,
     measure_expost_excess,
     simulate_market,
     sort_cohorts,
+    table_stats,
 )
 
 __all__ = [
@@ -37,6 +39,9 @@ __all__ = [
 ]
 
 FLATNESS_CONFIDENCE = 0.999
+# Paths a bootstrap resample's estimate can take: the quadratic peak fit, the
+# best lower-confidence-bound bin, the fold median belief.
+BOOT_PATHS = ("regular", "peak_shape_unresolved", "no_significant_peak")
 
 
 class ShapeError(ValueError):
@@ -259,8 +264,9 @@ def roundtrip(
     K=1 signature, reported as a degenerate estimate (peak size at the
     curve's weighted mean, location at the folded median belief) flagged
     no_significant_peak. Other shape defects propagate as ShapeError with
-    the measured curve attached. Bootstrap intervals resample assets: each
-    resample reweights the same cohort cells through cohort_stats.
+    the measured curve attached. Bootstrap intervals resample assets through
+    their category table (see _TableBootstrap), and diagnostics["boot_paths"]
+    counts the path each resample's estimate took.
     """
     panel = simulate_market(config, seed)
     if t is None:
@@ -301,19 +307,17 @@ def roundtrip(
     }
 
     if n_boot > 0:
-        rng = np.random.default_rng([seed, 0xB007])
-        n = panel.n_assets
-        order = np.argsort(panel.Pi[:, idx])
+        boot = _TableBootstrap(panel, sort, idx, np.random.default_rng([seed, 0xB007]))
         boots = {"rho": [], "K": [], "v": [], "rp": []}
+        paths = dict.fromkeys(BOOT_PATHS, 0)
         for _ in range(n_boot):
-            # n draws with replacement: the Multinomial(n, 1/n) resample counts
-            w = np.bincount(rng.integers(n, size=n), minlength=n).astype(float)
-            rp_b, se_b, n_b = cohort_stats(panel, sort, w)["volatility"]
+            k = boot.draw()
+            rp_b, se_b, n_b = table_stats(sort, k, S_delta)["volatility"]
             bc = CohortCurve("volatility", curve.v, rp_b, n_b, se=se_b)
-            vb, rb, _, _ = _estimate_from_curve(
-                bc, config.n_min, lambda: _fold_median_weighted(panel.Pi[:, idx], order, w),
-                lenient=True,
+            vb, rb, _, extra = _estimate_from_curve(
+                bc, config.n_min, lambda: boot.fold_median(k), lenient=True
             )
+            paths[extra[0] if extra else "regular"] += 1
             rb = min(max(rb, 0.0), 0.499999 * S_delta)
             rho_b, K_b = recover_params(vb, rb, S_delta)
             boots["rho"].append(rho_b)
@@ -324,17 +328,93 @@ def roundtrip(
             lo, hi = np.percentile(boots[key], [2.5, 97.5])
             diag[f"{key}_ci"] = (float(lo), float(hi))
         diag["n_boot"] = n_boot
+        diag["boot_paths"] = paths
 
     return EstimationResult(
         v_max_hat=v_hat, rp_max_hat=rp_hat, rho_hat=rho_hat, K_hat=K_hat, diagnostics=diag
     )
 
 
-def _fold_median_weighted(vals: np.ndarray, order: np.ndarray, w: np.ndarray) -> float:
-    """Fold of the w-weighted median of vals, with order = argsort(vals)."""
-    cum = np.cumsum(w[order])
-    med = float(vals[order[np.searchsorted(cum, cum[-1] / 2.0)]])
-    return min(med, 1.0 - med)
+class _TableBootstrap:
+    """Percentile-bootstrap resamples of the volatility sort's category table.
+
+    Resampling the n assets with replacement and summing within each
+    (bin, fold side, sign, B) category is one Multinomial(n, m_c/n) draw
+    over the categories, m_c being the category's count (Efron &
+    Tibshirani 1993, ch. 6), so a resample costs O(categories), not O(n).
+    Only the empty categories are left out of the draw, so the remainder
+    of its sequential binomials always lands on an occupied category.
+    """
+
+    def __init__(self, panel: MarketPanel, sort: CohortSort, idx: int, rng):
+        self.code = cohort_codes(panel, sort)
+        self.vals = panel.Pi[:, idx]
+        self.rng = rng
+        self.n = panel.n_assets
+        m = np.bincount(self.code, minlength=8 * (len(sort.edges) - 1))
+        self.n_cat = m.size
+        self.occupied = np.flatnonzero(m)
+        self.p = m[self.occupied] / self.n
+        keys = np.arange(self.n_cat // 4)
+        # (bin, side) groups in belief order: low side by ascending bin
+        # (Pi = folded level), then high side by descending bin (Pi = 1 - level)
+        self.groups = np.concatenate([keys[0::2], keys[1::2][::-1]])
+        self._members = {}
+
+    def draw(self) -> np.ndarray:
+        """One resample's category table, shaped like cohort_table."""
+        k = np.zeros(self.n_cat, np.int64)
+        k[self.occupied] = self.rng.multinomial(self.n, self.p)
+        return k.reshape(-1, 2, 2, 2)
+
+    def members(self, g: int):
+        """Group g's assets by ascending belief, and each category's positions among them."""
+        if g not in self._members:
+            idx = np.flatnonzero(self.code >> 2 == g)
+            idx = idx[np.argsort(self.vals[idx], kind="stable")]
+            cat = self.code[idx] & 3
+            self._members[g] = idx, [np.flatnonzero(cat == c) for c in range(4)]
+        return self._members[g]
+
+    def median(self, table, weigh) -> float:
+        """Fold of the weighted median belief of a resample with category table.
+
+        The median is the belief at the first position, in belief order,
+        whose cumulative weight reaches half the total, the rule of the
+        asset-level weighted median. The table's cumulative group weights
+        find the group holding it; weigh(counts, idx, pos) gives the
+        integer weights of that group's members idx, whose categories
+        hold counts and sit at positions pos.
+        """
+        counts = table.reshape(-1, 4)
+        size = counts.sum(axis=1)[self.groups]
+        cum = np.cumsum(size)
+        half = cum[-1] / 2.0
+        i = int(np.searchsorted(cum, half))
+        g = int(self.groups[i])
+        idx, pos = self.members(g)
+        w = weigh(counts[g], idx, pos)
+        k = int(np.searchsorted(cum[i] - size[i] + np.cumsum(w), half))
+        med = float(self.vals[idx[k]])
+        return min(med, 1.0 - med)
+
+    def fold_median(self, table) -> float:
+        """median of a table from draw, its members drawn given the table.
+
+        Given its count k_c, a category's m_c members share the k_c draws as
+        Multinomial(k_c, uniform), independently across categories: the
+        conditional law of the asset-level resample, so the median's law is
+        exact. Only the median's group is drawn.
+        """
+        return self.median(table, self._draw_members)
+
+    def _draw_members(self, counts, idx, pos) -> np.ndarray:
+        # k_c uniform picks among m_c members: Multinomial(k_c, 1/m_c) counts
+        w = np.zeros(len(idx), np.int64)
+        for k, p in zip(counts, pos):
+            if k:
+                w[p] = np.bincount(self.rng.integers(len(p), size=k), minlength=len(p))
+        return w
 
 
 def format_report(res: EstimationResult) -> str:
@@ -354,6 +434,10 @@ def format_report(res: EstimationResult) -> str:
         )
     if d.get("flags"):
         lines.append("  flags: " + ", ".join(d["flags"]))
+    if "boot_paths" in d:
+        lines.append(
+            "  bootstrap paths: " + ", ".join(f"{k} {v}" for k, v in d["boot_paths"].items())
+        )
     return "\n".join(lines)
 
 

@@ -33,7 +33,17 @@ CSV_BLOCK = 1024
 
 
 class InputError(ValueError):
-    """Raised for invalid operation inputs (non-finite, out of range)."""
+    """Raised for invalid operation inputs (non-finite, out of range).
+
+    fields names the parameters at fault, where known: fields of the object
+    that raised, or dotted paths to fields of its parts ("inference.t_max"
+    on a MarketConfig), so that a caller that read them from a config can
+    name their lines.
+    """
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
 
 
 def write_csv(path, header, columns, append=False) -> None:
@@ -84,17 +94,20 @@ class InferenceParams:
     schedule: tuple[tuple[float, float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not (self.sigma_lZ >= 0 and self.sigma_lD >= 0):
-            raise InputError("signal-to-noise values must be nonnegative")
-        if not (self.dt > 0 and self.t_max >= self.dt):
-            raise InputError("need dt > 0 and t_max >= dt")
+        negative = [f for f in ("sigma_lZ", "sigma_lD") if not getattr(self, f) >= 0]
+        if negative:
+            raise InputError("signal-to-noise values must be nonnegative", *negative)
+        if not self.dt > 0:
+            raise InputError("need dt > 0 and t_max >= dt", "dt")
+        if not self.t_max >= self.dt:
+            raise InputError("need dt > 0 and t_max >= dt", "dt", "t_max")
         last = -math.inf
         for seg in self.schedule:
             t0, slz, sld = seg
             if t0 <= last:
-                raise InputError("schedule breakpoints must strictly increase")
+                raise InputError("schedule breakpoints must strictly increase", "schedule")
             if slz < 0 or sld < 0:
-                raise InputError("schedule signal-to-noise must be nonnegative")
+                raise InputError("schedule signal-to-noise must be nonnegative", "schedule")
             last = t0
 
     def sigma_at(self, t: float) -> tuple[float, float]:
@@ -182,13 +195,13 @@ class Milestones:
     @classmethod
     def from_params(cls, p1_0: float, rho: float, K: float, sigma_l: float) -> "Milestones":
         if not 0 < p1_0 < 1:
-            raise InputError("p1_0 must lie in (0,1)")
+            raise InputError("p1_0 must lie in (0,1)", "p1_0")
         if rho < 1:
-            raise InputError("rho must be >= 1 (apply label switching first)")
+            raise InputError("rho must be >= 1 (apply label switching first)", "rho")
         if K < 1:
-            raise InputError("K must be >= 1")
+            raise InputError("K must be >= 1", "K")
         if sigma_l <= 0:
-            raise InputError("sigma_l must be positive")
+            raise InputError("sigma_l must be positive", "sigma_l")
         h_p = math.log((1 - p1_0) / p1_0)
         rate = sigma_l * sigma_l / 2.0
         return cls(

@@ -29,6 +29,9 @@ __all__ = [
     "make_config",
     "simulate_market",
     "sort_cohorts",
+    "cohort_codes",
+    "cohort_table",
+    "table_stats",
     "cohort_stats",
     "measure_expost_excess",
     "expost_decomposition",
@@ -56,9 +59,9 @@ class TruthParams:
 
     def __post_init__(self) -> None:
         if not 0 < self.p1_0 < 1:
-            raise InputError("p1_0 must lie in (0,1)")
+            raise InputError("p1_0 must lie in (0,1)", "p1_0")
         if self.rho <= 0:
-            raise InputError("rho must be positive")
+            raise InputError("rho must be positive", "rho")
 
     @property
     def pi1_0(self) -> float:
@@ -81,23 +84,28 @@ class MarketConfig:
 
     def __post_init__(self) -> None:
         if self.n_assets < 1:
-            raise InputError("n_assets must be positive")
+            raise InputError("n_assets must be positive", "n_assets")
         if not 0 <= self.sign_prob_plus <= 1:
-            raise InputError("sign_prob_plus must lie in [0,1]")
+            raise InputError("sign_prob_plus must lie in [0,1]", "sign_prob_plus")
         if len(self.record_times) == 0:
-            raise InputError("record_times must be nonempty")
+            raise InputError("record_times must be nonempty", "record_times")
         rt = tuple(float(t) for t in self.record_times)
         if any(t <= 0 for t in rt) or any(b <= a for a, b in zip(rt, rt[1:])):
-            raise InputError("record_times must be positive and strictly increasing")
-        if rt[-1] > min(self.inference.t_max, self.pricing.t_max):
-            raise InputError("record_times exceed the horizon")
+            raise InputError(
+                "record_times must be positive and strictly increasing", "record_times"
+            )
+        short = [f"{part}.t_max" for part in ("inference", "pricing")
+                 if rt[-1] > getattr(self, part).t_max]
+        if short:
+            raise InputError("record_times exceed the horizon", "record_times", *short)
         if self.b_measure not in ("truth", "reference", "rne"):
-            raise InputError("b_measure must be truth, reference or rne")
+            raise InputError("b_measure must be truth, reference or rne", "b_measure")
         if self.n_bins < 2:
-            raise InputError("n_bins must be at least 2")
+            raise InputError("n_bins must be at least 2", "n_bins")
         if abs(logit(self.pricing.pi0) - logit(self.truth.pi1_0)) > 1e-12:
             raise InputError(
-                "pricing.pi0 must equal the reference prior derived from the truth"
+                "pricing.pi0 must equal the reference prior derived from the truth",
+                "pricing.pi0",
             )
         self.pricing.check_consistent(self.inference)
 
@@ -324,8 +332,31 @@ def sort_cohorts(
     return CohortSort(conditioning, t, idx, edges, bin_index, side_high, curves)
 
 
-def cohort_stats(panel: MarketPanel, sort: CohortSort, weights=None) -> dict:
-    """Weighted excess statistics of the sorted cohorts: {kind: (rp, se, n)}.
+def cohort_codes(panel: MarketPanel, sort: CohortSort) -> np.ndarray:
+    """Category of each asset: ((bin*2 + high side)*2 + plus sign)*2 + hit.
+
+    The codes run over [0, 8*n_bins) and index cohort_table's flattened
+    (bin, fold side, sign, B) axes; on the pi_level sort every asset is on
+    the low side.
+    """
+    high = np.zeros(panel.n_assets, bool) if sort.side_high is None else sort.side_high
+    return ((sort.bin_index * 2 + high) * 2 + (panel.sign == 1)) * 2 + (panel.B == 1)
+
+
+def cohort_table(panel: MarketPanel, sort: CohortSort, weights=None) -> np.ndarray:
+    """Weight of each (bin, fold side, sign, B) category, shape (n_bins, 2, 2, 2).
+
+    Axis 1 is the fold side (0 low, 1 high), axis 2 the sign (0 minus,
+    1 plus), axis 3 the outcome (0 miss, 1 hit). Unit weights count the
+    assets; integer weights w_i count asset i w_i times.
+    """
+    n_cat = 8 * (len(sort.edges) - 1)
+    table = np.bincount(cohort_codes(panel, sort), weights=weights, minlength=n_cat)
+    return table.reshape(-1, 2, 2, 2)
+
+
+def table_stats(sort: CohortSort, table, S_delta: float) -> dict:
+    """Excess statistics of the sorted cohorts from a category table: {kind: (rp, se, n)}.
 
     Each asset falls in one cell (bin, fold side, sign) and is scored as
     sign*(1_{B=1} - u)*S_delta against a level u constant on the cell: the
@@ -336,19 +367,13 @@ def cohort_stats(panel: MarketPanel, sort: CohortSort, weights=None) -> dict:
     Volatility curves average the two sign arms half/half on each side of
     the fold (the unconditional mix) and weight the fold sides by
     occupancy, matching the analytic composition; a bin with an occupied
-    side whose arms cannot both be measured is NaN. Unit weights give the
-    measurement; integer weights w_i give the panel with asset i repeated
-    w_i times, which is how the bootstrap resamples.
+    side whose arms cannot both be measured is NaN.
     """
-    n_b = len(sort.edges) - 1
+    table = np.asarray(table, float)
     centers = 0.5 * (sort.edges[:-1] + sort.edges[1:])
-    w = np.ones(panel.n_assets) if weights is None else np.asarray(weights, float)
-    high = np.zeros(panel.n_assets, bool) if sort.side_high is None else sort.side_high
-    cell = (sort.bin_index * 2 + high) * 2 + (panel.sign == 1)
-    w_c = np.bincount(cell, weights=w, minlength=4 * n_b).reshape(n_b, 2, 2)
-    h_c = np.bincount(cell, weights=w * (panel.B == 1), minlength=4 * n_b).reshape(n_b, 2, 2)
+    w_c = table.sum(axis=3)
+    h_c = table[..., 1]
     u = np.stack([centers, 1.0 - centers], axis=1)[:, :, None]
-    S_delta = panel.config.pricing.S_delta
     with np.errstate(invalid="ignore", divide="ignore"):
         p = h_c / w_c
         mean = np.array([-1.0, 1.0]) * (p - u) * S_delta
@@ -369,6 +394,16 @@ def cohort_stats(panel: MarketPanel, sort: CohortSort, weights=None) -> dict:
     rp = np.where(bad, np.nan, (w_side * arm).sum(axis=1))
     se = np.where(bad, np.nan, np.sqrt((w_side**2 * arm_var).sum(axis=1)))
     return {"volatility": (rp, se, n_tot)}
+
+
+def cohort_stats(panel: MarketPanel, sort: CohortSort, weights=None) -> dict:
+    """Weighted excess statistics of the sorted cohorts: {kind: (rp, se, n)}.
+
+    table_stats of the panel's cohort_table. Unit weights give the
+    measurement; integer weights w_i give the panel with asset i repeated
+    w_i times.
+    """
+    return table_stats(sort, cohort_table(panel, sort, weights), panel.config.pricing.S_delta)
 
 
 def measure_expost_excess(panel: MarketPanel, cohorts: CohortSort) -> dict:

@@ -70,25 +70,34 @@ class PricingParams:
 
     def __post_init__(self) -> None:
         if self.K < 1:
-            raise InputError("K must be >= 1")
+            raise InputError("K must be >= 1", "K")
         if self.sign_change not in (1, -1):
-            raise InputError("sign_change must be +1 or -1")
+            raise InputError("sign_change must be +1 or -1", "sign_change")
         if self.S_delta <= 0:
-            raise InputError("S_delta must be positive")
+            raise InputError("S_delta must be positive", "S_delta")
         if not 0 < self.pi0 < 1:
-            raise InputError("pi0 must lie in (0,1)")
-        if self.bsure_premium_drift < 0 or self.rZ_delta < 0 or self.sigma_Z < 0:
-            raise InputError("premium drift, rZ_delta and sigma_Z must be nonnegative")
+            raise InputError("pi0 must lie in (0,1)", "pi0")
+        negative = [
+            f for f in ("bsure_premium_drift", "rZ_delta", "sigma_Z") if getattr(self, f) < 0
+        ]
+        if negative:
+            raise InputError("premium drift, rZ_delta and sigma_Z must be nonnegative", *negative)
         if self.rZ_delta * self.t_max >= self.S_delta:
-            raise InputError("rZ_delta would exhaust S_delta before t_max")
+            raise InputError(
+                "rZ_delta would exhaust S_delta before t_max", "rZ_delta", "t_max", "S_delta"
+            )
 
     def check_consistent(self, inf: InferenceParams) -> None:
-        """The Z-stream's signal-to-noise is pinned once both legs are live."""
+        """The Z-stream's signal-to-noise is pinned once both legs are live.
+
+        The error names its fields as a MarketConfig holds them.
+        """
         if self.rZ_delta > 0 and self.sigma_Z > 0:
             implied = self.rZ_delta / self.sigma_Z
             if abs(implied - inf.sigma_lZ) > 1e-12:
                 raise InputError(
-                    f"sigma_lZ={inf.sigma_lZ} inconsistent with rZ_delta/sigma_Z={implied}"
+                    f"sigma_lZ={inf.sigma_lZ} inconsistent with rZ_delta/sigma_Z={implied}",
+                    "pricing.rZ_delta", "pricing.sigma_Z", "inference.sigma_lZ",
                 )
 
     def s_delta_at(self, t: float) -> float:

@@ -102,6 +102,91 @@ def test_non_finite_values_are_config_errors_on_their_line(
     assert expected in err.getvalue()
 
 
+# out-of-range cases: lines (key, value) and the keys whose lines the error names
+OUT_OF_RANGE = [
+    ([("market.n_assets", "0")], 1),
+    ([("market.n_assets", "-5")], 1),
+    ([("market.p1_0", "1")], 1),
+    ([("market.p1_0", "-0.2")], 1),
+    ([("market.rho", "0")], 1),
+    ([("market.sign_prob_plus", "1.5")], 1),
+    ([("market.sign_prob_plus", "-0.1")], 1),
+    ([("market.b_measure", "objective")], 1),
+    ([("market.record_times", "0.6, 12")], 1),
+    ([("market.record_times", "")], 1),
+    ([("market.record_times", "0, 1")], 1),
+    ([("market.record_times", "1.2, 0.6")], 1),
+    ([("market.n_bins", "1")], 1),
+    ([("pricing.K", "0.5")], 1),
+    ([("pricing.S_delta", "0")], 1),
+    ([("pricing.bsure_premium_drift", "-0.1")], 1),
+    ([("pricing.rZ_delta", "-0.1")], 1),
+    ([("pricing.rZ_delta", "0.2")], 1),
+    ([("pricing.sigma_Z", "-0.1")], 1),
+    ([("pricing.t_max", "5")], 1),
+    ([("inference.sigma_lZ", "-0.1")], 1),
+    ([("inference.sigma_lD", "-0.5")], 1),
+    ([("inference.sigma_lD", "0")], 1),
+    ([("inference.dt", "0")], 1),
+    ([("inference.dt", "20")], 1),
+    ([("inference.t_max", "5")], 1),
+    ([("inference.schedule", "2:0.1:0.5, 1:0.1:0.5")], 1),
+    ([("inference.schedule", "1:-0.1:0.5")], 1),
+    ([("estimation.t", "3.0")], 1),
+    ([("estimation.n_boot", "-1")], 1),
+    ([("curves.rho_list", "9, -3")], 1),
+    ([("curves.rho_list", "")], 1),
+    ([("curves.K_list", "0.5")], 1),
+    ([("curves.t", "0")], 1),
+    ([("curves.grid_points", "9")], 1),
+    ([("seed", "-1")], 1),
+    ([("threads", "0")], 1),
+    ([("derived.t_rho", "1.0")], 1),
+    # cross-key errors name every line involved
+    ([("market.record_times", "0.6, 9"), ("inference.t_max", "8.5")], 2),
+    ([("market.record_times", "0.6, 9"), ("pricing.t_max", "8.5"),
+      ("inference.t_max", "8.9")], 3),
+    ([("pricing.rZ_delta", "0.1"), ("pricing.S_delta", "0.5"), ("pricing.t_max", "10")], 3),
+    ([("pricing.rZ_delta", "0.05"), ("pricing.sigma_Z", "0.1"),
+      ("inference.sigma_lZ", "0.3")], 3),
+    ([("estimation.t", "2"), ("market.record_times", "1, 3")], 2),
+    ([("inference.dt", "2"), ("inference.t_max", "1")], 2),
+    ([("inference.sigma_lD", "0"), ("inference.sigma_lZ", "0")], 2),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    case=st.sampled_from(OUT_OF_RANGE),
+    filler=st.lists(
+        st.sampled_from(["", "# note", "window.eps_p = 0.2"]), max_size=3, unique=True
+    ),
+    data=st.data(),
+)
+def test_out_of_range_values_are_config_errors_on_their_lines(
+    tmp_path_factory, case, filler, data
+):
+    stated, n_named = case
+    lines = data.draw(st.permutations(
+        [f"{k} = {v}" for k, v in stated] + filler + ["market.n_assets = 600"] * (
+            stated[0][0] != "market.n_assets")
+    ))
+    # the keys the error names come first in each case
+    named = sorted(lines.index(f"{k} = {v}") + 1 for k, v in stated[:n_named])
+    prefix = ", ".join(f"line {n}" for n in named) + ": "
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value).startswith(prefix), (str(info.value), prefix)
+    path = tmp_path_factory.mktemp("range") / "c.cfg"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["curves", "--config", str(path), "--out-dir", str(path.parent / "o")])
+    assert code == 2
+    assert f"config error: {info.value}" in err.getvalue()
+
+
 def test_flag_overrides_share_the_config_checks(tmp_path, capsys):
     cfg = _write(tmp_path, "c.cfg", "seed = 3\n")
     for flag, value, message in (

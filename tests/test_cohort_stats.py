@@ -3,16 +3,19 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2_contingency
 
-from rnemarket.estimation import _usable_mask
+from rnemarket.estimation import _TableBootstrap, _usable_mask
 from rnemarket.market import (
     MarketPanel,
     cohort_stats,
+    cohort_table,
     make_config,
     measure_expost_excess,
     sort_cohorts,
+    table_stats,
 )
 
 KINDS = {"pi_level": ("momentum_plus", "momentum_minus"), "volatility": ("volatility",)}
@@ -181,3 +184,139 @@ def test_integer_weights_equal_repeated_assets(rows, conditioning):
     for kind in KINDS[conditioning]:
         for a, b in zip(weighted[kind], plain[kind]):
             _assert_close(a, b)
+
+
+def _fold_median_weighted(vals, order, w):
+    """The asset-level bootstrap median: fold of the w-weighted median, order = argsort(vals)."""
+    cum = np.cumsum(w[order])
+    med = float(vals[order[np.searchsorted(cum, cum[-1] / 2.0)]])
+    return min(med, 1.0 - med)
+
+
+def _loop_table(panel, sort, w):
+    """Integer category table summed asset by asset: [bin, fold side, plus sign, hit]."""
+    table = np.zeros((len(sort.edges) - 1, 2, 2, 2), np.int64)
+    for i, wi in enumerate(w):
+        high = 0 if sort.side_high is None else int(sort.side_high[i])
+        table[sort.bin_index[i], high, int(panel.sign[i] == 1), int(panel.B[i] == 1)] += wi
+    return table
+
+
+_WEIGHTED_ROWS = st.lists(
+    st.tuples(
+        st.floats(0.001, 0.999), st.integers(0, 1), st.sampled_from([-1, 1]),
+        st.integers(0, 3),
+    ),
+    min_size=1,
+    max_size=40,
+).filter(lambda rows: sum(r[3] for r in rows) > 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_WEIGHTED_ROWS, st.sampled_from(["pi_level", "volatility"]), st.sampled_from([4, 6, 50]))
+def test_table_stats_of_an_integer_table_equal_the_weighted_stats(rows, conditioning, n_bins):
+    Pi, B, sign, w = (np.array(col) for col in zip(*rows))
+    panel = _toy_panel(Pi, B, sign, n_bins=n_bins)
+    sort = sort_cohorts(panel, 1.0, conditioning=conditioning)
+    table = _loop_table(panel, sort, w)
+    assert np.array_equal(cohort_table(panel, sort, w), table)
+    from_table = table_stats(sort, table, panel.config.pricing.S_delta)
+    weighted = cohort_stats(panel, sort, w)
+    assert set(from_table) == set(weighted) == set(KINDS[conditioning])
+    for kind in KINDS[conditioning]:
+        for a, b in zip(from_table[kind], weighted[kind]):
+            assert np.array_equal(a, b, equal_nan=True), kind
+
+
+def _table_median(panel, sort, w):
+    boot = _TableBootstrap(panel, sort, 0, rng=None)
+    return boot.median(cohort_table(panel, sort, w), lambda counts, idx, pos: w[idx])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            # few distinct levels, so ties, shared bins and both fold sides are common
+            st.sampled_from([0.01, 0.1, 0.24, 0.26, 0.49, 0.5, 0.51, 0.74, 0.76, 0.9, 0.99])
+            | st.floats(0.001, 0.999),
+            st.integers(0, 1), st.sampled_from([-1, 1]), st.integers(0, 3),
+        ),
+        min_size=1,
+        max_size=40,
+    ).filter(lambda rows: sum(r[3] for r in rows) > 0),
+    st.sampled_from([4, 6, 50]),
+)
+@example([(0.1, 1, 1, 1), (0.1, 0, -1, 1), (0.3, 1, 1, 1), (0.3, 0, 1, 1)], 4)
+@example([(0.1, 1, 1, 2), (0.9, 0, -1, 0), (0.8, 1, 1, 1), (0.7, 0, 1, 1)], 6)
+def test_group_search_picks_the_asset_level_median(rows, n_bins):
+    Pi, B, sign, w = (np.array(col) for col in zip(*rows))
+    panel = _toy_panel(Pi, B, sign, n_bins=n_bins)
+    sort = sort_cohorts(panel, 1.0)
+    vals = panel.Pi[:, 0]
+    assert _table_median(panel, sort, w) == _fold_median_weighted(vals, np.argsort(vals), w)
+
+
+def test_group_search_at_a_half_total_on_a_group_boundary():
+    # weights 2 in the 0.1 group, 1 in the 0.3 group, 1 on the high side:
+    # the half-total 2 is reached exactly at the end of the 0.1 group, so the
+    # median is its last weighted member, not the next group's first
+    Pi = [0.1, 0.3, 0.3, 0.1, 0.8, 0.7, 0.31]
+    w = np.array([1, 1, 0, 1, 1, 0, 0])
+    panel = _toy_panel(Pi, [1, 0, 1, 0, 1, 1, 0], [1, -1, 1, 1, -1, 1, 1], n_bins=8)
+    sort = sort_cohorts(panel, 1.0)
+    boot = _TableBootstrap(panel, sort, 0, rng=None)
+    cum = np.cumsum(cohort_table(panel, sort, w).reshape(-1, 4).sum(axis=1)[boot.groups])
+    assert cum[0] == cum[-1] / 2 == 2
+    vals = panel.Pi[:, 0]
+    expected = _fold_median_weighted(vals, np.argsort(vals), w)
+    assert expected == 0.1
+    assert _table_median(panel, sort, w) == expected
+
+
+def _homogeneous(a, b, alpha):
+    """Two-sample chi-square test of equal discrete laws; True unless rejected at alpha."""
+    levels, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+    counts = np.stack([np.bincount(inv[: len(a)], minlength=len(levels)),
+                       np.bincount(inv[len(a):], minlength=len(levels))])
+    # pool rare levels so every expected count is at least 5
+    keep = counts.sum(axis=0) >= 20
+    pooled = np.column_stack([counts[:, keep], counts[:, ~keep].sum(axis=1)])
+    pooled = pooled[:, pooled.sum(axis=0) > 0]
+    if pooled.shape[1] < 2:
+        return True
+    return chi2_contingency(pooled)[1] > alpha
+
+
+def test_table_draws_follow_the_asset_level_law():
+    rng = np.random.default_rng(2024)
+    n = 40
+    panel = _toy_panel(
+        rng.uniform(0.02, 0.98, n), rng.integers(0, 2, n), rng.choice([-1, 1], n), n_bins=6
+    )
+    sort = sort_cohorts(panel, 1.0)
+    vals = panel.Pi[:, 0]
+    order = np.argsort(vals)
+    reps = 20_000
+    asset_rng = np.random.default_rng(7)
+    boot = _TableBootstrap(panel, sort, 0, np.random.default_rng(8))
+    asset_tables, asset_medians, tables, medians = [], [], [], []
+    for _ in range(reps):
+        w = np.bincount(asset_rng.integers(n, size=n), minlength=n)
+        asset_tables.append(cohort_table(panel, sort, w).ravel())
+        asset_medians.append(_fold_median_weighted(vals, order, w))
+        k = boot.draw()
+        tables.append(k.ravel())
+        medians.append(boot.fold_median(k))
+    asset_tables, tables = np.array(asset_tables), np.array(tables)
+    occupied = cohort_table(panel, sort).ravel() > 0
+    assert np.all(tables.sum(axis=1) == n) and np.all(tables[:, ~occupied] == 0)
+    # the fallback median, drawn within its group given the table
+    assert _homogeneous(np.array(asset_medians), np.array(medians), 1e-3)
+    # each occupied category's count jointly with the median, Bonferroni over
+    # the categories: the median must follow the table it was drawn from
+    _, level = np.unique(asset_medians + medians, return_inverse=True)
+    alpha = 1e-3 / occupied.sum()
+    for c in np.flatnonzero(occupied):
+        pair = level * (n + 1) + np.concatenate([asset_tables[:, c], tables[:, c]])
+        assert _homogeneous(pair[:reps], pair[reps:], alpha), c
