@@ -394,8 +394,8 @@ class _TableBootstrap:
         g = int(self.groups[i])
         idx, pos = self.members(g)
         w = weigh(counts[g], idx, pos)
-        k = int(np.searchsorted(cum[i] - size[i] + np.cumsum(w), half))
-        med = float(self.vals[idx[k]])
+        j = int(np.searchsorted(cum[i] - size[i] + np.cumsum(w), half))
+        med = float(self.vals[idx[j]])
         return min(med, 1.0 - med)
 
     def fold_median(self, table) -> float:

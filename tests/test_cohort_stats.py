@@ -162,18 +162,18 @@ def test_unanimous_cell_has_zero_se_and_is_not_usable():
         assert not _usable_mask(curve, 10)[filled].any(), kind
 
 
+_WEIGHTED_ROWS = st.lists(
+    st.tuples(
+        st.floats(0.001, 0.999), st.integers(0, 1), st.sampled_from([-1, 1]),
+        st.integers(0, 3),
+    ),
+    min_size=1,
+    max_size=40,
+).filter(lambda rows: sum(r[3] for r in rows) > 0)
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(0.001, 0.999), st.integers(0, 1), st.sampled_from([-1, 1]),
-            st.integers(0, 3),
-        ),
-        min_size=1,
-        max_size=40,
-    ).filter(lambda rows: sum(r[3] for r in rows) > 0),
-    st.sampled_from(["pi_level", "volatility"]),
-)
+@given(_WEIGHTED_ROWS, st.sampled_from(["pi_level", "volatility"]))
 def test_integer_weights_equal_repeated_assets(rows, conditioning):
     Pi, B, sign, w = (np.array(col) for col in zip(*rows))
     panel = _toy_panel(Pi, B, sign, n_bins=6)
@@ -200,16 +200,6 @@ def _loop_table(panel, sort, w):
         high = 0 if sort.side_high is None else int(sort.side_high[i])
         table[sort.bin_index[i], high, int(panel.sign[i] == 1), int(panel.B[i] == 1)] += wi
     return table
-
-
-_WEIGHTED_ROWS = st.lists(
-    st.tuples(
-        st.floats(0.001, 0.999), st.integers(0, 1), st.sampled_from([-1, 1]),
-        st.integers(0, 3),
-    ),
-    min_size=1,
-    max_size=40,
-).filter(lambda rows: sum(r[3] for r in rows) > 0)
 
 
 @settings(max_examples=80, deadline=None)

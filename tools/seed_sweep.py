@@ -32,6 +32,8 @@ from rnemarket.estimation import ShapeError, roundtrip
 from rnemarket.inference import write_csv
 from rnemarket.market import make_config
 
+# estimation.BOOT_PATHS, spelled out so the sweep also runs on a checkout
+# whose diagnostics do not count the resample paths
 PATHS = ("regular", "peak_shape_unresolved", "no_significant_peak")
 
 
