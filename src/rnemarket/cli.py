@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +65,8 @@ class RunConfig:
     (priors, milestone times) are always recomputed from primitives; the
     config may state them, in which case they are cross-checked to 1e-12.
     threads is a validated, echoed budget; it changes neither the work nor
-    any artifact.
+    any artifact. sources maps each key parse_config read to its line or
+    flag, so that a range error found later can name it.
     """
 
     market: MarketConfig
@@ -79,6 +80,7 @@ class RunConfig:
     M_rho: float = 5.0
     seed: int = 0
     threads: int = 1
+    sources: dict = field(default_factory=dict, compare=False, repr=False)
 
     def derived(self) -> dict:
         truth = self.market.truth
@@ -165,6 +167,34 @@ def _finite(value) -> bool:
     return not isinstance(value, float) or math.isfinite(value)
 
 
+# the keys that set the beliefs' signal-to-noise at any time
+_SIGMA_KEYS = ("inference.sigma_lZ", "inference.sigma_lD", "inference.schedule")
+# the keys each field of a lattice curve's AnomalyParams comes from
+_CURVE_KEYS = {
+    "rho": "curves.rho_list", "K": "curves.K_list", "t": "curves.t",
+    "sigma_l": _SIGMA_KEYS + ("curves.t",), "S_delta": "pricing.S_delta",
+}
+
+
+def _sourced(message: str, sources: dict, keys) -> ConfigError:
+    """message, prefixed by the lines or flags (in document order) of the keys that set it."""
+    named = [src for key, src in sources.items() if key in keys]
+    return ConfigError(f"{', '.join(named)}: {message}" if named else message)
+
+
+def _located(err: InputError, sources: dict, section: str, aliases=None) -> ConfigError:
+    """err, raised by an object built from config keys, naming their lines.
+
+    A plain field f of err is the key section.f, a dotted one is a key itself,
+    and aliases maps a field to the key or keys it comes from.
+    """
+    keys = []
+    for f in err.fields:
+        found = (aliases or {}).get(f, f if "." in f else f"{section}.{f}")
+        keys += [found] if isinstance(found, str) else found
+    return _sourced(str(err), sources, keys)
+
+
 def parse_config(text: str, overrides=None) -> RunConfig:
     """Parse a key-value config document into a validated RunConfig.
 
@@ -213,29 +243,15 @@ def parse_config(text: str, overrides=None) -> RunConfig:
         values[key] = value
         where[key] = source
 
-    def fail(message: str, keys):
-        """Raise message, prefixed by the lines or flags of the keys that set it."""
-        sources = [src for key, src in where.items() if key in keys]
-        raise ConfigError(f"{', '.join(sources)}: {message}" if sources else message)
-
     def check(ok: bool, message: str, *keys: str) -> None:
         if not ok:
-            fail(message, keys)
+            raise _sourced(message, where, keys)
 
     def build(section: str, make, aliases=None):
-        """make(), whose InputError names the keys of its fields.
-
-        A plain field f is the key section.f, a dotted one is a key itself,
-        and aliases maps a field to the keys it comes from.
-        """
         try:
             return make()
         except InputError as e:
-            keys = []
-            for f in e.fields:
-                found = (aliases or {}).get(f, f if "." in f else f"{section}.{f}")
-                keys += [found] if isinstance(found, str) else found
-            fail(str(e), keys)
+            raise _located(e, where, section, aliases) from e
 
     get = lambda k: values.get(k, _SCHEMA[k][1])
     inference = build("inference", lambda: InferenceParams(
@@ -280,12 +296,7 @@ def parse_config(text: str, overrides=None) -> RunConfig:
         M_rho=get("window.M_rho"),
         seed=get("seed"),
         threads=get("threads"),
-    )
-    t_est = rc.estimation_t
-    check(
-        t_est is None or sum(abs(t_est - t) <= 1e-12 for t in market.record_times) == 1,
-        "estimation.t must be auto or one of market.record_times",
-        "estimation.t", "market.record_times",
+        sources=where,
     )
     check(rc.n_boot >= 0, "estimation.n_boot must be nonnegative", "estimation.n_boot")
     check(rc.grid_points >= 10, "curves.grid_points must be at least 10", "curves.grid_points")
@@ -294,16 +305,7 @@ def parse_config(text: str, overrides=None) -> RunConfig:
     check(rc.curves_rho, "curves.rho_list must be nonempty", "curves.rho_list")
     check(rc.curves_K, "curves.K_list must be nonempty", "curves.K_list")
 
-    # the signal-to-noise at t = 0 (derived) and at curves.t (the curve lattice)
-    sigma_keys = ("inference.sigma_lZ", "inference.sigma_lD", "inference.schedule")
-    derived = build("inference", rc.derived, {"sigma_l": sigma_keys})
-    curve_keys = {
-        "rho": "curves.rho_list", "K": "curves.K_list", "t": "curves.t",
-        "sigma_l": sigma_keys + ("curves.t",), "S_delta": "pricing.S_delta",
-    }
-    for rho in rc.curves_rho:
-        for K in rc.curves_K:
-            build("curves", lambda: _curve_params(rc, rho, K), curve_keys)
+    derived = build("inference", rc.derived, {"sigma_l": _SIGMA_KEYS})
     for name, stated in derived_stated.items():
         actual = derived[name]
         check(
@@ -378,16 +380,20 @@ def echo_config(rc: RunConfig) -> str:
 
 
 def _curve_params(rc: RunConfig, rho: float, K: float) -> AnomalyParams:
-    return AnomalyParams.from_primitives(
-        rc.market.truth.p1_0,
-        rho,
-        K,
-        rc.market.inference.sigma_l_total(rc.curves_t),
-        rc.curves_t,
-        S_delta=rc.market.pricing.S_delta,
-        eps_p=rc.eps_p,
-        M_rho=rc.M_rho,
-    )
+    """The analytic-curve parameters at curves.t; a range error names its config lines."""
+    try:
+        return AnomalyParams.from_primitives(
+            rc.market.truth.p1_0,
+            rho,
+            K,
+            rc.market.inference.sigma_l_total(rc.curves_t),
+            rc.curves_t,
+            S_delta=rc.market.pricing.S_delta,
+            eps_p=rc.eps_p,
+            M_rho=rc.M_rho,
+        )
+    except InputError as e:
+        raise _located(e, rc.sources, "curves", _CURVE_KEYS) from e
 
 
 def _cmd_simulate(rc: RunConfig, out: Path) -> int:

@@ -107,7 +107,12 @@ class MarketConfig:
                 "pricing.pi0 must equal the reference prior derived from the truth",
                 "pricing.pi0",
             )
-        self.pricing.check_consistent(self.inference)
+        try:
+            self.pricing.check_consistent(self.inference)
+        except InputError as e:
+            raise InputError(
+                str(e), "pricing.rZ_delta", "pricing.sigma_Z", "inference.sigma_lZ"
+            ) from e
 
     @property
     def pi1_0(self) -> float:

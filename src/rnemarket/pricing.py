@@ -88,16 +88,12 @@ class PricingParams:
             )
 
     def check_consistent(self, inf: InferenceParams) -> None:
-        """The Z-stream's signal-to-noise is pinned once both legs are live.
-
-        The error names its fields as a MarketConfig holds them.
-        """
+        """The Z-stream's signal-to-noise is pinned once both legs are live."""
         if self.rZ_delta > 0 and self.sigma_Z > 0:
             implied = self.rZ_delta / self.sigma_Z
             if abs(implied - inf.sigma_lZ) > 1e-12:
                 raise InputError(
-                    f"sigma_lZ={inf.sigma_lZ} inconsistent with rZ_delta/sigma_Z={implied}",
-                    "pricing.rZ_delta", "pricing.sigma_Z", "inference.sigma_lZ",
+                    f"sigma_lZ={inf.sigma_lZ} inconsistent with rZ_delta/sigma_Z={implied}"
                 )
 
     def s_delta_at(self, t: float) -> float:

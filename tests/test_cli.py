@@ -102,7 +102,8 @@ def test_non_finite_values_are_config_errors_on_their_line(
     assert expected in err.getvalue()
 
 
-# out-of-range cases: lines (key, value) and the keys whose lines the error names
+# out-of-range cases: lines (key, value) and how many of them, from the
+# first, the error names; parse_config rejects these for every subcommand
 OUT_OF_RANGE = [
     ([("market.n_assets", "0")], 1),
     ([("market.n_assets", "-5")], 1),
@@ -132,12 +133,8 @@ OUT_OF_RANGE = [
     ([("inference.t_max", "5")], 1),
     ([("inference.schedule", "2:0.1:0.5, 1:0.1:0.5")], 1),
     ([("inference.schedule", "1:-0.1:0.5")], 1),
-    ([("estimation.t", "3.0")], 1),
     ([("estimation.n_boot", "-1")], 1),
-    ([("curves.rho_list", "9, -3")], 1),
     ([("curves.rho_list", "")], 1),
-    ([("curves.K_list", "0.5")], 1),
-    ([("curves.t", "0")], 1),
     ([("curves.grid_points", "9")], 1),
     ([("seed", "-1")], 1),
     ([("threads", "0")], 1),
@@ -149,15 +146,22 @@ OUT_OF_RANGE = [
     ([("pricing.rZ_delta", "0.1"), ("pricing.S_delta", "0.5"), ("pricing.t_max", "10")], 3),
     ([("pricing.rZ_delta", "0.05"), ("pricing.sigma_Z", "0.1"),
       ("inference.sigma_lZ", "0.3")], 3),
-    ([("estimation.t", "2"), ("market.record_times", "1, 3")], 2),
     ([("inference.dt", "2"), ("inference.t_max", "1")], 2),
     ([("inference.sigma_lD", "0"), ("inference.sigma_lZ", "0")], 2),
+]
+# the curve lattice's range errors, raised by the subcommands that build it
+CURVE_OUT_OF_RANGE = [
+    ([("curves.rho_list", "-3, 9")], 1),
+    ([("curves.K_list", "0.5")], 1),
+    ([("curves.t", "0")], 1),
+    ([("inference.schedule", "2:0:0")], 1),
+    ([("inference.schedule", "2:0:0"), ("curves.t", "3")], 2),
 ]
 
 
 @settings(max_examples=120, deadline=None)
 @given(
-    case=st.sampled_from(OUT_OF_RANGE),
+    case=st.sampled_from(OUT_OF_RANGE + CURVE_OUT_OF_RANGE),
     filler=st.lists(
         st.sampled_from(["", "# note", "window.eps_p = 0.2"]), max_size=3, unique=True
     ),
@@ -175,16 +179,28 @@ def test_out_of_range_values_are_config_errors_on_their_lines(
     named = sorted(lines.index(f"{k} = {v}") + 1 for k, v in stated[:n_named])
     prefix = ", ".join(f"line {n}" for n in named) + ": "
     text = "\n".join(lines) + "\n"
-    with pytest.raises(ConfigError) as info:
-        parse_config(text)
-    assert str(info.value).startswith(prefix), (str(info.value), prefix)
     path = tmp_path_factory.mktemp("range") / "c.cfg"
     path.write_text(text)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(["curves", "--config", str(path), "--out-dir", str(path.parent / "o")])
     assert code == 2
-    assert f"config error: {info.value}" in err.getvalue()
+    assert err.getvalue().startswith(f"config error: {prefix}"), (err.getvalue(), prefix)
+    if case in OUT_OF_RANGE:
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert err.getvalue() == f"config error: {info.value}\n"
+    else:
+        parse_config(text)
+
+
+@pytest.mark.parametrize("line", [
+    "inference.schedule = 2:0:0", "curves.K_list = 0.5", "curves.t = 0",
+])
+def test_curve_lattice_errors_leave_simulate_running(tmp_path, line):
+    cfg = _write(tmp_path, "c.cfg", f"market.n_assets = 200\n{line}\n")
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "panel.csv").exists()
 
 
 def test_flag_overrides_share_the_config_checks(tmp_path, capsys):

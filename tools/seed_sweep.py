@@ -15,8 +15,7 @@ market.n_assets set) once per seed and prints one Markdown table row:
 
 A digest of every seed's outcome and point estimate follows the table, so
 two sweeps over the same seeds show at a glance whether any point estimate
-moved. --csv PATH also writes one row per seed. The sweep is not part of
-the test suite: at 1e5 assets one seed takes about a second.
+moved. The sweep is not part of the test suite: at 1e5 assets one seed takes about a second.
 """
 
 from __future__ import annotations
@@ -28,13 +27,8 @@ import sys
 
 import numpy as np
 
-from rnemarket.estimation import ShapeError, roundtrip
-from rnemarket.inference import write_csv
+from rnemarket.estimation import BOOT_PATHS, ShapeError, roundtrip
 from rnemarket.market import make_config
-
-# estimation.BOOT_PATHS, spelled out so the sweep also runs on a checkout
-# whose diagnostics do not count the resample paths
-PATHS = ("regular", "peak_shape_unresolved", "no_significant_peak")
 
 
 def _seeds(text: str) -> range:
@@ -59,8 +53,7 @@ def sweep(n_assets: int, seeds, n_boot: int) -> list[dict]:
                    rp_max=res.rp_max_hat, flags=";".join(d["flags"]))
         if n_boot > 0:
             rec.update(K_ci=d["K_ci"], rho_ci=d["rho_ci"])
-        if "boot_paths" in d:
-            rec.update(d["boot_paths"])
+        rec.update(d.get("boot_paths", {}))
         rows.append(rec)
     return rows
 
@@ -92,8 +85,10 @@ def summary(rows: list[dict], n_assets: int, seeds, n_boot: int) -> str:
     else:
         cells += ["-", "-"]
     if ok and "regular" in ok[0]:
-        total = sum(r[p] for r in ok for p in PATHS)
-        cells.append(", ".join(f"{p} {sum(r[p] for r in ok) / total:.1%}" for p in PATHS))
+        total = sum(r[p] for r in ok for p in BOOT_PATHS)
+        cells.append(
+            ", ".join(f"{p} {sum(r[p] for r in ok) / total:.1%}" for p in BOOT_PATHS)
+        )
     else:
         cells.append("not recorded")
     head = ["n", "seeds", "n_boot", "exit 3", "K_hat mean (sd)", "rho_hat mean (sd)",
@@ -115,25 +110,10 @@ def main(argv=None) -> int:
     ap.add_argument("--n-assets", type=int, default=10_000)
     ap.add_argument("--seeds", default="0-199", help="inclusive range LO-HI")
     ap.add_argument("--n-boot", type=int, default=200)
-    ap.add_argument("--csv", metavar="PATH", help="also write one row per seed")
     args = ap.parse_args(argv)
     seeds = _seeds(args.seeds)
     rows = sweep(args.n_assets, seeds, args.n_boot)
     print(summary(rows, args.n_assets, seeds, args.n_boot))
-    if args.csv:
-        nan2 = (math.nan, math.nan)
-        cols = {
-            "seed": [r["seed"] for r in rows],
-            "outcome": [r["outcome"] for r in rows],
-            **{k: [r.get(k, math.nan) for r in rows]
-               for k in ("K_hat", "rho_hat", "v_max", "rp_max")},
-            "K_ci_lo": [r.get("K_ci", nan2)[0] for r in rows],
-            "K_ci_hi": [r.get("K_ci", nan2)[1] for r in rows],
-            "rho_ci_lo": [r.get("rho_ci", nan2)[0] for r in rows],
-            "rho_ci_hi": [r.get("rho_ci", nan2)[1] for r in rows],
-            **{p: [r.get(p, -1) for r in rows] for p in PATHS},
-        }
-        write_csv(args.csv, list(cols), list(cols.values()))
     return 0
 
 
