@@ -46,8 +46,8 @@ __all__ = [
 class AnomalyParams:
     """Parameter bundle for analytic curves at one evaluation epoch t.
 
-    H_p is the objective hurdle log((1-p1_0)/p1_0); the data clock enters
-    only through the milestone-to-epoch ratios, which the properties expose.
+    H_p is the objective hurdle log((1-p1_0)/p1_0). Whether t lies in the
+    anomaly window is inference.window_check's question, not this bundle's.
     """
 
     rho: float
@@ -56,8 +56,6 @@ class AnomalyParams:
     H_p: float
     sigma_l: float
     t: float
-    eps_p: float = 0.2
-    M_rho: float = 5.0
 
     def __post_init__(self) -> None:
         if self.rho <= 0:
@@ -80,40 +78,15 @@ class AnomalyParams:
         sigma_l: float,
         t: float,
         S_delta: float = 1.0,
-        **kw,
     ) -> "AnomalyParams":
         if not 0 < p1_0 < 1:
             raise InputError("p1_0 must lie in (0,1)", "p1_0")
         return cls(rho=rho, K=K, S_delta=S_delta, H_p=float(-logit(p1_0)),
-                   sigma_l=sigma_l, t=t, **kw)
+                   sigma_l=sigma_l, t=t)
 
     @property
     def p1_0(self) -> float:
         return float(expit(-self.H_p))
-
-    @property
-    def t_p(self) -> float:
-        return self.H_p / (self.sigma_l**2 / 2)
-
-    @property
-    def t_rho(self) -> float:
-        return math.log(self.rho) / (self.sigma_l**2 / 2)
-
-    @property
-    def t_K(self) -> float:
-        return math.log(self.K) / (self.sigma_l**2 / 2)
-
-    @property
-    def objective_dominated(self) -> bool:
-        return self.t_p / self.t <= self.eps_p
-
-    @property
-    def bias_dominant(self) -> bool:
-        return self.t_rho / self.t >= self.M_rho
-
-    @property
-    def in_window(self) -> bool:
-        return self.objective_dominated and self.bias_dominant
 
 
 @dataclass
@@ -367,11 +340,13 @@ def peak_report(kind: str, params: AnomalyParams, step: float = 1e-3, refine: fl
 
     Oriented curves (the minus branch peaks downward) are searched on
     sign-adjusted values. Returns the refined location/value plus the
-    formula value and their absolute gap.
+    formula value and their absolute gap, and under "curve" the analytic
+    curve on the coarse grid default_grid(kind, step) that was searched.
     """
-    grid = default_grid(kind, step)
+    curve = analytic_curve(kind, params, grid=default_grid(kind, step))
+    grid = curve.v
     orient = -1.0 if kind == "momentum_minus" else 1.0
-    vals = orient * _curve_values(kind, params, grid)
+    vals = orient * curve.rp
     i = int(np.argmax(vals))
     lo = max(grid[0], grid[i] - 2 * step)
     hi = min(grid[-1], grid[i] + 2 * step)
@@ -393,6 +368,7 @@ def peak_report(kind: str, params: AnomalyParams, step: float = 1e-3, refine: fl
         "abs_gap": abs(rp_formula - rp_grid),
         "v_formula": v_formula,
         "v_abs_gap": abs(v_formula - v_grid),
+        "curve": curve,
     }
 
 

@@ -16,11 +16,12 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
-from .anomalies import AnomalyParams, analytic_curve, default_grid, lowrisk_peak, peak_report
+from .anomalies import AnomalyParams, lowrisk_peak, peak_report
 from .estimation import (
     ShapeError,
     format_report,
@@ -76,11 +77,23 @@ class RunConfig:
     curves_K: tuple = (1.5,)
     curves_t: float = 2.4
     grid_points: int = 1000
-    eps_p: float = 0.2
-    M_rho: float = 5.0
     seed: int = 0
     threads: int = 1
     sources: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.n_boot < 0:
+            raise InputError("estimation.n_boot must be nonnegative", "n_boot")
+        if self.grid_points < 10:
+            raise InputError("curves.grid_points must be at least 10", "grid_points")
+        if self.threads < 1:
+            raise InputError("threads must be at least 1", "threads")
+        if not 0 <= self.seed < 2**64:
+            raise InputError("seed must be an integer in [0, 2^64)", "seed")
+        if not self.curves_rho:
+            raise InputError("curves.rho_list must be nonempty", "curves_rho")
+        if not self.curves_K:
+            raise InputError("curves.K_list must be nonempty", "curves_K")
 
     def derived(self) -> dict:
         truth = self.market.truth
@@ -122,40 +135,42 @@ def _parse_t_or_auto(text: str):
     return float(text)
 
 
-# key -> (parse, default). Order here is the canonical echo order.
+# key -> (parse, RunConfig attribute path). Order here is the canonical echo
+# order. A key the config does not state takes the default of the dataclass
+# field its path ends in.
 _SCHEMA = {
-    "market.n_assets": (int, 10_000),
-    "market.p1_0": (float, 0.49),
-    "market.rho": (float, 9.0),
-    "market.sign_prob_plus": (float, 0.5),
-    "market.b_measure": (str, "truth"),
-    "market.record_times": (_parse_float_list, (0.6, 1.2, 2.4, 8.0)),
-    "market.n_bins": (int, 50),
-    "market.n_min": (int, 50),
-    "market.max_asset_steps": (float, 2e8),
-    "pricing.K": (float, 1.5),
-    "pricing.S_delta": (float, 1.0),
-    "pricing.bsure_premium_drift": (float, 0.0),
-    "pricing.rZ_delta": (float, 0.0),
-    "pricing.sigma_Z": (float, 0.0),
-    "pricing.y_minus0": (float, 0.0),
-    "pricing.t_max": (float, 10.0),
-    "inference.sigma_lZ": (float, 0.0),
-    "inference.sigma_lD": (float, 0.5),
-    "inference.dt": (float, 0.01),
-    "inference.t_max": (float, 10.0),
-    "inference.schedule": (_parse_schedule, ()),
-    "estimation.t": (_parse_t_or_auto, None),
-    "estimation.n_boot": (int, 200),
-    "curves.rho_list": (_parse_float_list, (9.0,)),
-    "curves.K_list": (_parse_float_list, (1.5,)),
-    "curves.t": (float, 2.4),
-    "curves.grid_points": (int, 1000),
-    "window.eps_p": (float, 0.2),
-    "window.M_rho": (float, 5.0),
-    "seed": (int, 0),
-    "threads": (int, 1),
+    "market.n_assets": (int, "market.n_assets"),
+    "market.p1_0": (float, "market.truth.p1_0"),
+    "market.rho": (float, "market.truth.rho"),
+    "market.sign_prob_plus": (float, "market.sign_prob_plus"),
+    "market.b_measure": (str, "market.b_measure"),
+    "market.record_times": (_parse_float_list, "market.record_times"),
+    "market.n_bins": (int, "market.n_bins"),
+    "market.n_min": (int, "market.n_min"),
+    "market.max_asset_steps": (float, "market.max_asset_steps"),
+    "pricing.K": (float, "market.pricing.K"),
+    "pricing.S_delta": (float, "market.pricing.S_delta"),
+    "pricing.bsure_premium_drift": (float, "market.pricing.bsure_premium_drift"),
+    "pricing.rZ_delta": (float, "market.pricing.rZ_delta"),
+    "pricing.sigma_Z": (float, "market.pricing.sigma_Z"),
+    "pricing.y_minus0": (float, "market.pricing.y_minus0"),
+    "pricing.t_max": (float, "market.pricing.t_max"),
+    "inference.sigma_lZ": (float, "market.inference.sigma_lZ"),
+    "inference.sigma_lD": (float, "market.inference.sigma_lD"),
+    "inference.dt": (float, "market.inference.dt"),
+    "inference.t_max": (float, "market.inference.t_max"),
+    "inference.schedule": (_parse_schedule, "market.inference.schedule"),
+    "estimation.t": (_parse_t_or_auto, "estimation_t"),
+    "estimation.n_boot": (int, "n_boot"),
+    "curves.rho_list": (_parse_float_list, "curves_rho"),
+    "curves.K_list": (_parse_float_list, "curves_K"),
+    "curves.t": (float, "curves_t"),
+    "curves.grid_points": (int, "grid_points"),
+    "seed": (int, "seed"),
+    "threads": (int, "threads"),
 }
+# attribute path -> key, for naming the keys behind an InputError's fields
+_KEY_AT = {path: key for key, (_, path) in _SCHEMA.items()}
 
 _DERIVED_KEYS = ("pi1_0", "Pi1_0_plus", "Pi1_0_minus", "t_p", "t_K", "t_rho")
 
@@ -182,15 +197,15 @@ def _sourced(message: str, sources: dict, keys) -> ConfigError:
     return ConfigError(f"{', '.join(named)}: {message}" if named else message)
 
 
-def _located(err: InputError, sources: dict, section: str, aliases=None) -> ConfigError:
-    """err, raised by an object built from config keys, naming their lines.
+def _located(err: InputError, sources: dict, owner: str = "", aliases=None) -> ConfigError:
+    """err, raised by the object at attribute path owner of a RunConfig, naming its lines.
 
-    A plain field f of err is the key section.f, a dotted one is a key itself,
-    and aliases maps a field to the key or keys it comes from.
+    A field f of err is the key whose path is owner.f (a dotted field reaches
+    into a part of owner); aliases maps a field to the key or keys it comes from.
     """
     keys = []
     for f in err.fields:
-        found = (aliases or {}).get(f, f if "." in f else f"{section}.{f}")
+        found = (aliases or {}).get(f) or _KEY_AT.get(f"{owner}.{f}" if owner else f, ())
         keys += [found] if isinstance(found, str) else found
     return _sourced(str(err), sources, keys)
 
@@ -243,88 +258,49 @@ def parse_config(text: str, overrides=None) -> RunConfig:
         values[key] = value
         where[key] = source
 
-    def check(ok: bool, message: str, *keys: str) -> None:
-        if not ok:
-            raise _sourced(message, where, keys)
+    # the stated values, as keyword arguments of the part that owns them
+    kwargs = {}
+    for key, value in values.items():
+        owner, _, name = _SCHEMA[key][1].rpartition(".")
+        kwargs.setdefault(owner, {})[name] = value
 
-    def build(section: str, make, aliases=None):
+    def build(owner: str, make, **parts):
         try:
-            return make()
+            return make(**kwargs.get(owner, {}), **parts)
         except InputError as e:
-            raise _located(e, where, section, aliases) from e
+            raise _located(e, where, owner) from e
 
-    get = lambda k: values.get(k, _SCHEMA[k][1])
-    inference = build("inference", lambda: InferenceParams(
-        sigma_lZ=get("inference.sigma_lZ"),
-        sigma_lD=get("inference.sigma_lD"),
-        dt=get("inference.dt"),
-        t_max=get("inference.t_max"),
-        schedule=get("inference.schedule"),
-    ))
-    truth = build("market", lambda: TruthParams(p1_0=get("market.p1_0"), rho=get("market.rho")))
-    pricing = build("pricing", lambda: PricingParams(
-        K=get("pricing.K"),
-        S_delta=get("pricing.S_delta"),
-        bsure_premium_drift=get("pricing.bsure_premium_drift"),
-        rZ_delta=get("pricing.rZ_delta"),
-        sigma_Z=get("pricing.sigma_Z"),
-        y_minus0=get("pricing.y_minus0"),
-        t_max=get("pricing.t_max"),
-        pi0=truth.pi1_0,
-    ))
-    market = build("market", lambda: MarketConfig(
-        n_assets=get("market.n_assets"),
-        truth=truth,
-        pricing=pricing,
-        inference=inference,
-        sign_prob_plus=get("market.sign_prob_plus"),
-        record_times=get("market.record_times"),
-        b_measure=get("market.b_measure"),
-        n_min=get("market.n_min"),
-        n_bins=get("market.n_bins"),
-        max_asset_steps=get("market.max_asset_steps"),
-    ))
-    rc = RunConfig(
-        market=market,
-        estimation_t=get("estimation.t"),
-        n_boot=get("estimation.n_boot"),
-        curves_rho=get("curves.rho_list"),
-        curves_K=get("curves.K_list"),
-        curves_t=get("curves.t"),
-        grid_points=get("curves.grid_points"),
-        eps_p=get("window.eps_p"),
-        M_rho=get("window.M_rho"),
-        seed=get("seed"),
-        threads=get("threads"),
-        sources=where,
-    )
-    check(rc.n_boot >= 0, "estimation.n_boot must be nonnegative", "estimation.n_boot")
-    check(rc.grid_points >= 10, "curves.grid_points must be at least 10", "curves.grid_points")
-    check(rc.threads >= 1, "threads must be at least 1", "threads")
-    check(0 <= rc.seed < 2**64, "seed must be an integer in [0, 2^64)", "seed")
-    check(rc.curves_rho, "curves.rho_list must be nonempty", "curves.rho_list")
-    check(rc.curves_K, "curves.K_list must be nonempty", "curves.K_list")
-
-    derived = build("inference", rc.derived, {"sigma_l": _SIGMA_KEYS})
+    inference = build("market.inference", InferenceParams)
+    truth = build("market.truth", TruthParams)
+    pricing = build("market.pricing", PricingParams, pi0=truth.pi1_0)
+    market = build("market", MarketConfig, truth=truth, pricing=pricing, inference=inference)
+    rc = build("", RunConfig, market=market, sources=where)
+    try:
+        derived = rc.derived()
+    except InputError as e:
+        raise _located(e, where, aliases={"sigma_l": _SIGMA_KEYS}) from e
     for name, stated in derived_stated.items():
         actual = derived[name]
-        check(
-            abs(stated - actual) <= 1e-12 * max(1.0, abs(actual)),
-            f"derived.{name} = {stated!r} is inconsistent with the primitives "
-            f"(recomputed {actual!r})",
-            f"derived.{name}",
-        )
+        if abs(stated - actual) > 1e-12 * max(1.0, abs(actual)):
+            raise _sourced(
+                f"derived.{name} = {stated!r} is inconsistent with the primitives "
+                f"(recomputed {actual!r})",
+                where, (f"derived.{name}",),
+            )
     return rc
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        raise TypeError("no boolean config values")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    """A config value as text: exact float round trip, lists joined by ", ",
+    schedule entries by ":", and no value (estimation.t) as auto."""
+    if value is None:
+        return "auto"
+    if isinstance(value, tuple):
+        return ", ".join(
+            ":".join(repr(float(x)) for x in v) if isinstance(v, tuple) else repr(float(v))
+            for v in value
+        )
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def echo_config(rc: RunConfig) -> str:
@@ -333,46 +309,9 @@ def echo_config(rc: RunConfig) -> str:
     parse_config(echo_config(rc)) reproduces rc, and echoing again is
     byte-identical (the schema round-trip fixed point).
     """
-    m = rc.market
-    current = {
-        "market.n_assets": m.n_assets,
-        "market.p1_0": m.truth.p1_0,
-        "market.rho": m.truth.rho,
-        "market.sign_prob_plus": m.sign_prob_plus,
-        "market.b_measure": m.b_measure,
-        "market.record_times": ", ".join(repr(float(t)) for t in m.record_times),
-        "market.n_bins": m.n_bins,
-        "market.n_min": m.n_min,
-        "market.max_asset_steps": m.max_asset_steps,
-        "pricing.K": m.pricing.K,
-        "pricing.S_delta": m.pricing.S_delta,
-        "pricing.bsure_premium_drift": m.pricing.bsure_premium_drift,
-        "pricing.rZ_delta": m.pricing.rZ_delta,
-        "pricing.sigma_Z": m.pricing.sigma_Z,
-        "pricing.y_minus0": m.pricing.y_minus0,
-        "pricing.t_max": m.pricing.t_max,
-        "inference.sigma_lZ": m.inference.sigma_lZ,
-        "inference.sigma_lD": m.inference.sigma_lD,
-        "inference.dt": m.inference.dt,
-        "inference.t_max": m.inference.t_max,
-        "inference.schedule": ", ".join(
-            f"{repr(float(t))}:{repr(float(a))}:{repr(float(b))}"
-            for t, a, b in m.inference.schedule
-        ),
-        "estimation.t": "auto" if rc.estimation_t is None else repr(rc.estimation_t),
-        "estimation.n_boot": rc.n_boot,
-        "curves.rho_list": ", ".join(repr(float(x)) for x in rc.curves_rho),
-        "curves.K_list": ", ".join(repr(float(x)) for x in rc.curves_K),
-        "curves.t": rc.curves_t,
-        "curves.grid_points": rc.grid_points,
-        "window.eps_p": rc.eps_p,
-        "window.M_rho": rc.M_rho,
-        "seed": rc.seed,
-        "threads": rc.threads,
-    }
     lines = ["# canonical run configuration"]
-    for key in _SCHEMA:
-        lines.append(f"{key} = {_fmt(current[key])}")
+    for key, (_, path) in _SCHEMA.items():
+        lines.append(f"{key} = {_fmt(reduce(getattr, path.split('.'), rc))}")
     lines.append("# derived from the primitives above (informational, re-checked on parse)")
     for name, value in rc.derived().items():
         lines.append(f"derived.{name} = {repr(float(value))}")
@@ -389,11 +328,9 @@ def _curve_params(rc: RunConfig, rho: float, K: float) -> AnomalyParams:
             rc.market.inference.sigma_l_total(rc.curves_t),
             rc.curves_t,
             S_delta=rc.market.pricing.S_delta,
-            eps_p=rc.eps_p,
-            M_rho=rc.M_rho,
         )
     except InputError as e:
-        raise _located(e, rc.sources, "curves", _CURVE_KEYS) from e
+        raise _located(e, rc.sources, aliases=_CURVE_KEYS) from e
 
 
 def _cmd_simulate(rc: RunConfig, out: Path) -> int:
@@ -425,18 +362,17 @@ def _cmd_curves(rc: RunConfig, out: Path) -> int:
             params = _curve_params(rc, rho, K)
             fname = out / f"curve_rho{rho:g}_K{K:g}.csv"
             for i, kind in enumerate(kinds):
-                curve = analytic_curve(kind, params, grid=default_grid(kind, step))
+                rep = peak_report(kind, params, step=step, refine=step / 10)
+                curve = rep["curve"]
                 write_csv(
                     fname, ["kind", "v", "rp", "weight"], [kind, curve.v, curve.rp, curve.n],
                     append=i > 0,
                 )
-            print(f"wrote {fname}")
-            for kind in kinds:
-                rep = peak_report(kind, params, step=step, refine=step / 10)
                 peak_rows.append(
                     [rho, K, kind, rep["v_max"], rep["rp_max"], rep["v_formula"],
                      rep["formula_value"], rep["abs_gap"], rep["v_abs_gap"]]
                 )
+            print(f"wrote {fname}")
     write_csv(
         out / "peaks.csv",
         ["rho", "K", "kind", "v_max", "rp_max", "v_formula", "formula_value",

@@ -106,7 +106,7 @@ def _rival_peaks(v: np.ndarray, rp: np.ndarray, se: np.ndarray | None, i_best: i
     return rivals
 
 
-def find_peak(curve: CohortCurve, method: str = "quadratic-local-fit", n_min: int = 50):
+def find_peak(curve: CohortCurve, n_min: int = 50):
     """Locate the curve's peak with a local quadratic fit around the argmax.
 
     Uses a 5-point window; on noisy curves the window is centered on the
@@ -119,13 +119,11 @@ def find_peak(curve: CohortCurve, method: str = "quadratic-local-fit", n_min: in
     (noise-level variation only), monotone curves, or multiple separated
     peaks; diagnostics ride on the exception.
     """
-    if method != "quadratic-local-fit":
-        raise InputError(f"unknown method {method!r}")
     ok = _usable_mask(curve, n_min)
     v = curve.v[ok]
     rp = curve.rp[ok]
     se = curve.se[ok] if curve.se is not None else None
-    stats: dict = {"n_usable": int(len(v)), "kind": curve.kind, "method": method}
+    stats: dict = {"n_usable": int(len(v)), "kind": curve.kind, "method": "quadratic-local-fit"}
     if len(v) < 5:
         raise ShapeError("fewer than 5 usable points", stats)
 
@@ -238,15 +236,18 @@ def _estimate_from_curve(curve: CohortCurve, n_min: int, median_level, lenient: 
 
 
 def _pick_epoch(config: MarketConfig) -> tuple[float, bool]:
-    sig = config.inference
-    candidates = []
+    """The last record time in the anomaly window, True; else the last one, False.
+
+    A record time with no signal cannot be in the window: its milestones
+    never arrive.
+    """
+    in_win = []
     for t in config.record_times:
-        m = Milestones.from_params(
-            config.truth.p1_0, max(config.truth.rho, 1.0), config.pricing.K,
-            sig.sigma_l_total(t),
-        )
-        candidates.append((t, window_check(t, m)))
-    in_win = [t for t, okw in candidates if okw]
+        sigma_l = config.inference.sigma_l_total(t)
+        if sigma_l > 0 and window_check(t, Milestones.from_params(
+            config.truth.p1_0, max(config.truth.rho, 1.0), config.pricing.K, sigma_l,
+        )):
+            in_win.append(t)
     if in_win:
         return in_win[-1], True
     return config.record_times[-1], False

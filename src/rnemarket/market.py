@@ -102,6 +102,10 @@ class MarketConfig:
             raise InputError("b_measure must be truth, reference or rne", "b_measure")
         if self.n_bins < 2:
             raise InputError("n_bins must be at least 2", "n_bins")
+        if self.n_min < 0:
+            raise InputError("n_min must be nonnegative", "n_min")
+        if not self.max_asset_steps > 0:
+            raise InputError("max_asset_steps must be positive", "max_asset_steps")
         if abs(logit(self.pricing.pi0) - logit(self.truth.pi1_0)) > 1e-12:
             raise InputError(
                 "pricing.pi0 must equal the reference prior derived from the truth",
@@ -129,7 +133,7 @@ def make_config(**kw) -> MarketConfig:
     is always recomputed as the reference prior, never taken from the caller.
     """
     truth = kw.pop("truth", None) or TruthParams(
-        p1_0=kw.pop("p1_0", 0.49), rho=kw.pop("rho", 9.0)
+        **{k: kw.pop(k) for k in ("p1_0", "rho") if k in kw}
     )
     pricing = kw.pop("pricing", None) or PricingParams()
     pricing = replace(pricing, pi0=truth.pi1_0, **{

@@ -251,13 +251,7 @@ def test_cohort_curve_validation():
         CohortCurve("volatility", np.array([0.1, 0.6]), np.zeros(2), np.ones(2))
 
 
-def test_anomaly_params_window_properties():
-    pars = params_at()
-    assert pars.in_window and pars.objective_dominated and pars.bias_dominant
-    early = params_at(t=0.6)
-    assert not early.in_window
-    late = params_at(t=8.0)
-    assert not late.in_window
+def test_anomaly_params_reject_out_of_range_primitives():
     with pytest.raises(InputError):
         AnomalyParams.from_primitives(0.49, -1.0, 1.5, SIGMA, T)
     with pytest.raises(InputError):

@@ -7,12 +7,16 @@ import io
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnemarket.cli import ConfigError, echo_config, main, parse_config
+from rnemarket.market import make_config
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_defaults_parse_from_an_empty_document():
@@ -23,6 +27,10 @@ def test_defaults_parse_from_an_empty_document():
     assert rc.seed == 0 and rc.threads == 1
     assert rc.estimation_t is None
     assert rc.curves_rho == (9.0,) and rc.curves_K == (1.5,)
+
+
+def test_cli_defaults_are_the_library_defaults():
+    assert parse_config("").market == make_config()
 
 
 def test_reference_prior_is_derived_from_the_truth():
@@ -49,6 +57,9 @@ def test_parse_errors_carry_line_numbers():
         parse_config("market.n_assets = many\n")
     with pytest.raises(ConfigError, match=r"line 1: expected 'key = value'"):
         parse_config("seed 3\n")
+    # the anomaly window's thresholds are fixed, not config keys
+    with pytest.raises(ConfigError, match=r"line 2: unknown key 'window.eps_p'"):
+        parse_config("seed = 1\nwindow.eps_p = 0.2\n")
 
 
 FLOAT_KEYS = (
@@ -56,7 +67,7 @@ FLOAT_KEYS = (
     "pricing.K", "pricing.S_delta", "pricing.bsure_premium_drift", "pricing.rZ_delta",
     "pricing.sigma_Z", "pricing.y_minus0", "pricing.t_max",
     "inference.sigma_lZ", "inference.sigma_lD", "inference.dt", "inference.t_max",
-    "estimation.t", "curves.t", "window.eps_p", "window.M_rho",
+    "estimation.t", "curves.t",
     "derived.pi1_0", "derived.Pi1_0_plus", "derived.Pi1_0_minus",
     "derived.t_p", "derived.t_K", "derived.t_rho",
 )
@@ -118,6 +129,8 @@ OUT_OF_RANGE = [
     ([("market.record_times", "0, 1")], 1),
     ([("market.record_times", "1.2, 0.6")], 1),
     ([("market.n_bins", "1")], 1),
+    ([("market.n_min", "-5")], 1),
+    ([("market.max_asset_steps", "-1")], 1),
     ([("pricing.K", "0.5")], 1),
     ([("pricing.S_delta", "0")], 1),
     ([("pricing.bsure_premium_drift", "-0.1")], 1),
@@ -163,7 +176,7 @@ CURVE_OUT_OF_RANGE = [
 @given(
     case=st.sampled_from(OUT_OF_RANGE + CURVE_OUT_OF_RANGE),
     filler=st.lists(
-        st.sampled_from(["", "# note", "window.eps_p = 0.2"]), max_size=3, unique=True
+        st.sampled_from(["", "# note", "estimation.t = auto"]), max_size=3, unique=True
     ),
     data=st.data(),
 )
@@ -249,6 +262,51 @@ def test_echo_is_a_parse_fixed_point():
 def test_echo_spells_auto_epoch():
     echoed = echo_config(parse_config(""))
     assert "estimation.t = auto" in echoed
+
+
+# every key at a value other than its default
+ALL_KEYS = """\
+market.n_assets = 3000
+market.p1_0 = 0.3
+market.rho = 4
+market.sign_prob_plus = 0.4
+market.b_measure = rne
+market.record_times = 0.5, 1, 3, 7
+market.n_bins = 40
+market.n_min = 30
+market.max_asset_steps = 1e9
+pricing.K = 1.2
+pricing.S_delta = 0.8
+pricing.bsure_premium_drift = 0.01
+pricing.rZ_delta = 0.02
+pricing.sigma_Z = 0.1
+pricing.y_minus0 = 0.1
+pricing.t_max = 9
+inference.sigma_lZ = 0.2
+inference.sigma_lD = 0.4
+inference.dt = 0.02
+inference.t_max = 9
+inference.schedule = 2.0:0.1:0.4, 5.0:0.0:0.2
+estimation.t = 3
+estimation.n_boot = 50
+curves.rho_list = 3, 9
+curves.K_list = 1.2, 1.9
+curves.t = 3
+curves.grid_points = 500
+seed = 9
+threads = 2
+"""
+
+
+@pytest.mark.parametrize("text, golden", [
+    ("", "echo_default.txt"), (ALL_KEYS, "echo_all_keys.txt"),
+], ids=["default", "all_keys"])
+def test_echo_matches_the_recorded_golden(text, golden):
+    # the goldens were echoed when the config still had window.eps_p and
+    # window.M_rho (at their defaults 0.2 and 5.0, or 0.3 and 4 in ALL_KEYS)
+    recorded = (DATA / golden).read_text().splitlines(keepends=True)
+    expected = "".join(line for line in recorded if not line.startswith("window."))
+    assert echo_config(parse_config(text)) == expected
 
 
 def _write(tmp_path, name, text):
@@ -375,6 +433,14 @@ def test_unresolvable_estimate_exits_three(tmp_path, capsys):
     assert main(["estimate", "--config", cfg, "--out-dir", str(out)]) == 3
     failed = (out / "estimate_FAILED.txt").read_text()
     assert "fewer than 5" in failed
+
+
+def test_estimate_runs_when_no_record_time_has_signal(tmp_path):
+    cfg = _write(tmp_path, "c.cfg", "inference.schedule = 0.5:0:0\ncurves.t = 0.3\n"
+                                    "estimation.n_boot = 0\n")
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", cfg, "--out-dir", str(out)]) == 0
+    assert "no_in_window_epoch" in (out / "estimate_report.txt").read_text()
 
 
 def test_resource_guard_exits_four(tmp_path, capsys):

@@ -54,8 +54,6 @@ def test_find_peak_shape_errors():
         find_peak(_curve(v, two_bumps, se=1e-6))
     with pytest.raises(ShapeError, match="fewer than 5"):
         find_peak(_curve(v[:4], v[:4], se=1e-6))
-    with pytest.raises(InputError):
-        find_peak(_curve(v, v * (0.5 - v)), method="simplex")
 
 
 def test_find_peak_error_diagnostics_carry_level_stats():
