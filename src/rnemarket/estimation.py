@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtri
 
 from .anomalies import CohortCurve
 from .inference import InputError, Milestones, window_check, write_csv
@@ -70,6 +69,10 @@ def _usable_mask(curve: CohortCurve, n_min: int) -> np.ndarray:
 
 
 def _flatness_gate(rp: np.ndarray, se: np.ndarray) -> tuple[bool, dict]:
+    # imported here so that scipy loads only in runs that reach the gate
+    # (estimate), not on every CLI start-up
+    from scipy.special import chdtri
+
     w = 1.0 / se**2
     wmean = float(np.sum(w * rp) / np.sum(w))
     q = float(np.sum(((rp - wmean) / se) ** 2))

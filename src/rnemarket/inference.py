@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 # Log-odds are clipped here before exponentiation; beliefs saturate smoothly
 # to the interval endpoints instead of overflowing.
@@ -218,6 +217,47 @@ def loglr_law(t: float, b: int, sigma_l: float) -> tuple[float, float]:
     """(mean, standard deviation) of l_t for outcome b at time t."""
     mean = (1.0 if b == 1 else -1.0) * sigma_l * sigma_l * t / 2.0
     return mean, sigma_l * math.sqrt(t)
+
+
+def expit(x):
+    """Logistic function 1/(1+exp(-x)), in scipy.special.expit's formula.
+
+    A Python float (np.float64 included) goes through math.exp, which gives
+    scipy's bits exactly; anything else goes through numpy, whose vectorised
+    exp may differ from the C library's in the last bit. Overflow saturates
+    to 0 without a warning, as in scipy. Scalar input gives an np.float64.
+    """
+    if isinstance(x, float):
+        try:
+            return np.float64(1.0 / (1.0 + math.exp(-x)))
+        except OverflowError:
+            pass  # exp(-x) beyond the float range: numpy gives 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x)))
+
+
+def logit(p):
+    """Log-odds log(p/(1-p)), in scipy.special.logit's two-branch formula.
+
+    Near p = 1/2 the difference log1p(s) - log1p(-s), s = 2(p - 1/2), keeps
+    the precision that the plain quotient loses. Python floats give scipy's
+    bits through the math module, as in expit. logit(0) = -inf, logit(1) =
+    inf and p outside [0, 1] gives nan, all without a warning.
+    """
+    if isinstance(p, float):
+        try:
+            if p < 0.3 or p > 0.65:
+                return np.float64(math.log(p / (1.0 - p)))
+            s = 2.0 * (p - 0.5)
+            return np.float64(math.log1p(s) - math.log1p(-s))
+        except (ValueError, ZeroDivisionError):
+            pass  # 0, 1 and values outside [0, 1]: numpy gives -inf, inf, nan
+    p = np.asarray(p)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = 2.0 * (p - 0.5)
+        out = np.where((p < 0.3) | (p > 0.65), np.log(p / (1.0 - p)),
+                       np.log1p(s) - np.log1p(-s))
+    return out[()]
 
 
 def posterior_from_loglr(prior_odds, loglr):

@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .anomalies import CohortCurve
-from .inference import InferenceParams, InputError, loglr_paths, write_csv
+from .inference import InferenceParams, InputError, expit, logit, loglr_paths, write_csv
 from .pricing import PricingParams, price_paths, rne_belief
 
 __all__ = [

@@ -19,9 +19,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
 
-from .inference import InferenceParams, InputError, loglr_paths, posterior_from_loglr, write_csv
+from .inference import (
+    InferenceParams,
+    InputError,
+    expit,
+    logit,
+    loglr_paths,
+    posterior_from_loglr,
+    write_csv,
+)
 
 __all__ = [
     "PricingParams",

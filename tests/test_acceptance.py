@@ -13,7 +13,7 @@ import time
 import numpy as np
 from scipy.stats import kstest
 
-from rnemarket.anomalies import AnomalyParams, bin_averaged_momentum, peak_report
+from rnemarket.anomalies import AnomalyParams, peak_report
 from rnemarket.cli import main
 from rnemarket.estimation import roundtrip
 from rnemarket.inference import Milestones
@@ -31,6 +31,7 @@ from rnemarket.pricing import (
 )
 
 from conftest import ACCEPT_SEED, CRITERION_LINES
+from momentum_bins import bin_averaged_momentum
 
 
 def check(k: int, ok: bool, detail: str) -> None:

@@ -10,12 +10,12 @@ from scipy.integrate import quad
 from scipy.special import expit, logit
 from scipy.stats import norm
 
+from rnemarket import inference
 from rnemarket.anomalies import (
     AnomalyParams,
     CohortCurve,
     _log_occupancy,
     analytic_curve,
-    bin_averaged_momentum,
     default_grid,
     event_likelihood_ratio,
     event_lr_from_ratio,
@@ -31,6 +31,8 @@ from rnemarket.anomalies import (
     vol_mix,
 )
 from rnemarket.inference import InputError, Milestones
+
+from momentum_bins import bin_averaged_momentum
 
 T = 2.4
 SIGMA = 0.5
@@ -259,11 +261,13 @@ def test_anomaly_params_reject_out_of_range_primitives():
 
 
 def test_log_occupancy_is_bit_equal_to_the_scipy_stats_form():
+    # the level takes the package's own logit, so that the comparison pins
+    # the closed-form _norm_logpdf to norm.logpdf and nothing else
     v = np.linspace(1e-6, 1 - 1e-6, 20_001)
     for rho, K, t in ((9.0, 1.5, T), (1.0, 1.0, 0.3), (27.0, 1.9, 8.0)):
         p = params_at(rho=rho, K=K, t=t)
         for s in (1, -1):
-            level = p.H_p + math.log(p.rho) + s * math.log(p.K) + logit(v)
+            level = p.H_p + math.log(p.rho) + s * math.log(p.K) + inference.logit(v)
             sd = p.sigma_l * math.sqrt(p.t)
             half_var = p.sigma_l**2 * p.t / 2.0
             la = np.log(p.p1_0) + norm.logpdf(level, loc=half_var, scale=sd)

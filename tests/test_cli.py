@@ -418,6 +418,14 @@ def test_validate_passes_on_the_default_model(tmp_path, capsys):
     assert "rerun determinism" in report
 
 
+@pytest.mark.parametrize("measure", ["rne", "reference"])
+def test_validate_passes_under_every_b_measure(tmp_path, measure):
+    cfg = _write(tmp_path, "c.cfg", f"market.b_measure = {measure}\n")
+    out = tmp_path / "out"
+    assert main(["validate", "--config", cfg, "--out-dir", str(out)]) == 0
+    assert "ex-post decomposition reconciles" in (out / "validate_report.txt").read_text()
+
+
 def test_bad_config_exits_two(tmp_path, capsys):
     cfg = _write(tmp_path, "c.cfg", "pricing.K = 0.5\n")
     assert main(["validate", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
@@ -463,13 +471,21 @@ def test_estimate_reports_the_recovery(tmp_path, capsys):
     assert "K_hat" in capsys.readouterr().out
 
 
-def test_cli_import_skips_scipy_stats_and_integrate():
+def test_cli_import_and_curves_load_no_scipy(tmp_path):
+    # scipy is only for the flatness gate of estimate; importing the CLI,
+    # parsing a config and tabulating curves must not load any of it
     code = (
-        "import sys, rnemarket.cli; "
-        "print(sorted({'scipy.stats', 'scipy.integrate'} & set(sys.modules)))"
+        "import sys, rnemarket.cli as cli\n"
+        "cli.parse_config(open(sys.argv[1]).read())\n"
+        "def scipy_mods(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "after_import = scipy_mods()\n"
+        "code = cli.main(['curves', '--config', sys.argv[1], '--out-dir', sys.argv[2]])\n"
+        "print(code, after_import, scipy_mods())\n"
     )
+    cfg = _write(tmp_path, "c.cfg", "curves.grid_points = 200\ncurves.rho_list = 1, 9\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, cfg, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "0 [] []"

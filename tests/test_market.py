@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import expit, logit
 
-from rnemarket.anomalies import AnomalyParams, analytic_curve, bin_averaged_momentum
+from rnemarket.anomalies import AnomalyParams, analytic_curve
 from rnemarket.inference import InputError
 from rnemarket.market import (
     MarketPanel,
@@ -22,6 +22,7 @@ from rnemarket.market import (
 )
 
 from conftest import ACCEPT_SEED
+from momentum_bins import bin_averaged_momentum
 
 
 def _odds(x):
