@@ -2,9 +2,11 @@
 
 One flat key-value config file drives five subcommands (simulate, curves,
 cohorts, estimate, validate). Everything that affects output lives in the
-config or the documented flags; no environment variables are consulted, and
-for a fixed (config, seed) the emitted CSVs are byte-identical whatever the
-thread budget.
+config or the documented flags; no environment variable changes an
+artifact, and for a fixed (config, seed) the emitted CSVs are byte-identical
+whatever the thread budget. The thread budget is the number of CPUs the
+panel simulation may use (see market.simulate_market). OpenBLAS defaults to
+one thread, since nothing here gains from its pool and the simulation forks.
 
 Exit codes: 0 success, 2 config error, 3 validation/estimation failure,
 4 resource guard.
@@ -14,12 +16,16 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from pathlib import Path
 
-import numpy as np
+# before numpy loads OpenBLAS; a value the user set stays
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from .anomalies import AnomalyParams, lowrisk_peak, peak_report
 from .estimation import (
@@ -65,9 +71,10 @@ class RunConfig:
     analytic-curve lattice, the estimator, and execution. Derived quantities
     (priors, milestone times) are always recomputed from primitives; the
     config may state them, in which case they are cross-checked to 1e-12.
-    threads is a validated, echoed budget; it changes neither the work nor
-    any artifact. sources maps each key parse_config read to its line or
-    flag, so that a range error found later can name it.
+    threads is the CPU budget of every panel simulation: up to that many
+    processes share its assets. It changes no artifact. sources maps each
+    key parse_config read to its line or flag, so that a range error found
+    later can name it.
     """
 
     market: MarketConfig
@@ -334,7 +341,7 @@ def _curve_params(rc: RunConfig, rho: float, K: float) -> AnomalyParams:
 
 
 def _cmd_simulate(rc: RunConfig, out: Path) -> int:
-    panel = simulate_market(rc.market, rc.seed)
+    panel = simulate_market(rc.market, rc.seed, rc.threads)
     write_panel_csv(out / "panel.csv", panel)
     detail = []
     for a in range(min(10, panel.n_assets)):
@@ -384,7 +391,7 @@ def _cmd_curves(rc: RunConfig, out: Path) -> int:
 
 
 def _cmd_cohorts(rc: RunConfig, out: Path) -> int:
-    panel = simulate_market(rc.market, rc.seed)
+    panel = simulate_market(rc.market, rc.seed, rc.threads)
     path = out / "cohorts.csv"
     first = True
     for t in rc.market.record_times:
@@ -400,7 +407,9 @@ def _cmd_cohorts(rc: RunConfig, out: Path) -> int:
 
 def _cmd_estimate(rc: RunConfig, out: Path) -> int:
     try:
-        res = roundtrip(rc.market, rc.seed, t=rc.estimation_t, n_boot=rc.n_boot)
+        res = roundtrip(
+            rc.market, rc.seed, t=rc.estimation_t, n_boot=rc.n_boot, threads=rc.threads
+        )
     except ShapeError as e:
         report = out / "estimate_FAILED.txt"
         with open(report, "w") as fh:
@@ -428,7 +437,7 @@ def _cmd_estimate(rc: RunConfig, out: Path) -> int:
 
 def _conservation_check(rc: RunConfig) -> float:
     cfg = replace(rc.market, n_assets=1000)
-    panel = simulate_market(cfg, rc.seed)
+    panel = simulate_market(cfg, rc.seed, rc.threads)
     odds_pi = panel.pi / (1 - panel.pi)
     odds_Pi = panel.Pi / (1 - panel.Pi)
     K_pow = cfg.pricing.K ** panel.sign[:, None].astype(float)
@@ -501,7 +510,7 @@ def _validate_checks(rc: RunConfig):
     )
 
     cfg_ref = replace(rc.market, n_assets=20_000, b_measure="reference")
-    p_ref = simulate_market(cfg_ref, rc.seed)
+    p_ref = simulate_market(cfg_ref, rc.seed, rc.threads)
     pi0 = cfg_ref.truth.pi1_0
     z_ref = 0.0
     for j in range(len(p_ref.times)):
@@ -510,7 +519,7 @@ def _validate_checks(rc: RunConfig):
     yield "reference-measure belief martingale (3 SE)", z_ref <= 3.0, f"max |z| {z_ref:.2f}"
 
     cfg_rne = replace(rc.market, n_assets=20_000, b_measure="rne")
-    p_rne = simulate_market(cfg_rne, rc.seed)
+    p_rne = simulate_market(cfg_rne, rc.seed, rc.threads)
     z_rne = 0.0
     for sgn in (1, -1):
         sel = p_rne.sign == sgn
@@ -523,7 +532,7 @@ def _validate_checks(rc: RunConfig):
     # the decomposition's residual has mean zero only when B is drawn from
     # the truth, so this check simulates under it whatever the config's measure
     cfg_small = replace(rc.market, n_assets=20_000, b_measure="truth")
-    p_small = simulate_market(cfg_small, rc.seed)
+    p_small = simulate_market(cfg_small, rc.seed, rc.threads)
     t_mid = rc.market.record_times[min(2, len(rc.market.record_times) - 1)]
     dec = expost_decomposition(p_small, t_mid)
     z_dec = max(
@@ -532,8 +541,8 @@ def _validate_checks(rc: RunConfig):
     yield "ex-post decomposition reconciles (3 SE)", z_dec <= 3.0, f"max |z| {z_dec:.2f}"
 
     cfg_tiny = replace(rc.market, n_assets=2000)
-    pa = simulate_market(cfg_tiny, rc.seed)
-    pb = simulate_market(cfg_tiny, rc.seed)
+    pa = simulate_market(cfg_tiny, rc.seed, rc.threads)
+    pb = simulate_market(cfg_tiny, rc.seed, rc.threads)
     same = all(
         np.array_equal(getattr(pa, f), getattr(pb, f))
         for f in ("B", "sign", "loglr", "pi", "Pi", "S")
@@ -596,7 +605,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, metavar="U64", help="override config seed")
     ap.add_argument("--out-dir", default="out", metavar="PATH")
     ap.add_argument("--threads", type=int, metavar="N",
-                    help="override thread budget (no effect on work or artifacts)")
+                    help="override the CPU budget of the panel simulation "
+                         "(no effect on artifacts)")
     ap.add_argument("--grid-points", type=int, metavar="N",
                     help="override analytic grid resolution")
     args = ap.parse_args(argv)

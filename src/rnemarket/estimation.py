@@ -261,6 +261,7 @@ def roundtrip(
     seed: int,
     t: float | None = None,
     n_boot: int = 200,
+    threads: int = 1,
 ) -> EstimationResult:
     """Simulate, sort volatility cohorts, locate the peak, invert to (K, rho).
 
@@ -270,9 +271,10 @@ def roundtrip(
     no_significant_peak. Other shape defects propagate as ShapeError with
     the measured curve attached. Bootstrap intervals resample assets through
     their category table (see _TableBootstrap), and diagnostics["boot_paths"]
-    counts the path each resample's estimate took.
+    counts the path each resample's estimate took. threads is the CPU
+    budget of the simulation (see simulate_market).
     """
-    panel = simulate_market(config, seed)
+    panel = simulate_market(config, seed, threads)
     if t is None:
         t, in_win = _pick_epoch(config)
     else:

@@ -11,6 +11,10 @@ bit-identical on every run of one (config, seed).
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import sys
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -186,7 +190,76 @@ def _b_prob(config: MarketConfig, sign: int) -> float:
     return config.Pi1_0(sign)
 
 
-def simulate_market(config: MarketConfig, seed: int) -> MarketPanel:
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _shard_cuts(n_assets: int, threads: int, cpus: int) -> list:
+    """Row cut points [0, ..., n_assets] of the simulation shards.
+
+    min(threads, cpus, n_blocks) contiguous shards of whole ASSET_BLOCK
+    blocks, as even in blocks as their number allows; every cut but the
+    last is a block boundary.
+    """
+    n_blocks = -(-n_assets // ASSET_BLOCK)
+    k = max(1, min(threads, cpus, n_blocks))
+    return [min(i * n_blocks // k * ASSET_BLOCK, n_assets) for i in range(k + 1)]
+
+
+def _empty_outputs(n: int, T: int, shared: bool) -> list:
+    """loglr, pi, Pi, S as (n, T) floats, then B and sign as n int8.
+
+    With shared, all six lie in one anonymous shared mapping, so that forked
+    children write their rows in place and the parent reads them.
+    """
+    specs = [((n, T), np.float64)] * 4 + [((n,), np.int8)] * 2
+    if not shared:
+        return [np.empty(shape, dtype) for shape, dtype in specs]
+    buf = mmap.mmap(-1, n * (4 * T * 8 + 2))
+    out, offset = [], 0
+    for shape, dtype in specs:
+        a = np.frombuffer(buf, dtype, math.prod(shape), offset).reshape(shape)
+        offset += a.nbytes
+        out.append(a)
+    return out
+
+
+def _run_shards(run, cuts: list) -> None:
+    """Call run(lo, hi) on each shard [cuts[i], cuts[i+1]).
+
+    The parent runs the first shard; each other shard runs in a forked child
+    that leaves with os._exit. The parent reaps every child, also when its
+    own shard raised. A child that fails is reported by its asset range.
+    """
+    children = {}
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    run(lo, hi)
+                    code = 0
+                except BaseException:  # the child's top level: report, then exit below
+                    sys.excepthook(*sys.exc_info())
+                    sys.stderr.flush()
+                finally:
+                    os._exit(code)
+            children[pid] = (lo, hi)
+        run(cuts[0], cuts[1])
+    finally:
+        failed = [rows for pid, rows in children.items() if os.waitpid(pid, 0)[1]]
+    if failed:
+        raise RuntimeError(
+            "simulation failed for assets " + ", ".join(f"[{lo}, {hi})" for lo, hi in failed)
+        )
+
+
+def simulate_market(config: MarketConfig, seed: int, threads: int = 1) -> MarketPanel:
     """Simulate the panel with exact Gaussian jumps between recorded epochs.
 
     Asset a draws from Philox keyed by the exact 64-bit pair (seed, a), so
@@ -197,6 +270,13 @@ def simulate_market(config: MarketConfig, seed: int) -> MarketPanel:
     assets, whose paths, beliefs and prices the shared path kernel
     (loglr_paths, price_paths) evaluates together, which bounds the working
     memory whatever n_assets is.
+
+    threads is a CPU budget. The blocks split into min(threads, usable CPUs,
+    blocks) contiguous shards, and every shard past the first runs in a
+    forked child that writes its rows into shared output arrays. An asset's
+    draws depend on (seed, a) alone, so the panel is bit-identical whatever
+    the budget. Nothing is forked where os.fork is missing or another
+    Python thread is running.
     """
     if not 0 <= seed < 2**64:
         raise InputError("seed must lie in [0, 2**64)")
@@ -212,47 +292,49 @@ def simulate_market(config: MarketConfig, seed: int) -> MarketPanel:
     pr = config.pricing
     b_prob = {s: _b_prob(config, s) for s in (1, -1)}
     n, T = config.n_assets, len(rec_idx)
+    n_draws = 2 + n_int * (2 if pr.draws_z(var_z) else 1)
 
-    B = np.empty(n, dtype=np.int8)
-    sign = np.empty(n, dtype=np.int8)
-    loglr = np.empty((n, T))
-    pi = np.empty((n, T))
-    Pi = np.empty((n, T))
-    S = np.empty((n, T))
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        cuts = _shard_cuts(n, threads, _usable_cpus())
+    else:
+        cuts = [0, n]
+    loglr, pi, Pi, S, B, sign = _empty_outputs(n, T, shared=len(cuts) > 2)
 
-    # Python ints convert to the C key words exactly, and index without
-    # allocating (numpy arrays would box a scalar per word per asset)
-    key = [seed, 0]
-    zeros = (0, 0, 0, 0)
-    fresh = {
-        "bit_generator": "Philox",
-        "state": {"counter": zeros, "key": key},
-        "buffer": zeros,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    bitgen = np.random.Philox()
-    rng = np.random.Generator(bitgen)
-    draws = np.empty((min(n, ASSET_BLOCK), 2 + n_int * (2 if pr.draws_z(var_z) else 1)))
+    def run(start: int, stop: int) -> None:
+        # Python ints convert to the C key words exactly, and index without
+        # allocating (numpy arrays would box a scalar per word per asset)
+        key = [seed, 0]
+        zeros = (0, 0, 0, 0)
+        fresh = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": key},
+            "buffer": zeros,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        bitgen = np.random.Philox()
+        rng = np.random.Generator(bitgen)
+        draws = np.empty((min(stop - start, ASSET_BLOCK), n_draws))
 
-    for lo in range(0, n, ASSET_BLOCK):
-        hi = min(lo + ASSET_BLOCK, n)
-        d = draws[: hi - lo]
-        for a, row in enumerate(d, lo):
-            key[1] = a
-            bitgen.state = fresh
-            rng.random(out=row[:2])
-            rng.standard_normal(out=row[2:])
-        plus = d[:, 0] < config.sign_prob_plus
-        b = d[:, 1] < np.where(plus, b_prob[1], b_prob[-1])
-        z = d[:, 2:]
-        B[lo:hi] = b
-        sign[lo:hi] = np.where(plus, 1, -1)
-        loglr[lo:hi], pi[lo:hi], Pi[lo:hi], S[lo:hi] = price_paths(
-            pr, times, rec_idx, loglr_paths(var_z, var_d, b, z), b, plus, z
-        )
+        for lo in range(start, stop, ASSET_BLOCK):
+            hi = min(lo + ASSET_BLOCK, stop)
+            d = draws[: hi - lo]
+            for a, row in enumerate(d, lo):
+                key[1] = a
+                bitgen.state = fresh
+                rng.random(out=row[:2])
+                rng.standard_normal(out=row[2:])
+            plus = d[:, 0] < config.sign_prob_plus
+            b = d[:, 1] < np.where(plus, b_prob[1], b_prob[-1])
+            z = d[:, 2:]
+            B[lo:hi] = b
+            sign[lo:hi] = np.where(plus, 1, -1)
+            loglr[lo:hi], pi[lo:hi], Pi[lo:hi], S[lo:hi] = price_paths(
+                pr, times, rec_idx, loglr_paths(var_z, var_d, b, z), b, plus, z
+            )
 
+    _run_shards(run, cuts)
     return MarketPanel(
         config=config, seed=seed, times=np.asarray(config.record_times, float),
         B=B, sign=sign, loglr=loglr, pi=pi, Pi=Pi, S=S,

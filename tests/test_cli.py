@@ -371,18 +371,20 @@ def test_grid_points_flag_controls_resolution(tmp_path):
 
 
 def test_outputs_do_not_depend_on_the_thread_budget(tmp_path):
-    cfg = _write(tmp_path, "c.cfg", "market.n_assets = 2000\nseed = 17\n")
-    dirs = []
-    for threads in (1, 4, 8):
-        out = tmp_path / f"t{threads}"
-        assert main(["simulate", "--config", cfg, "--out-dir", str(out),
-                     "--threads", str(threads)]) == 0
-        assert main(["cohorts", "--config", cfg, "--out-dir", str(out),
-                     "--threads", str(threads)]) == 0
-        dirs.append(out)
-    for other in dirs[1:]:
-        for name in ("panel.csv", "price_paths.csv", "cohorts.csv"):
-            assert filecmp.cmp(dirs[0] / name, other / name, shallow=False), name
+    # 2000 assets are one simulation block; 9000 are three, so they shard
+    for n_assets in (2000, 9000):
+        cfg = _write(tmp_path, f"c{n_assets}.cfg", f"market.n_assets = {n_assets}\nseed = 17\n")
+        dirs = []
+        for threads in (1, 4, 8):
+            out = tmp_path / f"n{n_assets}t{threads}"
+            assert main(["simulate", "--config", cfg, "--out-dir", str(out),
+                         "--threads", str(threads)]) == 0
+            assert main(["cohorts", "--config", cfg, "--out-dir", str(out),
+                         "--threads", str(threads)]) == 0
+            dirs.append(out)
+        for other in dirs[1:]:
+            for name in ("panel.csv", "price_paths.csv", "cohorts.csv"):
+                assert filecmp.cmp(dirs[0] / name, other / name, shallow=False), (n_assets, name)
 
 
 def test_seed_flag_changes_the_draw_and_repeats_exactly(tmp_path):
@@ -489,3 +491,22 @@ def test_cli_import_and_curves_load_no_scipy(tmp_path):
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.splitlines()[-1] == "0 [] []"
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+def test_cli_import_defaults_openblas_to_one_thread(preset, want):
+    # the default must be in place before numpy loads OpenBLAS, so only a
+    # fresh interpreter can show it; a value the user set is kept
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = (
+        "import os\n"
+        "import rnemarket.cli\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == want

@@ -1,15 +1,19 @@
 """simulate_market against the per-asset reference loop, bit for bit."""
 
+import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from rnemarket import market
 from rnemarket.inference import InferenceParams, InputError, posterior_from_loglr
 from rnemarket.market import (
     ASSET_BLOCK,
     MarketPanel,
     _b_prob,
+    _shard_cuts,
     make_config,
     simulate_market,
 )
@@ -95,19 +99,110 @@ def reference_simulate_market(config, seed):
     )
 
 
+def _count_forks(monkeypatch, cpus):
+    """Pretend the process may use cpus CPUs; returns the list of forked pids."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(market, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_matches_reference_loop_bit_for_bit(name, seed):
+def test_matches_reference_loop_bit_for_bit(name, seed, monkeypatch):
     # asset a's draws depend on (seed, a) alone, so the reference panel of
-    # the largest size holds the reference of every smaller one as a prefix
+    # the largest size holds the reference of every smaller one as a prefix,
+    # and of every shard as a slice
+    forks = _count_forks(monkeypatch, cpus=2)
     ref = reference_simulate_market(make_config(n_assets=max(SIZES), **CONFIGS[name]), seed)
-    for n in SIZES:
-        got = simulate_market(make_config(n_assets=n, **CONFIGS[name]), seed)
+    for threads in (1, 2):
+        for n in SIZES:
+            del forks[:]
+            got = simulate_market(make_config(n_assets=n, **CONFIGS[name]), seed, threads)
+            assert len(forks) == len(_shard_cuts(n, threads, 2)) - 2, (threads, n)
+            _assert_no_child_left()
+            for f in FIELDS:
+                want = getattr(ref, f) if f == "times" else getattr(ref, f)[:n]
+                have = getattr(got, f)
+                assert have.dtype == want.dtype, (f, n, threads)
+                assert np.array_equal(have, want), (f, n, threads)
+
+
+def test_shard_cuts_split_whole_blocks_within_the_budget():
+    B = ASSET_BLOCK
+    assert _shard_cuts(1, 1, 2) == [0, 1]
+    assert _shard_cuts(B - 1, 8, 8) == [0, B - 1]  # n < ASSET_BLOCK: one block
+    assert _shard_cuts(3 * B + 7, 8, 2) == [0, 2 * B, 3 * B + 7]  # threads > cpus
+    assert _shard_cuts(2 * B, 8, 8) == [0, B, 2 * B]  # threads > blocks
+    assert _shard_cuts(100_000, 10**6, 2) == [0, 12 * B, 100_000]
+    assert _shard_cuts(100_000, 10**6, 10**6) == [i * B for i in range(25)] + [100_000]
+    for n in (1, B - 1, B, B + 1, 5 * B, 7 * B + 3):
+        for threads in (1, 2, 3, 4, 8, 10**6):
+            for cpus in (1, 2, 3, 64):
+                cuts = _shard_cuts(n, threads, cpus)
+                assert cuts[0] == 0 and cuts[-1] == n
+                assert all(c % B == 0 for c in cuts[:-1])
+                assert all(a < b for a, b in zip(cuts, cuts[1:]))
+                assert len(cuts) - 1 == min(threads, cpus, -(-n // B))
+
+
+@pytest.mark.parametrize("where", ("child", "parent"))
+def test_a_failed_shard_raises_and_leaves_no_child(where, monkeypatch):
+    forks = _count_forks(monkeypatch, cpus=2)
+    parent = os.getpid()
+    real_price_paths = market.price_paths
+
+    def price_paths(*args):
+        # the child runs the rows from ASSET_BLOCK on, the parent those below
+        if (os.getpid() != parent) == (where == "child"):
+            raise ValueError("injected failure")
+        return real_price_paths(*args)
+
+    monkeypatch.setattr(market, "price_paths", price_paths)
+    cfg = make_config(n_assets=2 * ASSET_BLOCK)
+    if where == "child":
+        match = rf"assets \[{ASSET_BLOCK}, {2 * ASSET_BLOCK}\)"
+        with pytest.raises(RuntimeError, match=match):
+            simulate_market(cfg, 0, threads=2)
+    else:
+        with pytest.raises(ValueError, match="injected failure"):
+            simulate_market(cfg, 0, threads=2)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_one_process_beside_another_thread_or_without_fork(monkeypatch):
+    forks = _count_forks(monkeypatch, cpus=2)
+    cfg = make_config(n_assets=2 * ASSET_BLOCK)
+    want = simulate_market(cfg, 0)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        beside_thread = simulate_market(cfg, 0, threads=2)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    monkeypatch.delattr(os, "fork")
+    without_fork = simulate_market(cfg, 0, threads=2)
+    assert forks == []
+    for got in (beside_thread, without_fork):
         for f in FIELDS:
-            want = getattr(ref, f) if f == "times" else getattr(ref, f)[:n]
-            have = getattr(got, f)
-            assert have.dtype == want.dtype, (f, n)
-            assert np.array_equal(have, want), (f, n)
+            assert np.array_equal(getattr(got, f), getattr(want, f)), f
 
 
 def test_distinct_seeds_give_distinct_panels():
