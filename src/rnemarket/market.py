@@ -210,15 +210,13 @@ def _shard_cuts(n_assets: int, threads: int, cpus: int) -> list:
     return [min(i * n_blocks // k * ASSET_BLOCK, n_assets) for i in range(k + 1)]
 
 
-def _empty_outputs(n: int, T: int, shared: bool) -> list:
+def _empty_outputs(n: int, T: int) -> list:
     """loglr, pi, Pi, S as (n, T) floats, then B and sign as n int8.
 
-    With shared, all six lie in one anonymous shared mapping, so that forked
-    children write their rows in place and the parent reads them.
+    All six lie in one anonymous shared mapping, so that forked children
+    write their rows in place and the parent reads them.
     """
     specs = [((n, T), np.float64)] * 4 + [((n,), np.int8)] * 2
-    if not shared:
-        return [np.empty(shape, dtype) for shape, dtype in specs]
     buf = mmap.mmap(-1, n * (4 * T * 8 + 2))
     out, offset = [], 0
     for shape, dtype in specs:
@@ -298,7 +296,7 @@ def simulate_market(config: MarketConfig, seed: int, threads: int = 1) -> Market
         cuts = _shard_cuts(n, threads, _usable_cpus())
     else:
         cuts = [0, n]
-    loglr, pi, Pi, S, B, sign = _empty_outputs(n, T, shared=len(cuts) > 2)
+    loglr, pi, Pi, S, B, sign = _empty_outputs(n, T)
 
     def run(start: int, stop: int) -> None:
         # Python ints convert to the C key words exactly, and index without

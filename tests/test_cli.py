@@ -501,12 +501,21 @@ def test_cli_import_defaults_openblas_to_one_thread(preset, want):
     env.pop("OPENBLAS_NUM_THREADS", None)
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
+    # a finder ahead of the others records the variable when numpy first
+    # starts to load, so an import that brings numpy in before the CLI sets
+    # the default shows as None here
     code = (
-        "import os\n"
+        "import os, sys\n"
+        "seen = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "sys.meta_path.insert(0, Spy())\n"
         "import rnemarket.cli\n"
-        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        "print(seen, os.environ['OPENBLAS_NUM_THREADS'])\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.splitlines()[-1] == want
+    assert out.stdout.splitlines()[-1] == f"['{want}'] {want}"

@@ -1,6 +1,6 @@
 """Seed sweep of the (K, rho) recovery: outcomes, spread, CI coverage, resample paths.
 
-    PYTHONPATH=src python tools/seed_sweep.py --n-assets 10000 --seeds 0-199 --n-boot 200 --threads 2
+    PYTHONPATH=src python tools/seed_sweep.py --n-assets 10000 --seeds 0-199 --n-boot 200
 
 Runs estimation.roundtrip on the default model (the CLI's defaults, with
 market.n_assets set) once per seed and prints one Markdown table row:
@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import sys
 
 import numpy as np
@@ -36,17 +37,17 @@ def _seeds(text: str) -> range:
     return range(int(lo), int(hi or lo) + 1)
 
 
-def sweep(n_assets: int, seeds, n_boot: int, threads: int = 1) -> list[dict]:
+def sweep(n_assets: int, seeds, n_boot: int) -> list[dict]:
     """One record per seed: outcome, point estimates, CIs and path counts.
 
-    threads is the CPU budget of each simulation; it moves no estimate.
+    Each simulation may use every CPU; the budget moves no estimate.
     """
     config = make_config(n_assets=n_assets)
     rows = []
     for seed in seeds:
         rec = {"seed": seed, "outcome": "ok"}
         try:
-            res = roundtrip(config, seed, n_boot=n_boot, threads=threads)
+            res = roundtrip(config, seed, n_boot=n_boot, threads=os.cpu_count() or 1)
         except ShapeError as err:
             rec["outcome"] = err.reason
             rows.append(rec)
@@ -113,13 +114,9 @@ def main(argv=None) -> int:
     ap.add_argument("--n-assets", type=int, default=10_000)
     ap.add_argument("--seeds", default="0-199", help="inclusive range LO-HI")
     ap.add_argument("--n-boot", type=int, default=200)
-    ap.add_argument("--threads", type=int, default=1,
-                    help="CPU budget of each panel simulation (no effect on the results)")
     args = ap.parse_args(argv)
-    if args.threads < 1:
-        ap.error("--threads must be at least 1")
     seeds = _seeds(args.seeds)
-    rows = sweep(args.n_assets, seeds, args.n_boot, args.threads)
+    rows = sweep(args.n_assets, seeds, args.n_boot)
     print(summary(rows, args.n_assets, seeds, args.n_boot))
     return 0
 
