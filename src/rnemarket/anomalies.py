@@ -16,7 +16,7 @@ loading, S_delta the log-value impact of the change.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,7 +102,6 @@ class CohortCurve:
     n: np.ndarray
     se: np.ndarray | None = None
     mix: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     VALID_KINDS = ("momentum_plus", "momentum_minus", "volatility")
 

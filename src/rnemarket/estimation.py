@@ -20,7 +20,7 @@ from .market import (
     CohortSort,
     MarketConfig,
     MarketPanel,
-    cohort_codes,
+    cohort_table,
     measure_expost_excess,
     simulate_market,
     sort_cohorts,
@@ -110,7 +110,7 @@ def _rival_peaks(v: np.ndarray, rp: np.ndarray, se: np.ndarray | None, i_best: i
 
 
 def find_peak(curve: CohortCurve, n_min: int = 50):
-    """Locate the curve's peak with a local quadratic fit around the argmax.
+    """Locate a volatility curve's peak with a local quadratic fit around the argmax.
 
     Uses a 5-point window; on noisy curves the window is centered on the
     best lower-confidence-bound point (rp - se) and the fit is inverse-
@@ -120,27 +120,26 @@ def find_peak(curve: CohortCurve, n_min: int = 50):
 
     Returns (v_max, rp_max, fit_stats). Raises ShapeError on flat curves
     (noise-level variation only), monotone curves, or multiple separated
-    peaks; diagnostics ride on the exception.
+    peaks; diagnostics ride on the exception. Any other curve kind is an
+    InputError.
     """
+    if curve.kind != "volatility":
+        raise InputError(f"find_peak takes volatility curves, not {curve.kind!r}")
     ok = _usable_mask(curve, n_min)
     v = curve.v[ok]
-    rp = curve.rp[ok]
+    y = curve.rp[ok]
     se = curve.se[ok] if curve.se is not None else None
     stats: dict = {"n_usable": int(len(v)), "kind": curve.kind, "method": "quadratic-local-fit"}
     if len(v) < 5:
         raise ShapeError("fewer than 5 usable points", stats)
 
-    orient = -1.0 if curve.kind == "momentum_minus" else 1.0
-    y = orient * rp
-
     if se is not None:
         flat, fstats = _flatness_gate(y, se)
-        fstats["weighted_mean_rp"] *= orient
         stats.update(fstats)
         if flat:
             k = int(np.argmax(y - se))
             stats["lcb_v"] = float(v[k])
-            stats["lcb_rp"] = float(orient * y[k])
+            stats["lcb_rp"] = float(y[k])
             stats["lcb_se"] = float(se[k])
             raise ShapeError("flat curve", stats)
     else:
@@ -158,7 +157,7 @@ def find_peak(curve: CohortCurve, n_min: int = 50):
 
     rivals = _rival_peaks(v, y, se, i)
     if rivals:
-        stats["rival_peaks"] = [(rv, orient * rrp, pr) for rv, rrp, pr in rivals]
+        stats["rival_peaks"] = rivals
         raise ShapeError("multiple peaks", stats)
 
     lo = min(max(i - 2, 0), len(v) - 5)
@@ -182,9 +181,9 @@ def find_peak(curve: CohortCurve, n_min: int = 50):
         raise ShapeError("monotone curve", stats)
     stats["vertex_in_window"] = vertex_ok
     if vertex_ok:
-        return float(v_hat), float(orient * y_hat), stats
+        return float(v_hat), float(y_hat), stats
     j = int(np.argmax(y))
-    return float(v[j]), float(orient * y[j]), stats
+    return float(v[j]), float(y[j]), stats
 
 
 def recover_params(v_max: float, rp_max: float, S_delta: float) -> tuple[float, float]:
@@ -353,11 +352,11 @@ class _TableBootstrap:
     """
 
     def __init__(self, panel: MarketPanel, sort: CohortSort, idx: int, rng):
-        self.code = cohort_codes(panel, sort)
+        self.code = sort.code
         self.vals = panel.Pi[:, idx]
         self.rng = rng
         self.n = panel.n_assets
-        m = np.bincount(self.code, minlength=8 * (len(sort.edges) - 1))
+        m = cohort_table(sort).ravel()
         self.n_cat = m.size
         self.occupied = np.flatnonzero(m)
         self.p = m[self.occupied] / self.n

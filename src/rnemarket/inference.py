@@ -22,10 +22,6 @@ import numpy as np
 # to the interval endpoints instead of overflowing.
 LOGLR_SATURATION = 700.0
 
-# A path counts as resolved once the belief is within this distance of the
-# realized outcome.
-RESOLVE_EPS = 0.01
-
 # Rows formatted per file write in write_csv: the formatted text held in
 # memory stays near 100 kB whatever the row count.
 CSV_BLOCK = 1024
@@ -270,17 +266,6 @@ def posterior_from_loglr(prior_odds, loglr):
     return expit(log_odds)
 
 
-@dataclass
-class BeliefPath:
-    """Time series of one simulated inference run."""
-
-    t: np.ndarray
-    loglr: np.ndarray
-    pi: np.ndarray
-    b: int
-    prior: float
-
-
 def loglr_paths(var_z, var_d, b, z) -> np.ndarray:
     """Exact log-LR paths, one row per outcome in b, starting with a 0 column.
 
@@ -296,35 +281,6 @@ def loglr_paths(var_z, var_d, b, z) -> np.ndarray:
     paths = np.zeros((incr.shape[0], incr.shape[1] + 1))
     np.cumsum(incr, axis=1, out=paths[:, 1:])
     return paths
-
-
-def simulate_belief_path(
-    params: InferenceParams,
-    b: int,
-    prior: float,
-    seed,
-    record_times=None,
-) -> BeliefPath:
-    """Simulate one inference run with exact Gaussian jumps.
-
-    `seed` may be anything numpy accepts, including an existing Generator.
-    When record_times is given, the log-LR jumps directly between those
-    times (adding any schedule breakpoints in between); otherwise a dense
-    dt-grid up to t_max is used. The draws are the D-stream normals of every
-    interval, then the Z-stream normals only if some interval carries
-    Z-variance.
-    """
-    if not 0 < prior < 1:
-        raise InputError("prior must lie in (0,1)")
-    if b not in (0, 1):
-        raise InputError("b must be 0 or 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    times, cols = params.path_grid(record_times)
-    var_z, var_d = params.interval_variances(times)
-    z = rng.standard_normal((1, (2 if np.any(var_z > 0) else 1) * len(var_d)))
-    loglr = loglr_paths(var_z, var_d, np.array([b == 1]), z)[0, cols]
-    pi = posterior_from_loglr(prior / (1 - prior), loglr)
-    return BeliefPath(t=times[cols], loglr=loglr, pi=pi, b=b, prior=prior)
 
 
 def resolution_diagnostic(params: InferenceParams, t: float) -> dict:
@@ -437,15 +393,3 @@ def redundancy_gap_growth(gprime0: float, l_limit: float = 40.0, b: int = 1) -> 
         return -s * float(np.logaddexp(log_tail - s * l, log_flat)) - l
 
     return max(abs(gap(l_limit) - gap(0.0)), abs(gap(-l_limit) - gap(0.0)))
-
-
-def write_belief_paths_csv(path, runs: list[BeliefPath]) -> None:
-    """Dump belief runs as rows (path_id, t, loglr, pi, B, resolved_flag)."""
-    for i, run in enumerate(runs):
-        resolved = (np.abs(run.pi - run.b) < RESOLVE_EPS).astype(np.int64)
-        write_csv(
-            path,
-            ["path_id", "t", "loglr", "pi", "B", "resolved_flag"],
-            [i, run.t, run.loglr, run.pi, run.b, resolved],
-            append=i > 0,
-        )

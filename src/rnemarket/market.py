@@ -32,10 +32,8 @@ __all__ = [
     "make_config",
     "simulate_market",
     "sort_cohorts",
-    "cohort_codes",
     "cohort_table",
     "table_stats",
-    "cohort_stats",
     "measure_expost_excess",
     "expost_decomposition",
     "write_panel_csv",
@@ -341,106 +339,51 @@ def simulate_market(config: MarketConfig, seed: int, threads: int = 1) -> Market
 
 @dataclass
 class CohortSort:
-    """Cohort membership at one epoch: bins, per-asset assignment, sign mixes."""
+    """Cohort membership at one epoch: the bin edges and each asset's category.
+
+    code[i] = ((bin*2 + high side)*2 + plus sign)*2 + hit runs over
+    [0, 8*n_bins) and indexes cohort_table's flattened (bin, fold side,
+    sign, B) axes: bin = code >> 3, side = code >> 2 & 1, sign = code >> 1 & 1,
+    hit = code & 1. The high side holds the volatility sort's assets with
+    Pi > 1/2; on the pi_level sort every asset is on the low side.
+    """
 
     conditioning: str
     t: float
-    t_index: int
     edges: np.ndarray
-    bin_index: np.ndarray
-    side_high: np.ndarray | None
-    curves: dict
+    code: np.ndarray
 
 
-def sort_cohorts(
-    panel: MarketPanel,
-    t: float,
-    binning="equal",
-    conditioning: str = "volatility",
-) -> CohortSort:
-    """Group assets by belief level (pi_level) or folded level (volatility).
+def sort_cohorts(panel: MarketPanel, t: float, conditioning: str = "volatility") -> CohortSort:
+    """Group assets into equal bins of belief level (pi_level) or folded level (volatility).
 
-    binning is either the string "equal" (n_bins equal-width bins over the
-    domain), an explicit increasing edge array, or ("quantiles", q) for
-    equal-occupancy bins. Empty bins stay in the output with n=0.
+    pi_level cuts [0, 1] into n_bins bins; volatility folds Pi to
+    min(Pi, 1 - Pi) and cuts [0, 1/2] into n_bins // 2. Empty bins are kept.
     """
-    idx = panel.time_index(t)
-    vals = panel.Pi[:, idx]
+    vals = panel.Pi[:, panel.time_index(t)]
+    n_bins = panel.config.n_bins
     if conditioning == "volatility":
-        folded = np.minimum(vals, 1.0 - vals)
-        domain = (0.0, 0.5)
-        x = folded
+        x, high, n_bins, top = np.minimum(vals, 1.0 - vals), vals > 0.5, n_bins // 2, 0.5
     elif conditioning == "pi_level":
-        domain = (0.0, 1.0)
-        x = vals
+        x, high, top = vals, False, 1.0
     else:
         raise InputError("conditioning must be pi_level or volatility")
-
-    if isinstance(binning, str) and binning == "equal":
-        n_bins = panel.config.n_bins if conditioning == "pi_level" else panel.config.n_bins // 2
-        edges = np.linspace(domain[0], domain[1], n_bins + 1)
-    elif isinstance(binning, tuple) and binning and binning[0] == "quantiles":
-        q = int(binning[1])
-        edges = np.unique(np.quantile(x, np.linspace(0, 1, q + 1)))
-        if len(edges) < 2:
-            edges = np.asarray(domain, float)
-        edges[0], edges[-1] = domain
-    else:
-        edges = np.asarray(binning, float)
-        if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
-            raise InputError("binning edges must be an increasing 1-d array")
-    bin_index = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-
-    n_b = len(centers)
-    n_plus = np.bincount(bin_index[panel.sign == 1], minlength=n_b)
-    n_minus = np.bincount(bin_index[panel.sign == -1], minlength=n_b)
-    counts = (n_plus + n_minus).astype(float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mix = np.where((n_plus > 0) & (n_minus > 0), n_plus / n_minus, np.nan)
-
-    nanrp = np.full(n_b, np.nan)
-    if conditioning == "volatility":
-        curves = {
-            "volatility": CohortCurve(
-                "volatility", centers, nanrp, counts, mix=mix,
-                meta={"t": t, "edges": edges},
-            )
-        }
-        side_high = vals > 0.5
-    else:
-        curves = {
-            kind: CohortCurve(
-                kind, centers, nanrp.copy(), csel.astype(float), mix=mix.copy(),
-                meta={"t": t, "edges": edges},
-            )
-            for kind, csel in (("momentum_plus", n_plus), ("momentum_minus", n_minus))
-        }
-        side_high = None
-    return CohortSort(conditioning, t, idx, edges, bin_index, side_high, curves)
+    edges = np.linspace(0.0, top, n_bins + 1)
+    bin_index = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, n_bins - 1)
+    code = ((bin_index * 2 + high) * 2 + (panel.sign == 1)) * 2 + (panel.B == 1)
+    return CohortSort(conditioning, t, edges, code)
 
 
-def cohort_codes(panel: MarketPanel, sort: CohortSort) -> np.ndarray:
-    """Category of each asset: ((bin*2 + high side)*2 + plus sign)*2 + hit.
-
-    The codes run over [0, 8*n_bins) and index cohort_table's flattened
-    (bin, fold side, sign, B) axes; on the pi_level sort every asset is on
-    the low side.
-    """
-    high = np.zeros(panel.n_assets, bool) if sort.side_high is None else sort.side_high
-    return ((sort.bin_index * 2 + high) * 2 + (panel.sign == 1)) * 2 + (panel.B == 1)
-
-
-def cohort_table(panel: MarketPanel, sort: CohortSort, weights=None) -> np.ndarray:
+def cohort_table(sort: CohortSort, weights=None) -> np.ndarray:
     """Weight of each (bin, fold side, sign, B) category, shape (n_bins, 2, 2, 2).
 
-    Axis 1 is the fold side (0 low, 1 high), axis 2 the sign (0 minus,
-    1 plus), axis 3 the outcome (0 miss, 1 hit). Unit weights count the
-    assets; integer weights w_i count asset i w_i times.
+    The bincount of sort.code. Axis 1 is the fold side (0 low, 1 high),
+    axis 2 the sign (0 minus, 1 plus), axis 3 the outcome (0 miss, 1 hit).
+    Unit weights count the assets; integer weights w_i count asset i w_i
+    times.
     """
     n_cat = 8 * (len(sort.edges) - 1)
-    table = np.bincount(cohort_codes(panel, sort), weights=weights, minlength=n_cat)
-    return table.reshape(-1, 2, 2, 2)
+    return np.bincount(sort.code, weights=weights, minlength=n_cat).reshape(-1, 2, 2, 2)
 
 
 def table_stats(sort: CohortSort, table, S_delta: float) -> dict:
@@ -484,23 +427,23 @@ def table_stats(sort: CohortSort, table, S_delta: float) -> dict:
     return {"volatility": (rp, se, n_tot)}
 
 
-def cohort_stats(panel: MarketPanel, sort: CohortSort, weights=None) -> dict:
-    """Weighted excess statistics of the sorted cohorts: {kind: (rp, se, n)}.
-
-    table_stats of the panel's cohort_table. Unit weights give the
-    measurement; integer weights w_i give the panel with asset i repeated
-    w_i times.
-    """
-    return table_stats(sort, cohort_table(panel, sort, weights), panel.config.pricing.S_delta)
-
-
 def measure_expost_excess(panel: MarketPanel, cohorts: CohortSort) -> dict:
-    """Fill the sorted cohort curves with the unit-weight cohort_stats."""
-    out = {}
-    for kind, (rp, se, n) in cohort_stats(panel, cohorts).items():
-        base = cohorts.curves[kind]
-        out[kind] = CohortCurve(kind, base.v, rp, n, se=se, mix=base.mix, meta=dict(base.meta))
-    return out
+    """The sort's cohort curves from its unit-weight cohort_table: {kind: CohortCurve}.
+
+    rp, se and n are the table's table_stats at the bin centers; mix is each
+    bin's sign mix n_plus/n_minus over both fold sides (NaN unless both
+    signs are present), the same for every curve of the sort.
+    """
+    table = cohort_table(cohorts)
+    signs = table.sum(axis=(1, 3))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mix = np.where((signs > 0).all(axis=1), signs[:, 1] / signs[:, 0], np.nan)
+    centers = 0.5 * (cohorts.edges[:-1] + cohorts.edges[1:])
+    stats = table_stats(cohorts, table, panel.config.pricing.S_delta)
+    return {
+        kind: CohortCurve(kind, centers, rp, n, se=se, mix=mix)
+        for kind, (rp, se, n) in stats.items()
+    }
 
 
 def expost_decomposition(panel: MarketPanel, t: float) -> dict:

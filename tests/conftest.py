@@ -5,9 +5,13 @@ import pytest
 
 from rnemarket.market import make_config, simulate_market
 
-# Panel seed for the Monte Carlo checks. Statistical assertions use 3-SE
-# tolerances, so any seed passes with ~99% probability per comparison; this
-# one was checked once so the full suite is green jointly.
+# Panel seed for the Monte Carlo checks. Their assertions use 3-SE
+# tolerances, but a check that takes the worst of many comparisons, or reads
+# a noisy peak location, fails far more often than one comparison does.
+# Over seeds 0-99 (ROADMAP, "Measured at re-anchor 3"), criterion 6's
+# maximum |z| over about 40 bins passed on 90 (0.9973^40 = 0.90), its
+# peak-bin check on 49, and criteria 6 and 7 together on 38. This seed was
+# checked once so the full suite is green jointly.
 ACCEPT_SEED = 112
 
 

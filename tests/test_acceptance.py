@@ -206,7 +206,7 @@ def test_criterion_8_ensembles_follow_their_laws(big_panel):
 
 
 def _top_bin_mix(panel, t, n_floor):
-    curve = sort_cohorts(panel, t).curves["volatility"]
+    curve = measure_expost_excess(panel, sort_cohorts(panel, t))["volatility"]
     ok = (curve.n >= n_floor) & np.isfinite(curve.mix)
     i = int(np.nonzero(ok)[0][-1])
     mix = float(curve.mix[i])

@@ -1,4 +1,4 @@
-"""cohort_stats against the per-bin reference loop, and its weighting law."""
+"""The cohort table's statistics against the per-bin reference loop, and its weighting law."""
 
 import math
 
@@ -10,7 +10,6 @@ from scipy.stats import chi2_contingency
 from rnemarket.estimation import _TableBootstrap, _usable_mask
 from rnemarket.market import (
     MarketPanel,
-    cohort_stats,
     cohort_table,
     make_config,
     measure_expost_excess,
@@ -30,8 +29,13 @@ def _cell_stats(x):
     return m, var, n
 
 
+def _bins_and_sides(sort):
+    """Each asset's bin and fold side (1 high), read from its category code."""
+    return sort.code >> 3, sort.code >> 2 & 1
+
+
 def reference_stats(panel, sort):
-    """The per-bin loop that measured cohort curves before cohort_stats.
+    """The per-bin loop that measured cohort curves before the category table.
 
     Every member is scored as sign*(1_{B=1} - u)*S_delta and the cell mean
     and variance of the mean come from the member values themselves.
@@ -40,12 +44,13 @@ def reference_stats(panel, sort):
     b_hit = (panel.B == 1).astype(float)
     centers = 0.5 * (sort.edges[:-1] + sort.edges[1:])
     n_b = len(centers)
+    bin_index, side_high = _bins_and_sides(sort)
     out = {}
     if sort.conditioning == "pi_level":
         for kind, s in (("momentum_plus", 1), ("momentum_minus", -1)):
             rp, se, n = np.full(n_b, np.nan), np.full(n_b, np.nan), np.zeros(n_b)
             for b in range(n_b):
-                members = (panel.sign == s) & (sort.bin_index == b)
+                members = (panel.sign == s) & (bin_index == b)
                 m, var, cnt = _cell_stats(s * (b_hit[members] - centers[b]) * S_delta)
                 rp[b] = m
                 se[b] = math.sqrt(var) if cnt > 1 else math.nan
@@ -54,12 +59,12 @@ def reference_stats(panel, sort):
         return out
     rp, se, n = np.full(n_b, np.nan), np.full(n_b, np.nan), np.zeros(n_b)
     for b in range(n_b):
-        members = sort.bin_index == b
+        members = bin_index == b
         n[b] = np.sum(members)
         side_means, side_vars, side_n = [], [], []
         ok = True
         for high in (False, True):
-            side = members & (sort.side_high == high)
+            side = members & (side_high == high)
             if not side.any():
                 continue
             u = 1.0 - centers[b] if high else centers[b]
@@ -84,9 +89,10 @@ def reference_stats(panel, sort):
 def reference_mix(panel, sort):
     """Per-bin sign mix n_plus/n_minus, NaN unless both signs are present."""
     mix = np.full(len(sort.edges) - 1, np.nan)
+    bin_index, _ = _bins_and_sides(sort)
     for b in range(len(mix)):
-        n_plus = int(np.sum(panel.sign[sort.bin_index == b] == 1))
-        n_minus = int(np.sum(panel.sign[sort.bin_index == b] == -1))
+        n_plus = int(np.sum(panel.sign[bin_index == b] == 1))
+        n_minus = int(np.sum(panel.sign[bin_index == b] == -1))
         if n_plus and n_minus:
             mix[b] = n_plus / n_minus
     return mix
@@ -101,7 +107,7 @@ def _assert_close(a, b, tol=1e-12):
 
 def _check_against_reference(panel, sort):
     ref = reference_stats(panel, sort)
-    got = cohort_stats(panel, sort)
+    got = table_stats(sort, cohort_table(sort), panel.config.pricing.S_delta)
     measured = measure_expost_excess(panel, sort)
     assert set(got) == set(ref) == set(measured) == set(KINDS[sort.conditioning])
     for kind, (rp, se, n) in ref.items():
@@ -128,8 +134,6 @@ def test_matches_reference_loop_at_every_epoch(small_panel):
         for conditioning in KINDS:
             sort = sort_cohorts(small_panel, t, conditioning=conditioning)
             _check_against_reference(small_panel, sort)
-    sort = sort_cohorts(small_panel, 2.4, binning=("quantiles", 10))
-    _check_against_reference(small_panel, sort)
 
 
 def test_matches_reference_loop_on_sparse_toy_panels():
@@ -179,8 +183,11 @@ def test_integer_weights_equal_repeated_assets(rows, conditioning):
     panel = _toy_panel(Pi, B, sign, n_bins=6)
     rep = np.repeat(np.arange(len(w)), w)
     repeated = _toy_panel(Pi[rep], B[rep], sign[rep], n_bins=6)
-    weighted = cohort_stats(panel, sort_cohorts(panel, 1.0, conditioning=conditioning), w)
-    plain = cohort_stats(repeated, sort_cohorts(repeated, 1.0, conditioning=conditioning))
+    S_delta = panel.config.pricing.S_delta
+    sort = sort_cohorts(panel, 1.0, conditioning=conditioning)
+    weighted = table_stats(sort, cohort_table(sort, w), S_delta)
+    sort = sort_cohorts(repeated, 1.0, conditioning=conditioning)
+    plain = table_stats(sort, cohort_table(sort), S_delta)
     for kind in KINDS[conditioning]:
         for a, b in zip(weighted[kind], plain[kind]):
             _assert_close(a, b)
@@ -196,9 +203,9 @@ def _fold_median_weighted(vals, order, w):
 def _loop_table(panel, sort, w):
     """Integer category table summed asset by asset: [bin, fold side, plus sign, hit]."""
     table = np.zeros((len(sort.edges) - 1, 2, 2, 2), np.int64)
+    bin_index, side_high = _bins_and_sides(sort)
     for i, wi in enumerate(w):
-        high = 0 if sort.side_high is None else int(sort.side_high[i])
-        table[sort.bin_index[i], high, int(panel.sign[i] == 1), int(panel.B[i] == 1)] += wi
+        table[bin_index[i], side_high[i], int(panel.sign[i] == 1), int(panel.B[i] == 1)] += wi
     return table
 
 
@@ -209,9 +216,9 @@ def test_table_stats_of_an_integer_table_equal_the_weighted_stats(rows, conditio
     panel = _toy_panel(Pi, B, sign, n_bins=n_bins)
     sort = sort_cohorts(panel, 1.0, conditioning=conditioning)
     table = _loop_table(panel, sort, w)
-    assert np.array_equal(cohort_table(panel, sort, w), table)
+    assert np.array_equal(cohort_table(sort, w), table)
     from_table = table_stats(sort, table, panel.config.pricing.S_delta)
-    weighted = cohort_stats(panel, sort, w)
+    weighted = table_stats(sort, cohort_table(sort, w), panel.config.pricing.S_delta)
     assert set(from_table) == set(weighted) == set(KINDS[conditioning])
     for kind in KINDS[conditioning]:
         for a, b in zip(from_table[kind], weighted[kind]):
@@ -220,7 +227,7 @@ def test_table_stats_of_an_integer_table_equal_the_weighted_stats(rows, conditio
 
 def _table_median(panel, sort, w):
     boot = _TableBootstrap(panel, sort, 0, rng=None)
-    return boot.median(cohort_table(panel, sort, w), lambda counts, idx, pos: w[idx])
+    return boot.median(cohort_table(sort, w), lambda counts, idx, pos: w[idx])
 
 
 @settings(max_examples=150, deadline=None)
@@ -256,7 +263,7 @@ def test_group_search_at_a_half_total_on_a_group_boundary():
     panel = _toy_panel(Pi, [1, 0, 1, 0, 1, 1, 0], [1, -1, 1, 1, -1, 1, 1], n_bins=8)
     sort = sort_cohorts(panel, 1.0)
     boot = _TableBootstrap(panel, sort, 0, rng=None)
-    cum = np.cumsum(cohort_table(panel, sort, w).reshape(-1, 4).sum(axis=1)[boot.groups])
+    cum = np.cumsum(cohort_table(sort, w).reshape(-1, 4).sum(axis=1)[boot.groups])
     assert cum[0] == cum[-1] / 2 == 2
     vals = panel.Pi[:, 0]
     expected = _fold_median_weighted(vals, np.argsort(vals), w)
@@ -293,13 +300,13 @@ def test_table_draws_follow_the_asset_level_law():
     asset_tables, asset_medians, tables, medians = [], [], [], []
     for _ in range(reps):
         w = np.bincount(asset_rng.integers(n, size=n), minlength=n)
-        asset_tables.append(cohort_table(panel, sort, w).ravel())
+        asset_tables.append(cohort_table(sort, w).ravel())
         asset_medians.append(_fold_median_weighted(vals, order, w))
         k = boot.draw()
         tables.append(k.ravel())
         medians.append(boot.fold_median(k))
     asset_tables, tables = np.array(asset_tables), np.array(tables)
-    occupied = cohort_table(panel, sort).ravel() > 0
+    occupied = cohort_table(sort).ravel() > 0
     assert np.all(tables.sum(axis=1) == n) and np.all(tables[:, ~occupied] == 0)
     # the fallback median, drawn within its group given the table
     assert _homogeneous(np.array(asset_medians), np.array(medians), 1e-3)

@@ -54,6 +54,11 @@ def test_find_peak_shape_errors():
         find_peak(_curve(v, two_bumps, se=1e-6))
     with pytest.raises(ShapeError, match="fewer than 5"):
         find_peak(_curve(v[:4], v[:4], se=1e-6))
+    # a well-shaped peak of any other kind is not the estimator's input
+    for kind in ("momentum_plus", "momentum_minus"):
+        peaked = CohortCurve(kind, v, 0.12 - 3.0 * (v - 0.17) ** 2, np.full(len(v), 1000.0))
+        with pytest.raises(InputError, match="volatility"):
+            find_peak(peaked)
 
 
 def test_find_peak_error_diagnostics_carry_level_stats():

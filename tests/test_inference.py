@@ -25,10 +25,10 @@ from rnemarket.inference import (
     redundancy_gap_growth,
     redundancy_ode_residual,
     resolution_diagnostic,
-    simulate_belief_path,
     window_check,
     write_csv,
 )
+from rnemarket.pricing import PricingParams, simulate_price_path
 
 SIGMA = 0.5
 SPEED = SIGMA * SIGMA / 2  # 0.125
@@ -164,8 +164,8 @@ def test_schedule_must_increase():
 
 def test_belief_path_is_deterministic_and_odds_consistent():
     params = InferenceParams(dt=0.01, t_max=3.0)
-    a = simulate_belief_path(params, 1, 0.3, seed=7)
-    b = simulate_belief_path(params, 1, 0.3, seed=7)
+    a = simulate_price_path(params, PricingParams(pi0=0.3), 1, seed=7)
+    b = simulate_price_path(params, PricingParams(pi0=0.3), 1, seed=7)
     assert np.array_equal(a.loglr, b.loglr)
     odds = 0.3 / 0.7
     implied = odds * np.exp(a.loglr)
@@ -174,7 +174,9 @@ def test_belief_path_is_deterministic_and_odds_consistent():
 
 def test_belief_path_record_times_mode():
     params = InferenceParams(t_max=10.0)
-    run = simulate_belief_path(params, 0, 0.49, seed=11, record_times=[0.6, 1.2, 2.4, 8.0])
+    run = simulate_price_path(
+        params, PricingParams(pi0=0.49), 0, seed=11, record_times=[0.6, 1.2, 2.4, 8.0]
+    )
     assert np.array_equal(run.t, [0.6, 1.2, 2.4, 8.0])
     assert run.b == 0
 
@@ -183,8 +185,9 @@ def test_belief_path_ensemble_matches_gaussian_law():
     # 4000 one-jump paths straight to t=2.4; mean and variance of the log-LR
     params = InferenceParams(t_max=10.0)
     rng = np.random.default_rng(5)
+    pricing = PricingParams(pi0=0.49)
     ls = np.array(
-        [simulate_belief_path(params, 1, 0.49, seed=rng, record_times=[2.4]).loglr[0]
+        [simulate_price_path(params, pricing, 1, seed=rng, record_times=[2.4]).loglr[0]
          for _ in range(4000)]
     )
     mu, sd = loglr_law(2.4, 1, SIGMA)
@@ -232,17 +235,6 @@ def test_redundancy_ode_family_solves_and_identity_is_special():
     # only the identity keeps the two log-odds within a bounded gap
     assert redundancy_gap_growth(1.0) < 1e-9
     assert redundancy_gap_growth(0.5) > 10.0
-
-
-def test_write_belief_paths_csv_columns(tmp_path):
-    from rnemarket.inference import write_belief_paths_csv
-
-    params = InferenceParams(dt=0.5, t_max=1.0)
-    runs = [simulate_belief_path(params, 1, 0.49, seed=3)]
-    out = tmp_path / "paths.csv"
-    write_belief_paths_csv(out, runs)
-    header = out.read_text().splitlines()[0]
-    assert header == "path_id,t,loglr,pi,B,resolved_flag"
 
 
 # floats whose 17-digit text is easy to get wrong: NaN, infinities, signed

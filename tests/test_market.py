@@ -97,10 +97,11 @@ def test_volatility_sort_folds_high_and_low_sides_together():
     panel = _toy_panel([0.12, 0.88, 0.31, 0.69, 0.5], sign=[1, -1, 1, -1, 1])
     sort = sort_cohorts(panel, 1.0, conditioning="volatility")
     assert len(sort.edges) == panel.config.n_bins // 2 + 1
-    assert sort.bin_index[0] == sort.bin_index[1]
-    assert sort.bin_index[2] == sort.bin_index[3]
-    assert list(sort.side_high) == [False, True, False, True, False]
-    curve = sort.curves["volatility"]
+    bin_index, side = sort.code >> 3, sort.code >> 2 & 1
+    assert bin_index[0] == bin_index[1]
+    assert bin_index[2] == bin_index[3]
+    assert list(side) == [0, 1, 0, 1, 0]
+    curve = measure_expost_excess(panel, sort)["volatility"]
     assert curve.n.sum() == 5  # empty bins kept, occupied ones counted
     assert np.count_nonzero(curve.n) == 3
 
@@ -109,22 +110,13 @@ def test_pi_level_sort_splits_by_direction():
     panel = _toy_panel([0.12, 0.88, 0.31, 0.69], sign=[1, -1, 1, -1])
     sort = sort_cohorts(panel, 1.0, conditioning="pi_level")
     assert len(sort.edges) == panel.config.n_bins + 1
-    assert sort.curves["momentum_plus"].n.sum() == 2
-    assert sort.curves["momentum_minus"].n.sum() == 2
+    measured = measure_expost_excess(panel, sort)
+    assert measured["momentum_plus"].n.sum() == 2
+    assert measured["momentum_minus"].n.sum() == 2
     with pytest.raises(InputError):
         sort_cohorts(panel, 1.0, conditioning="bogus")
     with pytest.raises(InputError):
-        sort_cohorts(panel, 1.0, binning=np.array([0.5, 0.2]))
-    with pytest.raises(InputError):
         sort_cohorts(panel, 0.7)  # not a recorded epoch
-
-
-def test_quantile_binning_balances_occupancy(small_panel):
-    sort = sort_cohorts(small_panel, 2.4, binning=("quantiles", 10))
-    counts = sort.curves["volatility"].n
-    occupied = counts[counts > 0]
-    assert len(occupied) >= 8
-    assert occupied.min() >= 0.5 * occupied.max() - 1
 
 
 def test_momentum_cohorts_match_prediction(small_panel):

@@ -1,11 +1,11 @@
-"""One path kernel: a single asset's paths reproduce its panel row bit for bit."""
+"""One path kernel: a single asset's price path reproduces its panel row bit for bit."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rnemarket.inference import InferenceParams, simulate_belief_path
+from rnemarket.inference import InferenceParams
 from rnemarket.market import make_config, simulate_market
 from rnemarket.pricing import simulate_price_path
 
@@ -38,12 +38,6 @@ def test_single_paths_reproduce_the_panel_rows(name, seed):
         priced = simulate_price_path(
             cfg.inference, params, b, _substream(seed, a), record_times=cfg.record_times
         )
-        belief = simulate_belief_path(
-            cfg.inference, b, cfg.truth.pi1_0, _substream(seed, a), record_times=cfg.record_times
-        )
         assert np.array_equal(priced.t, panel.times), a
-        assert np.array_equal(belief.t, panel.times), a
         for field in ("loglr", "pi", "Pi", "S"):
             assert np.array_equal(getattr(priced, field), getattr(panel, field)[a]), (a, field)
-        for field in ("loglr", "pi"):
-            assert np.array_equal(getattr(belief, field), getattr(panel, field)[a]), (a, field)

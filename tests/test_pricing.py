@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, logit
 
-from rnemarket.inference import InferenceParams, InputError, simulate_belief_path
+from rnemarket.inference import InferenceParams, InputError
 from rnemarket.pricing import (
     PricingParams,
     canonical_price,
@@ -156,8 +156,6 @@ def test_record_times_past_either_horizon_are_rejected():
             simulate_price_path(inf, pr, 1, 0, record_times=[2.0])
         run = simulate_price_path(inf, pr, 1, 0, record_times=[0.5, 1.0])
         assert np.array_equal(run.t, [0.5, 1.0])
-    with pytest.raises(InputError, match="horizon"):
-        simulate_belief_path(InferenceParams(t_max=1.0), 1, 0.49, 0, record_times=[2.0])
 
 
 def test_dense_path_draws_z_when_only_the_last_step_carries_it():
