@@ -29,12 +29,14 @@ __all__ = [
     "momentum_excess",
     "momentum_peak",
     "momentum_pair_profit",
+    "event_lr_from_ratio",
     "event_likelihood_ratio",
     "momentum_mix",
     "vol_mix",
     "occupancy_density",
     "vol_conditioned_excess",
     "lowrisk_peak",
+    "default_grid",
     "analytic_curve",
     "peak_report",
 ]
@@ -167,6 +169,7 @@ def _check_outcome(B: int) -> None:
 
 
 def event_lr_from_ratio(v, tPi_over_t: float, B: int):
+    """event_likelihood_ratio, given its pricing hurdle time over t."""
     v = np.asarray(v, float)
     return ((1 - v) / v) ** (-tPi_over_t - (-1) ** B)
 
@@ -184,11 +187,6 @@ def event_likelihood_ratio(v, t: float, m: Milestones, sign_change: int, B: int)
     return event_lr_from_ratio(v, tPi / t, B)
 
 
-def momentum_mix_from_ratios(v, rho: float, K: float, tK_over_t: float, tp_over_t: float, B: int):
-    v = np.asarray(v, float)
-    return (rho * v / (1 - v)) ** (-tK_over_t) * K ** (-tp_over_t - (-1) ** B)
-
-
 def momentum_mix(v, t: float, m: Milestones, rho: float, K: float, B: int):
     """Sign mix P(+|v)/P(-|v) on the cohort {Pi_t = v}, given outcome B.
 
@@ -196,7 +194,8 @@ def momentum_mix(v, t: float, m: Milestones, rho: float, K: float, B: int):
     the event under the two signs; it departs from 1 only through K.
     """
     _check_outcome(B)
-    return momentum_mix_from_ratios(v, rho, K, m.t_K / t, m.t_p / t, B)
+    v = np.asarray(v, float)
+    return (rho * v / (1 - v)) ** (-m.t_K / t) * K ** (-m.t_p / t - (-1) ** B)
 
 
 def vol_mix(v, t: float, m: Milestones, rho: float, K: float, B: int):
@@ -247,9 +246,10 @@ def _balanced_arm(u, params: AnomalyParams):
     change probabilities; this is the piece whose maximum sits at
     v = 1/(rho+1) with size (K-1)/(2(K+1))*S_delta.
     """
-    x = logit(np.asarray(u, float)) + math.log(params.rho)
-    kappa = math.log(params.K)
-    return 0.5 * (expit(x + kappa) - expit(x - kappa)) * params.S_delta
+    u = np.asarray(u, float)
+    up = true_change_prob(u, 1, params.rho, params.K)
+    down = true_change_prob(u, -1, params.rho, params.K)
+    return 0.5 * (up - down) * params.S_delta
 
 
 def _log_folded_weight(u, params: AnomalyParams):
@@ -332,8 +332,8 @@ def _curve_values(kind: str, params: AnomalyParams, grid: np.ndarray) -> np.ndar
     raise InputError(f"unknown curve kind {kind!r}")
 
 
-def peak_report(kind: str, params: AnomalyParams, step: float = 1e-3, refine: float = 1e-4) -> dict:
-    """Grid argmax of a curve, refined near the peak, against the closed form.
+def peak_report(kind: str, params: AnomalyParams, step: float = 1e-3) -> dict:
+    """Grid argmax of a curve, refined to step/10 near the peak, against the closed form.
 
     Oriented curves (the minus branch peaks downward) are searched on
     sign-adjusted values. Returns the refined location/value plus the
@@ -347,7 +347,7 @@ def peak_report(kind: str, params: AnomalyParams, step: float = 1e-3, refine: fl
     i = int(np.argmax(vals))
     lo = max(grid[0], grid[i] - 2 * step)
     hi = min(grid[-1], grid[i] + 2 * step)
-    fine = np.arange(lo, hi + refine / 2, refine)
+    fine = np.arange(lo, hi + step / 20, step / 10)
     fvals = orient * _curve_values(kind, params, fine)
     j = int(np.argmax(fvals))
     v_grid, rp_grid = float(fine[j]), float(orient * fvals[j])
@@ -361,7 +361,6 @@ def peak_report(kind: str, params: AnomalyParams, step: float = 1e-3, refine: fl
         "v_max": v_grid,
         "rp_max": rp_grid,
         "formula_value": rp_formula,
-        "grid_value": rp_grid,
         "abs_gap": abs(rp_formula - rp_grid),
         "v_formula": v_formula,
         "v_abs_gap": abs(v_formula - v_grid),

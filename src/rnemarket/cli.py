@@ -369,7 +369,7 @@ def _cmd_curves(rc: RunConfig, out: Path) -> int:
             params = _curve_params(rc, rho, K)
             fname = out / f"curve_rho{rho:g}_K{K:g}.csv"
             for i, kind in enumerate(kinds):
-                rep = peak_report(kind, params, step=step, refine=step / 10)
+                rep = peak_report(kind, params, step=step)
                 curve = rep["curve"]
                 write_csv(
                     fname, ["kind", "v", "rp", "weight"], [kind, curve.v, curve.rp, curve.n],
@@ -410,6 +410,10 @@ def _cmd_estimate(rc: RunConfig, out: Path) -> int:
         res = roundtrip(
             rc.market, rc.seed, t=rc.estimation_t, n_boot=rc.n_boot, threads=rc.threads
         )
+    except InputError as e:
+        if not e.fields:
+            raise
+        raise _located(e, rc.sources, "market") from e
     except ShapeError as e:
         report = out / "estimate_FAILED.txt"
         with open(report, "w") as fh:
@@ -465,20 +469,20 @@ def _validate_checks(rc: RunConfig):
     yield "peak-risk calibration at half-vol (<=1e-12)", worst <= 1e-12, f"max gap {worst:.3g}"
 
     grid = np.linspace(0.05, 0.95, 19)
-    r_map = verify_canonical_ode(1.5, grid, lambda p: rne_belief(p, 1.5, 1))
-    r_bad = verify_canonical_ode(1.5, grid, lambda p: p * p)
+    r_map = verify_canonical_ode(grid, lambda p: rne_belief(p, 1.5, 1))
+    r_bad = verify_canonical_ode(grid, lambda p: p * p)
     ok = r_map < 1e-6 and r_bad > 0.05
     yield "canonical pricing ODE", ok, f"map {r_map:.3g}, quadratic {r_bad:.3g}"
 
     params = _curve_params(rc, 9.0, 1.5)
     gaps = []
     for kind in ("momentum_plus", "momentum_minus"):
-        rep = peak_report(kind, params, step=1e-3, refine=1e-4)
+        rep = peak_report(kind, params)
         gaps += [rep["v_abs_gap"], rep["abs_gap"] / params.S_delta]
     ok = max(gaps) <= 1e-3
     yield "momentum peak formulas vs grid (<=1e-3)", ok, f"max gap {max(gaps):.3g}"
 
-    rep = peak_report("volatility", params, step=1e-3, refine=1e-4)
+    rep = peak_report("volatility", params)
     target = 0.1 * params.S_delta
     ok = abs(rep["v_max"] - 0.1) <= 0.02 and abs(rep["rp_max"] - target) <= 0.1 * target
     yield "low-risk peak near (0.1, 0.1 S_delta)", ok, (
@@ -486,7 +490,7 @@ def _validate_checks(rc: RunConfig):
     )
 
     params1 = _curve_params(rc, 1.0, 1.5)
-    rep1 = peak_report("volatility", params1, step=1e-3, refine=1e-4)
+    rep1 = peak_report("volatility", params1)
     ok = abs(rep1["v_max"] - 0.5) <= 1e-9 and abs(rep1["rp_max"] - 0.1 * params1.S_delta) <= 1e-9
     yield "low-risk peak exact at rho=1", ok, f"v {rep1['v_max']:.6f}, rp {rep1['rp_max']:.6f}"
 

@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 FLATNESS_CONFIDENCE = 0.999
+# Usable volatility bins in find_peak's quadratic window, and the fewest it fits.
+FIT_WIDTH = 5
 # Paths a bootstrap resample's estimate can take: the quadratic peak fit, the
 # best lower-confidence-bound bin, the fold median belief.
 BOOT_PATHS = ("regular", "peak_shape_unresolved", "no_significant_peak")
@@ -112,7 +114,7 @@ def _rival_peaks(v: np.ndarray, rp: np.ndarray, se: np.ndarray | None, i_best: i
 def find_peak(curve: CohortCurve, n_min: int = 50):
     """Locate a volatility curve's peak with a local quadratic fit around the argmax.
 
-    Uses a 5-point window; on noisy curves the window is centered on the
+    Uses a FIT_WIDTH-point window; on noisy curves the window is centered on the
     best lower-confidence-bound point (rp - se) and the fit is inverse-
     variance weighted, which keeps one lucky thin bin from dragging the
     vertex off a flat-topped peak. Falls back to the raw argmax when the
@@ -130,8 +132,8 @@ def find_peak(curve: CohortCurve, n_min: int = 50):
     y = curve.rp[ok]
     se = curve.se[ok] if curve.se is not None else None
     stats: dict = {"n_usable": int(len(v)), "kind": curve.kind, "method": "quadratic-local-fit"}
-    if len(v) < 5:
-        raise ShapeError("fewer than 5 usable points", stats)
+    if len(v) < FIT_WIDTH:
+        raise ShapeError(f"fewer than {FIT_WIDTH} usable points", stats)
 
     if se is not None:
         flat, fstats = _flatness_gate(y, se)
@@ -160,8 +162,8 @@ def find_peak(curve: CohortCurve, n_min: int = 50):
         stats["rival_peaks"] = rivals
         raise ShapeError("multiple peaks", stats)
 
-    lo = min(max(i - 2, 0), len(v) - 5)
-    window = slice(lo, lo + 5)
+    lo = min(max(i - FIT_WIDTH // 2, 0), len(v) - FIT_WIDTH)
+    window = slice(lo, lo + FIT_WIDTH)
     vw, yw = v[window], y[window]
     if se is not None:
         coeffs = np.polyfit(vw, yw, 2, w=1.0 / se[window])
@@ -271,8 +273,13 @@ def roundtrip(
     the measured curve attached. Bootstrap intervals resample assets through
     their category table (see _TableBootstrap), and diagnostics["boot_paths"]
     counts the path each resample's estimate took. threads is the CPU
-    budget of the simulation (see simulate_market).
+    budget of the simulation (see simulate_market). Fewer than FIT_WIDTH
+    volatility bins is an InputError on n_bins, raised before simulating.
     """
+    if config.n_bins // 2 < FIT_WIDTH:
+        raise InputError(
+            f"n_bins must be at least {2 * FIT_WIDTH} for the peak fit", "n_bins"
+        )
     panel = simulate_market(config, seed, threads)
     if t is None:
         t, in_win = _pick_epoch(config)
@@ -308,7 +315,6 @@ def roundtrip(
         "flags": flags,
         "fit": stats,
         "curve": curve,
-        "sdelta_assumed_known": True,
     }
 
     if n_boot > 0:

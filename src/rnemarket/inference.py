@@ -283,51 +283,23 @@ def loglr_paths(var_z, var_d, b, z) -> np.ndarray:
     return paths
 
 
-def resolution_diagnostic(params: InferenceParams, t: float) -> dict:
-    """Cumulative squared signal-to-noise up to t, and whether it still grows.
+def certainty_tracker(t: float, m: Milestones, b: int, sigma_l: float) -> float:
+    """Certainty-gap tracker C_t(b) = sigma_l*sqrt(t)/2 * ((-1)^b + t_p/t).
 
-    Inference resolves (beliefs converge to the truth) exactly when the
-    cumulative variance keeps increasing linearly; a schedule that switches
-    the signal off stalls it.
-    """
-    if t > params.t_max:
-        raise InputError("t beyond horizon")
-    var_z, var_d = params.variance_between(0.0, t)
-    slz, sld = params.sigma_at(t)
-    return {
-        "cumulative_variance": var_z + var_d,
-        "resolving": (slz * slz + sld * sld) > 0.0,
-    }
-
-
-def certainty_tracker(t: float, m: Milestones, b: int, sigma_l: float, target: str = "objective") -> float:
-    """Certainty-gap tracker C_t(b) = sigma_l*sqrt(t)/2 * ((-1)^b + t_h/t).
-
-    t_h is the time-denominated hurdle of the chosen target. For b=1 the
-    tracker bottoms out at zero exactly when t equals the hurdle time; for
-    b=0 it is strictly positive (evidence and hurdle point the same way).
+    t_p is the time-denominated objective hurdle. For b=1 the tracker
+    bottoms out at zero exactly when t equals the hurdle time; for b=0 it
+    is strictly positive (evidence and hurdle point the same way).
     """
     if t <= 0:
         raise InputError("t must be positive")
-    hurdles = {
-        "objective": m.t_p,
-        "rne_plus": m.t_Pi_plus,
-        "rne_minus": m.t_Pi_minus,
-    }
-    try:
-        t_h = hurdles[target]
-    except KeyError:
-        raise InputError(f"unknown tracker target {target!r}") from None
-    return 0.5 * sigma_l * math.sqrt(t) * ((-1.0) ** b + t_h / t)
+    return 0.5 * sigma_l * math.sqrt(t) * ((-1.0) ** b + m.t_p / t)
 
 
-def window_check(t: float, m: Milestones, eps_p: float = 0.2, M_rho: float = 5.0) -> bool:
-    """True while data dominate the objective hurdle but not the bias burden."""
+def window_check(t: float, m: Milestones) -> bool:
+    """True while data beat the objective hurdle (t_p/t <= 0.2) but not the bias (t_rho/t >= 5)."""
     if t <= 0:
         raise InputError("t must be positive")
-    if not (0 < eps_p < 1 and M_rho > 1):
-        raise InputError("thresholds out of range")
-    return (m.t_p / t <= eps_p) and (m.t_rho / t >= M_rho)
+    return (m.t_p / t <= 0.2) and (m.t_rho / t >= 5.0)
 
 
 def event_dominance_loglr(
@@ -351,15 +323,8 @@ def event_dominance_loglr(
     return math.log1p(branch * u / t) + c_then * c_then - c_now * c_now
 
 
-def redundancy_ode_residual(gprime0: float, l_grid: np.ndarray, b: int = 1, h: float = 1e-3) -> float:
-    """Max finite-difference residual of the belief-redundancy ODE.
-
-    Two beliefs driven by the same data are deterministic functions of each
-    other; writing one log-odds as g(l) of the other, Ito's lemma forces
-    g'' = s (g'-1) g' with s=+1 for b=1 and s=-1 for b=0. The closed-form
-    family tested here is g(l) = -s*log(g'(0) e^{-s l} + 1 - g'(0)), which
-    satisfies the ODE exactly; the residual is pure finite-difference noise.
-    """
+def _redundancy_map(gprime0: float, b: int):
+    """s = +1 (b=1) or -1 (b=0) and the family g(l) = -s*log(g'(0) e^{-s l} + 1 - g'(0))."""
     if not 0 < gprime0 <= 1:
         raise InputError("gprime0 must lie in (0, 1]")
     s = 1.0 if b == 1 else -1.0
@@ -370,6 +335,19 @@ def redundancy_ode_residual(gprime0: float, l_grid: np.ndarray, b: int = 1, h: f
         # log-space sum: the naive form absorbs the exponential tail
         return -s * np.logaddexp(log_tail - s * l, log_flat)
 
+    return s, g
+
+
+def redundancy_ode_residual(gprime0: float, l_grid: np.ndarray, b: int = 1, h: float = 1e-3) -> float:
+    """Max finite-difference residual of the belief-redundancy ODE.
+
+    Two beliefs driven by the same data are deterministic functions of each
+    other; writing one log-odds as g(l) of the other, Ito's lemma forces
+    g'' = s (g'-1) g' with s=+1 for b=1 and s=-1 for b=0. Every member of
+    the _redundancy_map family satisfies the ODE exactly; the residual is
+    pure finite-difference noise.
+    """
+    s, g = _redundancy_map(gprime0, b)
     l = np.asarray(l_grid, float)
     g0, gp, gm = g(l), g(l + h), g(l - h)
     d1 = (gp - gm) / (2 * h)
@@ -385,11 +363,6 @@ def redundancy_gap_growth(gprime0: float, l_limit: float = 40.0, b: int = 1) -> 
     any other member of the family loses track of the driving log-LR
     linearly on one tail.
     """
-    s = 1.0 if b == 1 else -1.0
-    log_tail = math.log(gprime0)
-    log_flat = math.log1p(-gprime0) if gprime0 < 1 else -math.inf
-
-    def gap(l):
-        return -s * float(np.logaddexp(log_tail - s * l, log_flat)) - l
-
-    return max(abs(gap(l_limit) - gap(0.0)), abs(gap(-l_limit) - gap(0.0)))
+    _, g = _redundancy_map(gprime0, b)
+    g0 = float(g(0.0))
+    return max(abs(float(g(l)) - l - g0) for l in (l_limit, -l_limit))

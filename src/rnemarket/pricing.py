@@ -32,15 +32,13 @@ from .inference import (
 
 __all__ = [
     "PricingParams",
-    "PriceState",
     "PricePath",
     "PremiumDecomposition",
     "rne_belief",
     "price_of_model_risk",
+    "implied_gain_to_loss",
     "canonical_price",
     "premium_decomposition",
-    "initial_price_state",
-    "price_sde_step",
     "price_paths",
     "simulate_price_path",
     "diffusion_price_of_risk",
@@ -112,16 +110,6 @@ class PricingParams:
     def draws_z(self, var_z) -> bool:
         """Whether a priced path draws Z-stream normals: the anchor or the log-LR needs them."""
         return self.sigma_Z > 0 or bool(np.any(var_z > 0))
-
-
-@dataclass(frozen=True)
-class PriceState:
-    t: float
-    loglr: float
-    pi: float
-    Pi: float
-    y_minus: float
-    S: float
 
 
 @dataclass(frozen=True)
@@ -209,71 +197,6 @@ def premium_decomposition(
     )
 
 
-def _upper_branch_prob(Pi_change: float, sign_change: int) -> float:
-    return Pi_change if sign_change == 1 else 1.0 - Pi_change
-
-
-def _is_up_outcome(b: int, sign_change: int) -> bool:
-    return (b == 1) == (sign_change == 1)
-
-
-def initial_price_state(params: PricingParams) -> PriceState:
-    pi0 = params.pi0
-    Pi0 = float(rne_belief(pi0, params.K, params.sign_change))
-    s = canonical_price(
-        params.y_minus0,
-        params.s_delta_at(0.0),
-        _upper_branch_prob(Pi0, params.sign_change),
-        params.premium_to_go(0.0),
-    )
-    return PriceState(t=0.0, loglr=0.0, pi=pi0, Pi=Pi0, y_minus=params.y_minus0, S=s)
-
-
-def price_sde_step(
-    state: PriceState,
-    params: PricingParams,
-    inf: InferenceParams,
-    b: int,
-    dt: float,
-    noises: tuple[float, float],
-) -> tuple[PriceState, dict]:
-    """Advance beliefs and price by one step of length dt.
-
-    noises = (z_Z, z_D) are standard normals; z_Z drives both the sure-value
-    anchor and the price-relevant part of the log-LR, z_D the purely
-    outcome-informative part. The belief-driven price move is the exact
-    impact-times-belief increment, never its linearization, so the returned
-    price equals the canonical formula identically. The step also returns an
-    exact decomposition {ori, bsure, model} of the price move.
-    """
-    if dt <= 0:
-        raise InputError("dt must be positive")
-    z_z, z_d = noises
-    t2 = state.t + dt
-    var_z, var_d = inf.variance_between(state.t, t2)
-    incr = loglr_paths(var_z, var_d, np.array([b == 1]), np.array([[z_d, z_z]]))[0, 1]
-    loglr2 = state.loglr + float(incr)
-
-    prior_odds = params.pi0 / (1 - params.pi0)
-    pi2 = float(posterior_from_loglr(prior_odds, loglr2))
-    Pi2 = float(rne_belief(pi2, params.K, params.sign_change))
-
-    up = _is_up_outcome(b, params.sign_change)
-    y2 = state.y_minus + params.sigma_Z * math.sqrt(dt) * z_z + (params.rZ_delta * dt if up else 0.0)
-    pu1 = _upper_branch_prob(state.Pi, params.sign_change)
-    pu2 = _upper_branch_prob(Pi2, params.sign_change)
-    sd1 = params.s_delta_at(state.t)
-    sd2 = params.s_delta_at(t2)
-    s2 = canonical_price(y2, sd2, pu2, params.premium_to_go(t2))
-
-    parts = {
-        "ori": params.bsure_premium_drift * dt + params.sigma_Z * math.sqrt(dt) * z_z,
-        "bsure": ((1.0 if up else 0.0) - pu1) * params.rZ_delta * dt,
-        "model": sd2 * pu2 - sd1 * pu1 + pu1 * params.rZ_delta * dt,
-    }
-    return PriceState(t=t2, loglr=loglr2, pi=pi2, Pi=Pi2, y_minus=y2, S=s2), parts
-
-
 def price_paths(params: PricingParams, times, cols, loglr, b, plus, z):
     """(loglr, pi, Pi, S) at times[cols] along rows of exact log-LR paths.
 
@@ -330,10 +253,9 @@ def simulate_price_path(
     The draws are the D-stream normals of every interval, then the Z-stream
     normals if params.draws_z. On the panel's record times, fed a panel
     asset's substream after its two uniforms, the path reproduces that
-    asset's panel row. Schedule
-    breakpoints should align with the dense grid so the anchor and the
-    log-LR stay driven by the same Z-noise within each step; jump mode
-    inserts the breakpoints automatically.
+    asset's panel row. Schedule breakpoints should align with the dense grid
+    so the anchor and the log-LR stay driven by the same Z-noise within each
+    step; jump mode inserts the breakpoints automatically.
     """
     params.check_consistent(inf)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -359,19 +281,17 @@ def diffusion_price_of_risk(Pi: float, pi: float, sigma_l: float, K: float, S_de
         raise InputError("beliefs must lie in (0,1)")
     sigma_Pi = math.sqrt(Pi * (1 - Pi))
     sigma_pi = math.sqrt(pi * (1 - pi))
-    root = math.sqrt(K)
-    k_pi = (root - 1 / root) * sigma_Pi
+    k_pi = float(price_of_model_risk(Pi, K))
     sigma = sigma_Pi**2 * sigma_l * S_delta
-    mu = (sigma_Pi * sigma_l) ** 2 * k_pi * sigma_pi * S_delta
     return {
         "sigma": sigma,
-        "mu": mu,
-        "mu_over_sigma": (root - 1 / root) * sigma_Pi * sigma_pi * sigma_l,
+        "mu": (sigma_Pi * sigma_l) ** 2 * k_pi * sigma_pi * S_delta,
+        "mu_over_sigma": k_pi * sigma_pi * sigma_l,
         "capm_approx": (K - 1) / S_delta * sigma,
     }
 
 
-def verify_canonical_ode(K: float, grid, candidate, h: float = 1e-4, sign_change: int = 1) -> float:
+def verify_canonical_ode(grid, candidate, h: float = 1e-4) -> float:
     """Max residual of the pricing-map ODE A''/(2A') = (pi - A)/(pi(1-pi)).
 
     The canonical belief map solves this identically; any Mobius-distinct

@@ -79,9 +79,9 @@ def test_criterion_2_half_vol_calibration_is_exact():
 
 def test_criterion_3_pricing_map_solves_the_ode():
     grid = np.linspace(0.05, 0.95, 19)
-    r_plus = verify_canonical_ode(1.5, grid, lambda p: rne_belief(p, 1.5, 1))
-    r_minus = verify_canonical_ode(1.5, grid, lambda p: rne_belief(p, 1.5, -1))
-    r_quad = verify_canonical_ode(1.5, grid, lambda p: p * p)
+    r_plus = verify_canonical_ode(grid, lambda p: rne_belief(p, 1.5, 1))
+    r_minus = verify_canonical_ode(grid, lambda p: rne_belief(p, 1.5, -1))
+    r_quad = verify_canonical_ode(grid, lambda p: p * p)
     check(
         3,
         max(r_plus, r_minus) < 1e-6 and r_quad > 0.05,
@@ -93,8 +93,8 @@ def test_criterion_3_pricing_map_solves_the_ode():
 def test_criterion_4_momentum_peaks_match_the_formulas():
     t0 = time.perf_counter()
     pars = _params()
-    rep_p = peak_report("momentum_plus", pars, step=1e-3, refine=1e-4)
-    rep_m = peak_report("momentum_minus", pars, step=1e-3, refine=1e-4)
+    rep_p = peak_report("momentum_plus", pars, step=1e-3)
+    rep_m = peak_report("momentum_minus", pars, step=1e-3)
     took = time.perf_counter() - t0
     gaps = (
         abs(rep_p["v_max"] - 0.2139),
@@ -112,10 +112,10 @@ def test_criterion_4_momentum_peaks_match_the_formulas():
 
 
 def test_criterion_5_volatility_peak_location_and_size():
-    rep = peak_report("volatility", _params(), step=1e-3, refine=1e-4)
+    rep = peak_report("volatility", _params(), step=1e-3)
     ok_loc = abs(rep["v_max"] - 0.1) <= 0.02
     ok_size = abs(rep["rp_max"] - 0.1) <= 0.01
-    rep1 = peak_report("volatility", _params(rho=1.0), step=1e-3, refine=1e-4)
+    rep1 = peak_report("volatility", _params(rho=1.0), step=1e-3)
     ok_flat = abs(rep1["v_max"] - 0.5) <= 1e-9 and abs(rep1["rp_max"] - 0.1) <= 1e-9
     check(
         5,

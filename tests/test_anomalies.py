@@ -184,7 +184,7 @@ def test_vol_curve_vanishes_when_unpriced():
 
 def test_vol_curve_exact_and_symmetric_at_rho_one():
     pars = params_at(rho=1.0)
-    rep = peak_report("volatility", pars, step=1e-3, refine=1e-4)
+    rep = peak_report("volatility", pars, step=1e-3)
     assert rep["v_max"] == pytest.approx(0.5, abs=1e-12)
     assert rep["rp_max"] == pytest.approx(0.5 * 0.5 / 2.5, abs=1e-12)
     # label switch: the central derivative of the curve vanishes at 1/2
@@ -202,7 +202,7 @@ def test_peak_lattice_tracks_the_closed_form():
         tol_v, tol_rel = (0.04, 0.06) if rho == 3.0 else (1e-3, 1e-3)
         for K in (1.2, 1.5, 1.9):
             pars = params_at(rho=rho, K=K)
-            rep = peak_report("volatility", pars, step=1e-3, refine=1e-4)
+            rep = peak_report("volatility", pars, step=1e-3)
             v_t, rp_t = lowrisk_peak(rho, K, 1.0)
             assert abs(rep["v_max"] - v_t) <= tol_v, (rho, K)
             assert abs(rep["rp_max"] - rp_t) <= tol_rel * rp_t + 1e-12, (rho, K)

@@ -445,6 +445,22 @@ def test_unresolvable_estimate_exits_three(tmp_path, capsys):
     assert "fewer than 5" in failed
 
 
+def test_too_few_volatility_bins_is_a_config_error_before_simulating(tmp_path, capsys):
+    # n_bins = 9 sorts the folded beliefs into 4 volatility bins, one short
+    # of the peak fit; the tiny step budget would stop any simulation (exit 4)
+    cfg = _write(tmp_path, "c.cfg", "estimation.n_boot = 0\nmarket.n_bins = 9\n"
+                                    "market.max_asset_steps = 10\n")
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: line 2: n_bins must be at least 10"
+    )
+    assert not (out / "estimate_FAILED.txt").exists()
+    # the cohort sorts take any n_bins from 2
+    cfg = _write(tmp_path, "c.cfg", "market.n_assets = 300\nmarket.n_bins = 2\n")
+    assert main(["cohorts", "--config", cfg, "--out-dir", str(out)]) == 0
+
+
 def test_estimate_runs_when_no_record_time_has_signal(tmp_path):
     cfg = _write(tmp_path, "c.cfg", "inference.schedule = 0.5:0:0\ncurves.t = 0.3\n"
                                     "estimation.n_boot = 0\n")

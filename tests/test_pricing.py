@@ -14,10 +14,8 @@ from rnemarket.pricing import (
     canonical_price,
     diffusion_price_of_risk,
     implied_gain_to_loss,
-    initial_price_state,
     premium_decomposition,
     price_of_model_risk,
-    price_sde_step,
     rne_belief,
     simulate_price_path,
     verify_canonical_ode,
@@ -105,22 +103,26 @@ def test_consistency_check_ties_anchor_noise_to_inference():
         pr.check_consistent(InferenceParams(sigma_lZ=0.4, sigma_lD=0.3))
 
 
-def test_sde_step_parts_sum_to_price_change():
+def test_dense_path_price_moves_split_into_sure_bsure_and_model_parts():
     inf = InferenceParams(sigma_lZ=0.5, sigma_lD=0.0)
     pr = PricingParams(K=1.5, rZ_delta=0.05, sigma_Z=0.1, bsure_premium_drift=0.01)
-    pr.check_consistent(inf)
-    state = initial_price_state(pr)
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        noises = (rng.standard_normal(), rng.standard_normal())
-        new, parts = price_sde_step(state, pr, inf, 1, 0.01, noises)
-        assert sum(parts.values()) == pytest.approx(new.S - state.S, abs=1e-12)
-        # the price never drifts off the canonical assembly
-        expected = canonical_price(
-            new.y_minus, pr.s_delta_at(new.t), new.Pi, pr.premium_to_go(new.t)
-        )
-        assert new.S == pytest.approx(expected, abs=1e-12)
-        state = new
+    run = simulate_price_path(inf, pr, 1, seed=3)
+    dt = np.diff(run.t)
+    n = len(dt)
+    # the path draws the D-stream normals of every step, then the Z-stream's
+    z_z = np.random.default_rng(3).standard_normal(2 * n)[n:]
+    # b = 1 with a value-raising change: the up branch is realized, and the
+    # anchor earns rZ_delta on top of the Z noise
+    dy = pr.sigma_Z * np.sqrt(dt) * z_z + pr.rZ_delta * dt
+    y = pr.y_minus0 + np.concatenate([[0.0], np.cumsum(dy)])
+    expected = canonical_price(y, pr.s_delta_at(run.t), run.Pi, pr.premium_to_go(run.t))
+    assert np.max(np.abs(run.S - expected)) <= 1e-12
+    # sure-value, b-sure and model parts of each move, with Pi_up = Pi
+    sd = pr.s_delta_at(run.t)
+    ori = pr.bsure_premium_drift * dt + pr.sigma_Z * np.sqrt(dt) * z_z
+    bsure = (1.0 - run.Pi[:-1]) * pr.rZ_delta * dt
+    model = np.diff(sd * run.Pi) + run.Pi[:-1] * pr.rZ_delta * dt
+    assert np.max(np.abs(ori + bsure + model - np.diff(run.S))) <= 1e-12
 
 
 def test_price_path_determinism_and_canonical_consistency():
@@ -210,11 +212,11 @@ def test_capm_style_linearization_error_is_second_order():
 def test_canonical_ode_residuals():
     grid = np.linspace(0.05, 0.95, 19)
     for K in (1.2, 1.5, 1.9):
-        assert verify_canonical_ode(K, grid, lambda p, K=K: rne_belief(p, K, 1)) < 1e-6
-        assert verify_canonical_ode(K, grid, lambda p, K=K: rne_belief(p, K, -1)) < 1e-6
-    assert verify_canonical_ode(1.5, grid, lambda p: p * p) > 0.05
+        assert verify_canonical_ode(grid, lambda p, K=K: rne_belief(p, K, 1)) < 1e-6
+        assert verify_canonical_ode(grid, lambda p, K=K: rne_belief(p, K, -1)) < 1e-6
+    assert verify_canonical_ode(grid, lambda p: p * p) > 0.05
     with pytest.raises(InputError):
-        verify_canonical_ode(1.5, np.array([0.00005, 0.5]), lambda p: p)
+        verify_canonical_ode(np.array([0.00005, 0.5]), lambda p: p)
 
 
 def test_write_price_paths_csv_header(tmp_path):
