@@ -413,7 +413,7 @@ def _cmd_estimate(rc: RunConfig, out: Path) -> int:
     except InputError as e:
         if not e.fields:
             raise
-        raise _located(e, rc.sources, "market") from e
+        raise _located(e, rc.sources, "market", aliases={"t": "estimation.t"}) from e
     except ShapeError as e:
         report = out / "estimate_FAILED.txt"
         with open(report, "w") as fh:

@@ -64,49 +64,56 @@ class EstimationResult:
 
 
 def _usable_mask(curve: CohortCurve, n_min: int) -> np.ndarray:
-    ok = np.isfinite(curve.rp)
-    if curve.se is not None:
-        ok &= np.isfinite(curve.se) & (curve.se > 0) & (curve.n >= n_min)
-    return ok
+    return np.isfinite(curve.rp) & np.isfinite(curve.se) & (curve.se > 0) & (curve.n >= n_min)
+
+
+def _chi2_sf(q: float, dof: int) -> float:
+    """P(X > q) for X chi-square with an integer dof >= 1.
+
+    The finite Poisson sum of Abramowitz & Stegun (1964) 26.4.4/26.4.5:
+    with y = q/2, the terms y^(a0+j) e^-y / Gamma(a0+j+1) for j < dof//2,
+    a0 = 1/2 for odd dof (plus erfc(sqrt(y))) and 0 for even dof.
+    """
+    if q <= 0:
+        return 1.0
+    y = q / 2.0
+    a0 = 0.5 * (dof % 2)
+    log_y = math.log(y)
+    terms = [
+        math.exp((a0 + j) * log_y - y - math.lgamma(a0 + j + 1)) for j in range(dof // 2)
+    ]
+    if dof % 2:
+        terms.append(math.erfc(math.sqrt(y)))
+    return math.fsum(terms)
 
 
 def _flatness_gate(rp: np.ndarray, se: np.ndarray) -> tuple[bool, dict]:
-    # imported here so that scipy loads only in runs that reach the gate
-    # (estimate), not on every CLI start-up
-    from scipy.special import chdtri
-
     w = 1.0 / se**2
     wmean = float(np.sum(w * rp) / np.sum(w))
     q = float(np.sum(((rp - wmean) / se) ** 2))
-    dof = len(rp) - 1
-    crit = float(chdtri(dof, 1 - FLATNESS_CONFIDENCE))
-    return q < crit, {
+    p = _chi2_sf(q, len(rp) - 1)
+    return p > 1 - FLATNESS_CONFIDENCE, {
         "flatness_Q": q,
-        "flatness_crit": crit,
+        "flatness_p": p,
         "weighted_mean_rp": wmean,
         "weighted_mean_se": float(1.0 / math.sqrt(np.sum(w))),
     }
 
 
-def _rival_peaks(v: np.ndarray, rp: np.ndarray, se: np.ndarray | None, i_best: int) -> list:
+def _rival_peaks(v: np.ndarray, rp: np.ndarray, se: np.ndarray, i_best: int) -> list:
     """Interior local maxima that stand out beyond noise, other than the best.
 
     Prominence is rival minus the valley floor between it and the best
     point, so the noise test combines the uncertainty of both ends.
     """
     rivals = []
-    span = float(np.max(rp) - np.min(rp))
     for j in range(1, len(rp) - 1):
         if j == i_best or not (rp[j] > rp[j - 1] and rp[j] > rp[j + 1]):
             continue
         lo, hi = sorted((j, i_best))
         k_valley = lo + int(np.argmin(rp[lo : hi + 1]))
         prominence = rp[j] - rp[k_valley]
-        if se is not None:
-            thresh = 3.0 * math.hypot(float(se[j]), float(se[k_valley]))
-        else:
-            thresh = 1e-9 * max(span, 1e-300)
-        if prominence > thresh:
+        if prominence > 3.0 * math.hypot(float(se[j]), float(se[k_valley])):
             rivals.append((float(v[j]), float(rp[j]), float(prominence)))
     return rivals
 
@@ -114,47 +121,42 @@ def _rival_peaks(v: np.ndarray, rp: np.ndarray, se: np.ndarray | None, i_best: i
 def find_peak(curve: CohortCurve, n_min: int = 50):
     """Locate a volatility curve's peak with a local quadratic fit around the argmax.
 
-    Uses a FIT_WIDTH-point window; on noisy curves the window is centered on the
-    best lower-confidence-bound point (rp - se) and the fit is inverse-
-    variance weighted, which keeps one lucky thin bin from dragging the
-    vertex off a flat-topped peak. Falls back to the raw argmax when the
-    fitted quadratic is not concave or its vertex leaves the window.
+    Uses a FIT_WIDTH-point window centered on the best lower-confidence-bound
+    point (rp - se) and an inverse-variance weighted fit, which keeps one
+    lucky thin bin from dragging the vertex off a flat-topped peak. Falls
+    back to the raw argmax when the fitted quadratic is not concave or its
+    vertex leaves the window.
 
     Returns (v_max, rp_max, fit_stats). Raises ShapeError on flat curves
     (noise-level variation only), monotone curves, or multiple separated
-    peaks; diagnostics ride on the exception. Any other curve kind is an
-    InputError.
+    peaks; diagnostics ride on the exception. A curve of another kind, or
+    one without standard errors, is an InputError.
     """
     if curve.kind != "volatility":
         raise InputError(f"find_peak takes volatility curves, not {curve.kind!r}")
+    if curve.se is None:
+        raise InputError("find_peak takes measured curves, with standard errors")
     ok = _usable_mask(curve, n_min)
     v = curve.v[ok]
     y = curve.rp[ok]
-    se = curve.se[ok] if curve.se is not None else None
+    se = curve.se[ok]
     stats: dict = {"n_usable": int(len(v)), "kind": curve.kind, "method": "quadratic-local-fit"}
     if len(v) < FIT_WIDTH:
         raise ShapeError(f"fewer than {FIT_WIDTH} usable points", stats)
 
-    if se is not None:
-        flat, fstats = _flatness_gate(y, se)
-        stats.update(fstats)
-        if flat:
-            k = int(np.argmax(y - se))
-            stats["lcb_v"] = float(v[k])
-            stats["lcb_rp"] = float(y[k])
-            stats["lcb_se"] = float(se[k])
-            raise ShapeError("flat curve", stats)
-    else:
-        span = float(np.max(y) - np.min(y))
-        if span <= 1e-12 * max(1.0, float(np.max(np.abs(y)))):
-            stats["span"] = span
-            raise ShapeError("flat curve", stats)
+    flat, fstats = _flatness_gate(y, se)
+    stats.update(fstats)
+    if flat:
+        k = int(np.argmax(y - se))
+        stats["lcb_v"] = float(v[k])
+        stats["lcb_rp"] = float(y[k])
+        stats["lcb_se"] = float(se[k])
+        raise ShapeError("flat curve", stats)
 
     diffs = np.diff(y)
     monotone = bool(np.all(diffs > 0) or np.all(diffs < 0))
 
-    score = y - se if se is not None else y
-    i = int(np.argmax(score))
+    i = int(np.argmax(y - se))
     stats["argmax_v"] = float(v[i])
 
     rivals = _rival_peaks(v, y, se, i)
@@ -165,11 +167,7 @@ def find_peak(curve: CohortCurve, n_min: int = 50):
     lo = min(max(i - FIT_WIDTH // 2, 0), len(v) - FIT_WIDTH)
     window = slice(lo, lo + FIT_WIDTH)
     vw, yw = v[window], y[window]
-    if se is not None:
-        coeffs = np.polyfit(vw, yw, 2, w=1.0 / se[window])
-    else:
-        coeffs = np.polyfit(vw, yw, 2)
-    a, b, c = (float(x) for x in coeffs)
+    a, b, c = (float(x) for x in np.polyfit(vw, yw, 2, w=1.0 / se[window]))
     stats["window_v"] = (float(vw[0]), float(vw[-1]))
     stats["quad_coeffs"] = (a, b, c)
     vertex_ok = False
@@ -274,18 +272,19 @@ def roundtrip(
     their category table (see _TableBootstrap), and diagnostics["boot_paths"]
     counts the path each resample's estimate took. threads is the CPU
     budget of the simulation (see simulate_market). Fewer than FIT_WIDTH
-    volatility bins is an InputError on n_bins, raised before simulating.
+    volatility bins (an InputError on n_bins) and a t that is not a record
+    time (an InputError on t) are raised before simulating.
     """
     if config.n_bins // 2 < FIT_WIDTH:
         raise InputError(
             f"n_bins must be at least {2 * FIT_WIDTH} for the peak fit", "n_bins"
         )
-    panel = simulate_market(config, seed, threads)
     if t is None:
         t, in_win = _pick_epoch(config)
     else:
         in_win = None
-    idx = panel.time_index(t)
+    idx = config.time_index(t)
+    panel = simulate_market(config, seed, threads)
     sort = sort_cohorts(panel, t, conditioning="volatility")
     measured = measure_expost_excess(panel, sort)
     curve = measured["volatility"]

@@ -167,14 +167,12 @@ class InferenceParams:
 class Milestones:
     """Inferential hurdles in log-odds and in time units.
 
-    H_p is the objective hurdle log((1-p1_0)/p1_0); the pricing-side hurdles
-    add the bias and risk-pricing gaps. Time-denominated versions divide by
-    the inference speed sigma_l^2/2.
+    H_p is the objective hurdle log((1-p1_0)/p1_0). Time-denominated versions
+    divide by the inference speed sigma_l^2/2; the pricing-side hurdles add
+    the bias and risk-pricing gaps t_rho and +-t_K to t_p.
     """
 
     H_p: float
-    H_Pi_plus: float
-    H_Pi_minus: float
     t_p: float
     t_rho: float
     t_K: float
@@ -201,8 +199,6 @@ class Milestones:
         rate = sigma_l * sigma_l / 2.0
         return cls(
             H_p=h_p,
-            H_Pi_plus=h_p + math.log(rho * K),
-            H_Pi_minus=h_p + math.log(rho / K),
             t_p=h_p / rate,
             t_rho=math.log(rho) / rate,
             t_K=math.log(K) / rate,

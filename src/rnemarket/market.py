@@ -123,6 +123,13 @@ class MarketConfig:
     def pi1_0(self) -> float:
         return self.truth.pi1_0
 
+    def time_index(self, t: float) -> int:
+        """Position of t among record_times, to 1e-12."""
+        hits = np.nonzero(np.isclose(self.record_times, t, rtol=0, atol=1e-12))[0]
+        if len(hits) != 1:
+            raise InputError(f"t={t} is not a recorded epoch", "t")
+        return int(hits[0])
+
     def Pi1_0(self, sign_change: int) -> float:
         return float(rne_belief(self.truth.pi1_0, self.pricing.K, sign_change))
 
@@ -167,12 +174,6 @@ class MarketPanel:
     @property
     def n_assets(self) -> int:
         return len(self.B)
-
-    def time_index(self, t: float) -> int:
-        hits = np.nonzero(np.isclose(self.times, t, rtol=0, atol=1e-12))[0]
-        if len(hits) != 1:
-            raise InputError(f"t={t} is not a recorded epoch")
-        return int(hits[0])
 
     def true_posterior(self, idx: int) -> np.ndarray:
         """Objective change probability given each asset's data at epoch idx."""
@@ -360,7 +361,7 @@ def sort_cohorts(panel: MarketPanel, t: float, conditioning: str = "volatility")
     pi_level cuts [0, 1] into n_bins bins; volatility folds Pi to
     min(Pi, 1 - Pi) and cuts [0, 1/2] into n_bins // 2. Empty bins are kept.
     """
-    vals = panel.Pi[:, panel.time_index(t)]
+    vals = panel.Pi[:, panel.config.time_index(t)]
     n_bins = panel.config.n_bins
     if conditioning == "volatility":
         x, high, n_bins, top = np.minimum(vals, 1.0 - vals), vals > 0.5, n_bins // 2, 0.5
@@ -457,7 +458,7 @@ def expost_decomposition(panel: MarketPanel, t: float) -> dict:
     group: with a symmetric sign mix the bias legs of the two groups offset
     each other, so the group scopes are where the bias is visible.
     """
-    idx = panel.time_index(t)
+    idx = panel.config.time_index(t)
     S_delta = panel.config.pricing.S_delta
     s = panel.sign.astype(float)
     b_hit = (panel.B == 1).astype(float)

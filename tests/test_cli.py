@@ -461,6 +461,21 @@ def test_too_few_volatility_bins_is_a_config_error_before_simulating(tmp_path, c
     assert main(["cohorts", "--config", cfg, "--out-dir", str(out)]) == 0
 
 
+def test_estimation_t_off_the_record_times_is_a_config_error_before_simulating(
+    tmp_path, capsys, monkeypatch
+):
+    def never(*args, **kwargs):
+        raise AssertionError("simulated before checking estimation.t")
+
+    monkeypatch.setattr("rnemarket.estimation.simulate_market", never)
+    cfg = _write(tmp_path, "c.cfg", "estimation.n_boot = 0\nestimation.t = 2.5\n")
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: line 2: t=2.5 is not a recorded epoch"
+    )
+
+
 def test_estimate_runs_when_no_record_time_has_signal(tmp_path):
     cfg = _write(tmp_path, "c.cfg", "inference.schedule = 0.5:0:0\ncurves.t = 0.3\n"
                                     "estimation.n_boot = 0\n")
@@ -490,23 +505,26 @@ def test_estimate_reports_the_recovery(tmp_path, capsys):
 
 
 def test_cli_import_and_curves_load_no_scipy(tmp_path):
-    # scipy is only for the flatness gate of estimate; importing the CLI,
-    # parsing a config and tabulating curves must not load any of it
+    # scipy is a test dependency only: importing the CLI, parsing a config,
+    # tabulating curves and estimating (flatness gate included) must not
+    # load any of it
     code = (
         "import sys, rnemarket.cli as cli\n"
         "cli.parse_config(open(sys.argv[1]).read())\n"
         "def scipy_mods(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "after_import = scipy_mods()\n"
-        "code = cli.main(['curves', '--config', sys.argv[1], '--out-dir', sys.argv[2]])\n"
-        "print(code, after_import, scipy_mods())\n"
+        "codes = [cli.main([cmd, '--config', sys.argv[1], '--out-dir', sys.argv[2]])\n"
+        "         for cmd in ('curves', 'estimate')]\n"
+        "print(codes, after_import, scipy_mods())\n"
     )
-    cfg = _write(tmp_path, "c.cfg", "curves.grid_points = 200\ncurves.rho_list = 1, 9\n")
+    cfg = _write(tmp_path, "c.cfg", "curves.grid_points = 200\ncurves.rho_list = 1, 9\n"
+                 "market.n_assets = 4000\nseed = 112\nestimation.n_boot = 25\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
         [sys.executable, "-c", code, cfg, str(tmp_path / "out")],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.splitlines()[-1] == "0 [] []"
+    assert out.stdout.splitlines()[-1] == "[0, 0] [] []"
 
 
 @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])

@@ -13,6 +13,7 @@ from rnemarket.estimation import (
     FLATNESS_CONFIDENCE,
     EstimationResult,
     ShapeError,
+    _chi2_sf,
     _estimate_from_curve,
     _flatness_gate,
     find_peak,
@@ -54,6 +55,9 @@ def test_find_peak_shape_errors():
         find_peak(_curve(v, two_bumps, se=1e-6))
     with pytest.raises(ShapeError, match="fewer than 5"):
         find_peak(_curve(v[:4], v[:4], se=1e-6))
+    # nor is a curve without standard errors (an analytic one)
+    with pytest.raises(InputError, match="standard errors"):
+        find_peak(_curve(v, 0.12 - 3.0 * (v - 0.17) ** 2))
     # a well-shaped peak of any other kind is not the estimator's input
     for kind in ("momentum_plus", "momentum_minus"):
         peaked = CohortCurve(kind, v, 0.12 - 3.0 * (v - 0.17) ** 2, np.full(len(v), 1000.0))
@@ -86,19 +90,38 @@ def test_find_peak_handles_a_boundary_peak():
     # at rho=1 the analytic curve rises all the way to the fold point and
     # flattens there; that must read as a peak, not a monotone curve
     pars = AnomalyParams.from_primitives(0.49, 1.0, 1.5, 0.5, 2.4)
-    curve = analytic_curve("volatility", pars)
-    v_hat, rp_hat, _ = find_peak(curve, n_min=0)
+    exact = analytic_curve("volatility", pars)
+    v_hat, rp_hat, _ = find_peak(_curve(exact.v, exact.rp, se=1e-6), n_min=0)
     assert v_hat == pytest.approx(0.5, abs=1e-3)
     assert rp_hat == pytest.approx(0.1, abs=1e-3)
 
 
-def test_flatness_critical_value_equals_the_chi2_quantile():
-    from scipy.stats import chi2
+def test_flatness_gate_decides_as_the_chi2_quantile():
+    from scipy.special import chdtri
+
+    alpha = 1 - FLATNESS_CONFIDENCE
+    # k = 0 is left out: at q equal to the quantile's double the tail is
+    # alpha to within rounding, so either side of that zero-width boundary
+    # is as right as the other
+    ks = [k for k in range(-20, 21) if k]
+    for dof in range(1, 400):
+        crit = float(chdtri(dof, alpha))
+        for k in ks:
+            q = crit * (1 + k * 1e-13)
+            assert (_chi2_sf(q, dof) > alpha) == (q < crit), (dof, k)
+
+
+def test_chi2_tail_matches_scipy():
+    from scipy.special import chdtrc, chdtri
 
     for dof in range(1, 400):
-        rp = np.zeros(dof + 1)
-        _, stats = _flatness_gate(rp, np.ones(dof + 1))
-        assert stats["flatness_crit"] == float(chi2.ppf(FLATNESS_CONFIDENCE, dof))
+        crit = float(chdtri(dof, 1 - FLATNESS_CONFIDENCE))
+        for q in (crit / 2, crit, 2 * crit):
+            assert _chi2_sf(q, dof) == pytest.approx(float(chdtrc(dof, q)), rel=1e-12, abs=0)
+        assert _chi2_sf(0.0, dof) == 1.0
+        assert not _chi2_sf(math.inf, dof) > 1 - FLATNESS_CONFIDENCE
+    flat, stats = _flatness_gate(np.zeros(25), np.ones(25))
+    assert flat and stats["flatness_Q"] == 0.0 and stats["flatness_p"] == 1.0
 
 
 def test_recover_params_examples():
