@@ -5,11 +5,15 @@ with a random direction, prices them canonically, and measures the cohort
 curves (momentum by belief level, low-risk by belief volatility) that the
 analytic module predicts. Reproducibility is exact: every asset draws from
 its own counter-based substream keyed by (seed, asset_id), so the panel is
-bit-identical on every run of one (config, seed).
+bit-identical on every run of one (config, seed). The substream is numpy's
+Philox generator with numpy's uniforms and normals; a numpy kernel computes
+them for a block of assets at once, and only an asset whose normals leave
+numpy's ziggurat fast path is drawn by numpy itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import mmap
 import os
@@ -256,17 +260,183 @@ def _run_shards(run, cuts: list) -> None:
         )
 
 
+# Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox computes it: the
+# two round multipliers and the two Weyl increments of the key.
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _mulhilo(m, x, hi, lo, t1, t2) -> None:
+    """hi, lo = the high and low 64-bit words of m * x, from 32-bit halves.
+
+    m is a uint64 scalar; x, hi, lo and the scratch arrays t1, t2 are
+    distinct uint64 arrays of one shape. No partial sum leaves uint64.
+    """
+    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
+    np.bitwise_and(x, _LOW32, out=t1)
+    np.multiply(t1, m_lo, out=t2)
+    np.right_shift(t2, _SHIFT32, out=t2)
+    np.right_shift(x, _SHIFT32, out=hi)
+    np.multiply(hi, m_lo, out=lo)
+    np.add(lo, t2, out=lo)  # m_lo*x_hi + carry of m_lo*x_lo
+    np.multiply(t1, m_hi, out=t1)
+    np.bitwise_and(lo, _LOW32, out=t2)
+    np.add(t1, t2, out=t1)  # m_hi*x_lo + low half of the above
+    np.multiply(hi, m_hi, out=hi)
+    np.right_shift(lo, _SHIFT32, out=lo)
+    np.add(hi, lo, out=hi)
+    np.right_shift(t1, _SHIFT32, out=t1)
+    np.add(hi, t1, out=hi)
+    np.multiply(x, m, out=lo)
+
+
+def _philox_words(seed: int, keys, out: np.ndarray) -> np.ndarray:
+    """Philox words of the streams keyed by (seed, keys[j]), into out[:, j].
+
+    out has 4*c rows: row i is word i of Philox(key=[seed, keys[j]]) from
+    its fresh state, i.e. lane i % 4 of counter i // 4 + 1 (numpy bumps the
+    counter before each 4-word block), bit for bit.
+    """
+    shape = (len(out) // 4, out.shape[1])
+    x0, x1, x2, x3, hi, lo0, lo1, t1, t2 = (np.empty(shape, np.uint64) for _ in range(9))
+    k0, k1 = seed, np.array(keys, np.uint64)
+    # round 1 takes the fresh counter (c, 0, 0, 0) to (k0, 0, hi(M0 c) ^ k1, lo(M0 c))
+    products = [int(_PHILOX_M[0]) * c for c in range(1, shape[0] + 1)]
+    x0[:] = np.uint64(k0)
+    x1[:] = 0
+    np.bitwise_xor(np.array([p >> 64 for p in products], np.uint64)[:, None], k1, out=x2)
+    x3[:] = np.array([p % 2**64 for p in products], np.uint64)[:, None]
+    for _ in range(9):
+        k0 = (k0 + _PHILOX_W[0]) % 2**64
+        k1 += _PHILOX_W[1]
+        _mulhilo(_PHILOX_M[0], x0, hi, lo0, t1, t2)
+        x3 ^= hi
+        x3 ^= k1
+        _mulhilo(_PHILOX_M[1], x2, hi, lo1, t1, t2)
+        x1 ^= hi
+        x1 ^= np.uint64(k0)
+        x0, x1, x2, x3, lo0, lo1 = x1, lo1, x3, lo0, x0, x2
+    for j, lane in enumerate((x0, x1, x2, x3)):
+        out[j::4] = lane
+    return out
+
+
+def _fast_path(bitgen, rng, rabs, levels) -> np.ndarray:
+    """numpy's normal of the word (rabs[i], sign +, levels[i]) for each i; NaN off the fast path.
+
+    Philox's settable buffer feeds up to 4 chosen words at a time to
+    standard_normal. A normal that took exactly one word took numpy's
+    ziggurat fast path: a rejection draws at least one more word, which
+    moves the buffer position past the words fed or the counter off 0.
+    """
+    words = [(int(r) << 9) | int(level) for r, level in zip(rabs, levels)]
+    x = np.full(len(words), np.nan)
+
+    def feed(lo: int, hi: int) -> None:
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+            "buffer": tuple(words[lo:hi]) + (0,) * (4 - (hi - lo)),
+            "buffer_pos": 0,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        got = rng.standard_normal(hi - lo)
+        state = bitgen.state
+        if state["buffer_pos"] == hi - lo and not state["state"]["counter"].any():
+            x[lo:hi] = got
+        elif hi - lo > 1:  # find the words that left the fast path
+            for i in range(lo, hi):
+                feed(i, i + 1)
+
+    for lo in range(0, len(words), 4):
+        feed(lo, min(lo + 4, len(words)))
+    return x
+
+
+@functools.cache
+def _ziggurat_tables() -> tuple:
+    """(wi, kbound) of numpy's standard-normal fast path, read from numpy itself.
+
+    numpy's ziggurat (Marsaglia & Tsang 2000) reads one word w as a level
+    (bits 0-7), a sign (bit 8) and rabs (bits 9-60), and returns
+    x = +-rabs * wi[level] when rabs < ki[level]. Philox's settable buffer
+    feeds chosen words to standard_normal, so: wi[level] is x / 2**51 at
+    rabs = 2**51, exactly. A bound k is proved <= ki[level] where numpy
+    returns (k - 1) * wi[level] for rabs = k - 1 on its fast path. The
+    first guess is k = floor(2**52 wi[level-1] / wi[level]) (level 0 takes
+    level 255's), one probe per level; a level whose guess fails or is
+    missing is bisected for ki over rabs in [0, 2**52). A level off the
+    fast path at rabs = 2**51 (today level 1, which has no fast path) gets
+    bound 0, so its words always take numpy's own draw. Both tables have 512 entries indexed by
+    w & 0x1ff; wi carries the sign. The arrays are read-only: every caller
+    in the process shares them.
+    """
+    bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
+    levels = np.arange(256)
+    wi = _fast_path(bitgen, rng, [2**51] * 256, levels) / 2.0**51
+
+    def fast(rabs, at):
+        rabs = np.asarray(rabs, np.uint64)
+        return _fast_path(bitgen, rng, rabs, at) == rabs * wi[at]
+
+    guess = np.floor(2.0**52 * np.roll(wi, 1) / wi)
+    kbound = np.where(guess >= 1, guess, 0).astype(np.uint64)  # NaN fails the test
+    probed = levels[kbound > 0]
+    kbound[probed[~fast(kbound[probed] - np.uint64(1), probed)]] = 0
+    for level in levels[(kbound == 0) & (wi > 0)]:
+        lo, hi = 0, 2**52  # ki in (lo, hi] once lo is accepted
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fast([mid], [level])[0] else (lo, mid)
+        kbound[level] = hi if fast([lo], [level])[0] else 0
+    wi = np.where(kbound > 0, wi, 0.0)
+    tables = np.concatenate([wi, -wi]), np.concatenate([kbound, kbound])
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _block_draws(seed: int, lo: int, words: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Draws of assets lo, lo+1, ... into the columns of draws; returns the columns to redo.
+
+    draws has a row per draw of the substream order (see simulate_market),
+    words 4 * ceil(rows / 4) rows of the same width. The two uniforms are
+    numpy's (w >> 11) * 2**-53 of the first two words, and each later word
+    gives numpy's normal wherever its ziggurat fast path (_ziggurat_tables)
+    takes it. A column with any word off that path is returned: the stream
+    of such an asset shifts, so only numpy's own draw gives it.
+    """
+    wi, kbound = _ziggurat_tables()
+    _philox_words(seed, np.arange(lo, lo + words.shape[1], dtype=np.uint64), words)
+    w = words[: len(draws)]
+    np.multiply(w[:2] >> np.uint64(11), 2.0**-53, out=draws[:2])
+    signed_level = (w[2:] & np.uint64(0x1FF)).view(np.int64)
+    rabs = (w[2:] >> np.uint64(9)) & np.uint64(2**52 - 1)
+    np.multiply(rabs, wi[signed_level], out=draws[2:])
+    return np.flatnonzero((rabs >= kbound[signed_level]).any(axis=0))
+
+
 def simulate_market(config: MarketConfig, seed: int, threads: int = 1) -> MarketPanel:
     """Simulate the panel with exact Gaussian jumps between recorded epochs.
 
     Asset a draws from Philox keyed by the exact 64-bit pair (seed, a), so
     seed must lie in [0, 2**64). Per asset, the substream order is: sign
     uniform, outcome uniform, the D-stream normals for every interval, then
-    the Z-stream normals if pricing.draws_z. One bit generator is reseated
-    to each asset's key in turn; the draws land in a block of ASSET_BLOCK
-    assets, whose paths, beliefs and prices the shared path kernel
-    (loglr_paths, price_paths) evaluates together, which bounds the working
-    memory whatever n_assets is.
+    the Z-stream normals if pricing.draws_z. The draws of a block of
+    ASSET_BLOCK assets come at once from a numpy kernel that computes their
+    Philox words and turns each later word into numpy's ziggurat normal on
+    its one-word fast path, with tables read once per process from numpy
+    itself (_ziggurat_tables). An asset with any word off that path (a
+    ziggurat rejection or the tail, about 6% of assets at the default
+    config) takes numpy's own draw instead: one bit generator is reseated
+    to its key and draws its row. Either way each draw is numpy's, bit for
+    bit. The shared path kernel (loglr_paths, price_paths) then evaluates
+    the block's paths, beliefs and prices together, which bounds the
+    working memory whatever n_assets is.
 
     threads is a CPU budget. The blocks split into min(threads, usable CPUs,
     blocks) contiguous shards, and every shard past the first runs in a
@@ -296,10 +466,10 @@ def simulate_market(config: MarketConfig, seed: int, threads: int = 1) -> Market
     else:
         cuts = [0, n]
     loglr, pi, Pi, S, B, sign = _empty_outputs(n, T)
+    _ziggurat_tables()  # read before the fork, so that every shard inherits them
 
     def run(start: int, stop: int) -> None:
-        # Python ints convert to the C key words exactly, and index without
-        # allocating (numpy arrays would box a scalar per word per asset)
+        # Python ints convert to the C key words exactly
         key = [seed, 0]
         zeros = (0, 0, 0, 0)
         fresh = {
@@ -312,19 +482,24 @@ def simulate_market(config: MarketConfig, seed: int, threads: int = 1) -> Market
         }
         bitgen = np.random.Philox()
         rng = np.random.Generator(bitgen)
-        draws = np.empty((min(stop - start, ASSET_BLOCK), n_draws))
+        width = min(stop - start, ASSET_BLOCK)
+        words = np.empty((-(-n_draws // 4) * 4, width), np.uint64)
+        draws = np.empty((n_draws, width))
+        row = np.empty(n_draws)
+        uniforms, normals = row[:2], row[2:]
 
         for lo in range(start, stop, ASSET_BLOCK):
             hi = min(lo + ASSET_BLOCK, stop)
-            d = draws[: hi - lo]
-            for a, row in enumerate(d, lo):
-                key[1] = a
+            d = draws[:, : hi - lo]
+            for i in _block_draws(seed, lo, words[:, : hi - lo], d):
+                key[1] = lo + int(i)
                 bitgen.state = fresh
-                rng.random(out=row[:2])
-                rng.standard_normal(out=row[2:])
-            plus = d[:, 0] < config.sign_prob_plus
-            b = d[:, 1] < np.where(plus, b_prob[1], b_prob[-1])
-            z = d[:, 2:]
+                rng.random(out=uniforms)
+                rng.standard_normal(out=normals)
+                d[:, i] = row
+            plus = d[0] < config.sign_prob_plus
+            b = d[1] < np.where(plus, b_prob[1], b_prob[-1])
+            z = d[2:].T
             B[lo:hi] = b
             sign[lo:hi] = np.where(plus, 1, -1)
             loglr[lo:hi], pi[lo:hi], Pi[lo:hi], S[lo:hi] = price_paths(

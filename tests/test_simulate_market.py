@@ -127,10 +127,19 @@ def test_matches_reference_loop_bit_for_bit(name, seed, monkeypatch):
     # the largest size holds the reference of every smaller one as a prefix,
     # and of every shard as a slice
     forks = _count_forks(monkeypatch, cpus=2)
+    redone = []  # (assets sent down numpy's per-asset path, normals per asset), per block
+    block_draws = market._block_draws
+
+    def spy(seed, lo, words, draws):
+        cols = block_draws(seed, lo, words, draws)
+        redone.append((len(cols), len(draws) - 2))
+        return cols
+
+    monkeypatch.setattr(market, "_block_draws", spy)
     ref = reference_simulate_market(make_config(n_assets=max(SIZES), **CONFIGS[name]), seed)
     for threads in (1, 2):
         for n in SIZES:
-            del forks[:]
+            del forks[:], redone[:]
             got = simulate_market(make_config(n_assets=n, **CONFIGS[name]), seed, threads)
             assert len(forks) == len(_shard_cuts(n, threads, 2)) - 2, (threads, n)
             _assert_no_child_left()
@@ -139,6 +148,59 @@ def test_matches_reference_loop_bit_for_bit(name, seed, monkeypatch):
                 have = getattr(got, f)
                 assert have.dtype == want.dtype, (f, n, threads)
                 assert np.array_equal(have, want), (f, n, threads)
+            if threads == 1 and n == max(SIZES):
+                # every block ran here: some assets took numpy's per-asset
+                # draw, fewer than if 2% of normals left the ziggurat fast
+                # path (about 1.5% do)
+                n_redone, k = sum(r for r, _ in redone), redone[0][1]
+                assert 0 < n_redone < n * (1 - 0.98**k), (n_redone, k)
+
+
+@pytest.mark.parametrize("seed", (0, 112, 2**64 - 1))
+def test_philox_words_match_numpy(seed):
+    ids = np.array([0, 2**32 - 1, 2**32, 2**63], np.uint64)
+    words = market._philox_words(seed, ids, np.empty((12, len(ids)), np.uint64))
+    for j, a in enumerate(ids):
+        bitgen = np.random.Philox(key=np.array([seed, a], np.uint64))
+        assert np.array_equal(words[:, j], bitgen.random_raw(12)), a
+
+
+def test_ziggurat_tables_match_numpy():
+    """Each enabled level's wi is numpy's, and its bound is at most numpy's threshold."""
+    bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
+
+    def numpy_normal(rabs, level, sign=0):
+        # numpy's normal of one chosen word, and whether it took only that word
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+            "buffer": ((rabs << 9) | (sign << 8) | level, 0, 0, 0),
+            "buffer_pos": 0,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        x = rng.standard_normal()
+        state = bitgen.state
+        return x, state["buffer_pos"] == 1 and not state["state"]["counter"].any()
+
+    wi, kbound = market._ziggurat_tables()
+    assert np.array_equal(wi[256:], -wi[:256]) and np.array_equal(kbound[256:], kbound[:256])
+    enabled = 0
+    for level in range(256):
+        lo, hi = -1, 2**52  # numpy's fast path takes rabs <= lo and leaves it for rabs >= hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if numpy_normal(mid, level)[1] else (lo, mid)
+        if kbound[level] == 0:
+            continue
+        enabled += 1
+        assert hi - 1 <= int(kbound[level]) <= hi, level
+        for rabs in (0, 1, 2**51, int(kbound[level]) - 1, 3 * 2**49 + 12345):
+            for sign in (0, 1):
+                x, fast = numpy_normal(rabs, level, sign)
+                assert fast and x == rabs * wi[256 * sign + level], (level, rabs, sign)
+    assert enabled == 255  # level 1 has no fast path: numpy tests every draw of it
 
 
 def test_shard_cuts_split_whole_blocks_within_the_budget():
