@@ -361,6 +361,16 @@ def _cmd_simulate(rc: RunConfig, out: Path) -> int:
 
 
 def _cmd_curves(rc: RunConfig, out: Path) -> int:
+    # a lattice point's file is named by its values in %g: two values that
+    # print alike would write one file twice
+    for key, values in (("curves.rho_list", rc.curves_rho), ("curves.K_list", rc.curves_K)):
+        named = {}
+        for v in values:
+            text = f"{v:g}"
+            if text in named:
+                raise _sourced(f"{named[text]!r} and {v!r} both print as {text} in the curve "
+                               "file names", rc.sources, (key,))
+            named[text] = v
     step = 1.0 / rc.grid_points
     kinds = ("momentum_plus", "momentum_minus", "volatility")
     peak_rows = []

@@ -12,7 +12,7 @@ odds identity O(pi_t) = O(pi_0) * exp(l_t) holds to machine precision.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,9 +22,29 @@ import numpy as np
 # to the interval endpoints instead of overflowing.
 LOGLR_SATURATION = 700.0
 
-# Rows formatted per file write in write_csv: the formatted text held in
-# memory stays near 100 kB whatever the row count.
+# Rows formatted per file write in write_csv: the formatted text and the
+# formatter's arrays held in memory take about 0.2 MB per column, whatever
+# the row count.
 CSV_BLOCK = 1024
+
+# _format_17g certifies |x| in [_FAST_MIN, _FAST_MAX]: there every product
+# of its double-double stays clear of overflow and of subnormals.
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+_K_MIN, _K_MAX = -266, 299  # the powers of ten that the scaling can use
+# A rounding is certified when the scaled value lies further than this from
+# a half-integer: far above the error of its fraction, a few units in the
+# last place of a double below 32, so under 2**-46.
+_TIE_MARGIN = 2.0**-30
+_SPLIT = 2.0**27 + 1  # Veltkamp's splitter of a 53-bit double into 26-bit halves
+_PLACE_OFFSET = np.array([[0], [10_000], [20_000], [30_000]], np.uint32)  # per digit group
+_WORD_OFFSET = np.array([[16], [8], [0]])  # the digit words start at digits 0, 8 and 16
+# The slots of one formatted float, in text order; see _format_17g.
+_FIELD = np.dtype({
+    "names": ["sign", "lead", "int", "int2", "point", "frac", "frac2", "exp"],
+    "formats": ["u1", "S5", ("<u8", 2), "u1", "u1", ("<u8", 2), "u1", "S5"],
+    "offsets": [0, 1, 6, 22, 23, 24, 40, 41],
+    "itemsize": 46,
+})
 
 
 class InputError(ValueError):
@@ -47,25 +67,233 @@ def write_csv(path, header, columns, append=False) -> None:
     Each column is a 1-d array or sequence (through np.asarray, so pass
     integers beyond int64 as a uint64 or object array), or a scalar repeated
     on every row. A float column prints as f"{x:.17g}", which parses back to
-    the same double; any other value prints as str. No field is quoted, so
-    values must not contain commas, quotes or line breaks. With append=True
-    the rows are added to the file without the header.
+    the same double: a numpy kernel (_format_17g) writes those exact bytes,
+    and Python's own formatter takes the few values whose rounding the kernel
+    cannot certify. Any other value prints as str, in UTF-8. No field is
+    quoted, so values must not contain commas, quotes, line breaks or NUL
+    bytes. With append=True the rows are added to the file without the
+    header. Formatting works on CSV_BLOCK rows at a time.
     """
     cols = [np.asarray(c) for c in columns]
     lengths = {len(c) for c in cols if c.ndim}
     if len(lengths) != 1:
         raise InputError("write_csv needs array columns of one length")
     (n,) = lengths
-    row = ",".join("{:.17g}" if c.dtype.kind == "f" else "{}" for c in cols) + "\n"
-    with open(path, "a" if append else "w", newline="") as fh:
+    # a scalar's text is made once and repeated on every row
+    scalars = {j: _csv_fields(c.reshape(1)) for j, c in enumerate(cols) if not c.ndim}
+    scalars = {j: np.broadcast_to(f, (CSV_BLOCK, f.shape[1])) for j, f in scalars.items()}
+    with open(path, "ab" if append else "wb") as fh:
         if not append:
-            fh.write(",".join(header) + "\n")
+            fh.write((",".join(header) + "\n").encode())
         for lo in range(0, n, CSV_BLOCK):
-            block = [
-                c[lo : lo + CSV_BLOCK].tolist() if c.ndim else itertools.repeat(c.item())
-                for c in cols
-            ]
-            fh.write("".join(map(row.format, *block)))
+            block = [c[lo : lo + CSV_BLOCK] if c.ndim else None for c in cols]
+            fh.write(_csv_block(block, scalars))
+
+
+def _csv_block(block: list, scalars: dict) -> bytes:
+    """The CSV text of one block of rows; block holds each array column's
+    slice, and scalars the repeated text of the other columns."""
+    m = next(len(c) for c in block if c is not None)
+    floats = [j for j, c in enumerate(block) if c is not None and c.dtype.kind == "f"]
+    if floats:  # one kernel call formats the floats of every column
+        text = _format_17g(np.concatenate([block[j] for j in floats], dtype=np.float64))
+    parts = []
+    for j, c in enumerate(block):
+        if j in scalars:
+            parts.append(scalars[j][:m])
+        elif j in floats:
+            k = floats.index(j) * m
+            parts.append(text[k : k + m])
+        else:
+            parts.append(_csv_fields(c))
+        parts.append(np.full((m, 1), ord(","), np.uint8))
+    parts[-1] = np.full((m, 1), ord("\n"), np.uint8)
+    # the fields hold their text with NUL bytes between: drop them all
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+
+
+def _csv_fields(c: np.ndarray) -> np.ndarray:
+    """The text of each value of the 1-d array c: a (len(c), width) uint8
+    array whose rows hold the bytes in order, with NUL bytes between."""
+    if c.dtype.kind == "f":
+        return _format_17g(c.astype(np.float64))
+    if c.dtype.kind in "biu":
+        text = c.astype("S")
+    else:
+        text = np.array([str(v).encode() for v in c.tolist()], "S")
+    return text.view(np.uint8).reshape(len(c), text.itemsize)
+
+
+@functools.cache
+def _format_tables() -> dict:
+    """The read-only tables of _format_17g, built on its first call.
+
+    pow10: row k - _K_MIN is (hi, lo, head, tail) for 10**k. hi is the
+    double nearest 10**k, lo the double nearest 10**k - hi, and head + tail
+    = hi is hi's Veltkamp split. Python's int-to-float conversion and int
+    true division round correctly, so every entry is exact to the last bit.
+    digits4: the four ASCII digits of j as a little-endian uint64. place:
+    entry 10_000 * i + j is 4 * i plus the 1-based place of the last nonzero
+    digit of j, or 0 for j = 0. keep: entry j + 16 keeps the first j bytes
+    of a little-endian uint64 (none for j <= 0, all for j >= 8). For each E
+    in [-300, 300], before: the digits before the point, and entry
+    2 * (E + 300) + negative of template: the sign, "0." and zeros below 1,
+    the point and the exponent of .17g's text.
+    """
+    pow10 = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi = num / den
+        n, d = hi.as_integer_ratio()
+        c = hi * _SPLIT
+        head = c - (c - hi)
+        pow10.append((hi, (num * d - n * den) / (den * d), head, hi - head))
+    # the four digits of j from the two-digit halves j // 100 and j % 100
+    pairs = [b"%02d" % i for i in range(100)]
+    j = np.arange(10_000)
+    high, low = j // 100, j % 100
+    two = np.frombuffer(b"".join(pairs), "<u2").astype(np.int64)
+    place2 = np.array([len(p.rstrip(b"0")) for p in pairs])
+    place4 = np.where(low > 0, place2.take(low) + 2, place2.take(high))
+    template = []
+    for e in range(-300, 301):
+        fixed = -4 <= e < 17
+        lead = b"0." + b"0" * (-1 - e) if fixed and e < 0 else b""
+        exp = b"" if fixed else b"e%+03d" % e
+        text = (lead.ljust(5, b"\0") + bytes(17) + (b"\0" if lead else b".") + bytes(17)
+                + exp.ljust(5, b"\0"))
+        template += [b"\0" + text, b"-" + text]
+    # small Python lists and the kernel's own int64 operations build them:
+    # throwaway objects and numpy loops used nowhere else stay resident
+    tables = {
+        "pow10": np.array(pow10),
+        "digits4": (two.take(high) | two.take(low) << 16).astype(np.uint64),
+        "place": np.concatenate([np.where(place4 > 0, place4 + 4 * i, 0) for i in range(4)]
+                                ).astype(np.uint8),
+        "keep": np.array([2 ** (8 * min(max(i, 0), 8)) - 1 for i in range(-16, 24)], np.uint64),
+        "before": np.array([max(e + 1, 0) if -4 <= e < 17 else 1 for e in range(-300, 301)]),
+        "template": np.frombuffer(b"".join(template), _FIELD),
+    }
+    for table in tables.values():
+        table.flags.writeable = False
+    return tables
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**k as a double-double s + t with |t| <= ulp(s) / 2.
+
+    Dekker's two-product gives a * hi exactly as p plus its error (numpy has
+    no fused multiply-add); the term a * lo adds 10**k's remainder.
+    """
+    hi, lo, head, tail = _format_tables()["pow10"].take(k - _K_MIN, axis=0).T
+    p = a * hi
+    a_head = a * _SPLIT
+    a_head -= a_head - a
+    a_tail = a - a_head
+    # in place, in the order ((a_head*head - p) + a_head*tail + a_tail*head) + a_tail*tail + a*lo
+    t = a_head * head
+    t -= p
+    t += a_head * tail
+    t += a_tail * head
+    t += a_tail * tail
+    t += a * lo
+    s = p + t
+    t -= s - p
+    return s, t
+
+
+def _round17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, E, sure): |x| rounded to n * 10**(E - 16) with 10**16 <= n < 10**17,
+    and whether the kernel certifies that rounding; see _format_17g."""
+    a = np.abs(x)
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)  # false for nan
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    s, t = _scaled(a, 16 - e)
+    # floor(log10 a) can be one off next to a power of ten, and the rounding
+    # can carry to 10**17: both leave s at an end of [1e16, 1e17]
+    edge = np.flatnonzero((s <= 1e16) | (s >= 1e17))
+    if len(edge):
+        se, te = s[edge], t[edge]
+        high = (se > 1e17) | ((se == 1e17) & (te >= 0))
+        low = (se < 1e16) | ((se == 1e16) & (te < 0))
+        e[edge] += high.astype(np.int64) - low
+        s[edge], t[edge] = _scaled(a[edge], 16 - e[edge])
+    # s >= 1e16 > 2**53 is an even integer, so rint(t) rounds s + t half-even
+    r = np.rint(t)
+    sure = fast & (np.abs(t - r) < 0.5 - _TIE_MARGIN)
+    n = s.astype(np.int64) + r.astype(np.int64)
+    carry = edge[n[edge] == 10**17]
+    n[carry] = 10**16
+    e[carry] += 1
+    return n, e, sure
+
+
+def _ascii_digits(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(words, sig): the 17 ASCII digits of each n in [10**16, 10**17) as
+    three rows of little-endian uint64 words, holding the first eight, the
+    next eight and the last one, and the count of digits up to the last
+    nonzero one."""
+    tables = _format_tables()
+    eights = np.stack([n // 10**9, n // 10 % 10**8]).astype(np.uint32)
+    groups = np.stack([eights // 10_000, eights % 10_000], axis=1)
+    fours = tables["digits4"].take(groups)
+    fours[:, 1] <<= np.uint64(32)
+    words = np.empty((3, len(n)), np.uint64)
+    np.bitwise_or(fours[:, 0], fours[:, 1], out=words[:2])
+    last = n % 10
+    words[2] = last + ord("0")
+    places = tables["place"].take(groups.reshape(4, len(n)) + _PLACE_OFFSET)
+    return words, np.where(last > 0, 17, places.max(axis=0))
+
+
+def _format_17g(x: np.ndarray) -> np.ndarray:
+    """The bytes of f"{v:.17g}" for each v of the float64 array x.
+
+    Returns a (len(x), 46) uint8 array: row i holds the text of x[i] in
+    order, with NUL bytes between and after its characters. For |x| in
+    [_FAST_MIN, _FAST_MAX] the kernel takes E = floor(log10|x|), moved by
+    one where the double-double |x| * 10**(16 - E) falls outside
+    [1e16, 1e17), and rounds that to the 17 digits half-even. It certifies
+    the digits when the scaled value lies more than _TIE_MARGIN from a
+    half-integer. Python formats every other value (_python_17g): 0, -0,
+    inf, nan, |x| outside that range, and exact or near ties such as 2**-25
+    = 2.98023223876953125e-08.
+
+    .17g writes the fixed form for -4 <= E < 17 and d.ddde+XX otherwise,
+    and drops trailing zeros, and the point with them. A row is a _FIELD
+    record: the sign, "0." and zeros below 1, the q digits before the point
+    (all 17 digits with those past q made NUL), the point, the digits from
+    q up to the last nonzero one, and the exponent. Its tables come from
+    _format_tables.
+    """
+    tables = _format_tables()
+    n, e, sure = _round17(x)
+    words, sig = _ascii_digits(n)
+    out = tables["template"].take(2 * (e + 300) + np.signbit(x))
+    q = tables["before"].take(e + 300)
+    keep = tables["keep"]
+    before = keep.take(q + _WORD_OFFSET)
+    before &= words
+    words ^= before
+    words &= keep.take(sig + _WORD_OFFSET)  # the digits after the point
+    out["int"] = before[:2].T
+    out["int2"] = before[2]
+    out["frac"] = words[:2].T
+    out["frac2"] = words[2]
+    out["point"] *= sig > q
+
+    raw = out.view(np.uint8).reshape(len(x), _FIELD.itemsize)
+    slow = np.flatnonzero(~sure)
+    if len(slow):
+        raw[slow] = 0
+        raw[slow, :24] = _python_17g(x[slow]).view(np.uint8).reshape(len(slow), 24)
+    return raw
+
+
+def _python_17g(x: np.ndarray) -> np.ndarray:
+    """f"{v:.17g}" of each v of x by Python's formatter, as an S24 array."""
+    return np.array([f"{v:.17g}".encode() for v in x.tolist()], "S24")
 
 
 @dataclass(frozen=True)

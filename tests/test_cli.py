@@ -169,6 +169,7 @@ CURVE_OUT_OF_RANGE = [
     ([("curves.t", "0")], 1),
     ([("inference.schedule", "2:0:0")], 1),
     ([("inference.schedule", "2:0:0"), ("curves.t", "3")], 2),
+    ([("curves.K_list", "1.5, 1.2, 1.5")], 1),
 ]
 
 
@@ -342,6 +343,15 @@ def test_cohorts_covers_every_recorded_epoch(tmp_path):
     assert rows[0] == ["t", "kind", "v_bin", "rp", "se", "n", "mix_ratio"]
     assert {float(r[0]) for r in rows[1:]} == {0.6, 1.2, 2.4, 8.0}
     assert {r[1] for r in rows[1:]} == {"momentum_plus", "momentum_minus", "volatility"}
+
+
+def test_curves_rejects_lattice_values_that_share_a_file_name(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.cfg", "curves.K_list = 1.5\ncurves.rho_list = 9.0, 9.0000001\n")
+    out = tmp_path / "out"
+    assert main(["curves", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: line 2: 9.0 and 9.0000001 both print as 9 in the curve file names")
+    assert not list(out.glob("curve_*.csv"))
 
 
 def test_curves_tabulates_the_analytic_family(tmp_path):

@@ -1,7 +1,10 @@
 """Belief-process engine: exact Gaussian jumps, hurdles, diagnostics."""
 
+import contextlib
 import csv
+import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rnemarket import inference
+from rnemarket.cli import main
 from rnemarket.inference import (
     CSV_BLOCK,
     InferenceParams,
@@ -26,6 +31,7 @@ from rnemarket.inference import (
     redundancy_ode_residual,
     window_check,
     write_csv,
+    _format_17g,
 )
 from rnemarket.pricing import PricingParams, simulate_price_path
 
@@ -310,3 +316,139 @@ def test_write_csv_rejects_columns_of_different_lengths(tmp_path):
         write_csv(tmp_path / "x.csv", ["a", "b"], [np.zeros(3), np.zeros(4)])
     with pytest.raises(InputError):
         write_csv(tmp_path / "x.csv", ["a"], ["only a scalar"])
+
+
+def _kernel_text(x):
+    """The text _format_17g gives each value of x, as bytes."""
+    rows = _format_17g(np.asarray(x, np.float64))
+    lines = np.concatenate([rows, np.full((len(rows), 1), ord("\n"), np.uint8)], axis=1)
+    return lines.tobytes().translate(None, b"\0").split(b"\n")[:-1]
+
+
+def _assert_formats_like_python(x, name=""):
+    x = np.asarray(x, np.float64)
+    want = [f"{v:.17g}".encode() for v in x.tolist()]
+    got = _kernel_text(x)
+    bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not bad, (name, bad[:5])
+
+
+def _neighbours(x, ulps=3):
+    """x and the ulps doubles on either side of each of its values."""
+    out = [np.asarray(x, np.float64)]
+    for direction in (-np.inf, np.inf):
+        y = out[0]
+        for _ in range(ulps):
+            y = np.nextafter(y, direction)
+            out.append(y)
+    return np.concatenate(out)
+
+
+def test_format_17g_matches_python_on_random_bit_patterns():
+    bits = np.random.default_rng(17).integers(0, 2**64, size=1_000_000, dtype=np.uint64)
+    _assert_formats_like_python(bits.view(np.float64))  # both signs, nan and inf among them
+
+
+def test_format_17g_matches_python_at_its_edges():
+    rng = np.random.default_rng(18)
+    pow10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    exact = rng.integers(2**53, 2**63, size=20_000, dtype=np.int64).astype(np.float64)
+    subnormal = rng.integers(1, 2**52, size=5_000, dtype=np.uint64).view(np.float64)
+    cases = {
+        "powers of ten": _neighbours(pow10, 1),
+        "powers of two, whose 5**k digits give ties": np.ldexp(1.0, np.arange(-1074, 1024)),
+        "fixed and e notation switch": _neighbours([1e-5, 1e-4, 1e16, 1e17, 9.9999999999999995e-5]),
+        "integers from 2**53 to 2**63": np.concatenate(
+            [exact, _neighbours(2.0 ** np.arange(53, 64))]),
+        "subnormals": np.concatenate([subnormal, _neighbours([5e-324, 2.2250738585072014e-308])]),
+        "zeros and non-finite": [0.0, -0.0, math.inf, -math.inf, math.nan],
+        "the ends of the fast range": _neighbours([1e-280, 1e280]),
+    }
+    for name, x in cases.items():
+        x = np.asarray(x, np.float64)
+        _assert_formats_like_python(np.concatenate([x, -x]), name)
+
+
+def _near_ties(spread=64):
+    """Doubles x whose scaled value |x| * 10**(16 - E) lies within spread / q
+    of a half-integer, q = 5**K (|x| >= 1e36) or 2**B (|x| < 1e-7): closer
+    than the kernel's error, so only the margin keeps them off its fast path.
+    """
+    out = []
+    for K in range(20, 25):  # x = m * 2**g, scaled m * 2**(g - K) / 5**K
+        q = 5**K
+        for g in range(K, 120):
+            lo = max(-(-(10 ** (K + 16)) // 2**g), 2**52)
+            hi = min((10 ** (K + 17) - 1) // 2**g, 2**53 - 1)
+            if lo <= hi:
+                inv = pow(2 ** (g - K), -1, q)
+                m = [(q // 2 + d) * inv % q for d in range(-spread, spread + 1)]
+                out += [float(v) * 2.0**g for v in m if lo <= v <= hi]
+    for k in range(23, 40):  # x = m * 2**-(B + k), scaled m * 5**k / 2**B
+        for B in range(54, 59):
+            q = 2**B
+            lo = max(-(-(10**16 * q) // 5**k), 2**52)
+            hi = min((10**17 * q - 1) // 5**k, 2**53 - 1)
+            if lo <= hi:
+                inv = pow(5**k, -1, q)
+                m = [(q // 2 + d) * inv % q for d in range(-spread, spread + 1)]
+                out += [float(v) * 2.0 ** -(B + k) for v in m if lo <= v <= hi]
+    return np.array(out)
+
+
+def test_format_17g_rounds_ties_and_near_ties_like_python():
+    # odd m * 2**-j with m * 5**j in [1e17, 1e18) has exactly 18 significant
+    # digits, the last a 5: .17g rounds it half-even
+    rng = np.random.default_rng(19)
+    ties = []
+    for j in range(2, 26):
+        lo, hi = -(-(10**17) // 5**j), min((10**18 - 1) // 5**j, 2**53 - 1)
+        m = rng.integers(lo // 2, hi // 2, size=200) * 2 + 1
+        ties.append(np.ldexp(m[(m >= lo) & (m <= hi)].astype(np.float64), -j))
+    ties = np.concatenate(ties + [_near_ties()])
+    assert len(ties) > 4_000
+    _assert_formats_like_python(np.concatenate([ties, -ties]))
+
+
+def test_format_17g_certifies_nearly_every_curve_value(tmp_path, monkeypatch):
+    """The kernel, not Python's formatter, writes the analytic curves."""
+    counts = {"floats": 0, "python": 0}
+    kernel, python = inference._format_17g, inference._python_17g
+
+    def count_floats(x):
+        counts["floats"] += len(x)
+        return kernel(x)
+
+    def count_python(x):
+        counts["python"] += len(x)
+        return python(x)
+
+    monkeypatch.setattr(inference, "_format_17g", count_floats)
+    monkeypatch.setattr(inference, "_python_17g", count_python)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("curves.rho_list = 3, 9, 27\ncurves.K_list = 1.2, 1.5, 1.9\n"
+                   "curves.grid_points = 2000\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["curves", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    assert counts["floats"] > 100_000
+    assert counts["python"] <= 1e-4 * counts["floats"], counts
+
+
+def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
+    """Formatting holds one block of CSV_BLOCK rows at a time."""
+    rng = np.random.default_rng(20)
+
+    def peak(n):
+        cols = ["momentum_plus", rng.standard_normal(n), rng.random(n) * 1e-40,
+                rng.integers(0, 2**63, n), rng.random(n)]
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / f"{n}.csv", ["a", "b", "c", "d", "e"], cols)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(CSV_BLOCK)  # builds the kernel's tables
+    small, large = peak(8 * CSV_BLOCK), peak(32 * CSV_BLOCK)
+    # within 5% of each other: a formatter that held every row would need 4x
+    assert large <= 1.05 * small, (small, large)
