@@ -3,10 +3,10 @@
 One flat key-value config file drives five subcommands (simulate, curves,
 cohorts, estimate, validate). Everything that affects output lives in the
 config or the documented flags; no environment variable changes an
-artifact, and for a fixed (config, seed) the emitted CSVs are byte-identical
-whatever the thread budget. The thread budget is the number of CPUs the
-panel simulation may use (see market.simulate_market). OpenBLAS defaults to
-one thread, since nothing here gains from its pool and the simulation forks.
+artifact, and for a fixed (config, seed) the emitted CSVs are byte-identical.
+The thread budget (threads, --threads) steers nothing: every panel is
+simulated in one process (see market.simulate_market). OpenBLAS defaults to
+one thread, since nothing here gains from its pool.
 
 Exit codes: 0 success, 2 config error, 3 validation/estimation failure,
 4 resource guard.
@@ -71,10 +71,10 @@ class RunConfig:
     analytic-curve lattice, the estimator, and execution. Derived quantities
     (priors, milestone times) are always recomputed from primitives; the
     config may state them, in which case they are cross-checked to 1e-12.
-    threads is the CPU budget of every panel simulation: up to that many
-    processes share its assets. It changes no artifact. sources maps each
-    key parse_config read to its line or flag, so that a range error found
-    later can name it.
+    threads is a no-op kept for existing configs and command lines: it is
+    validated and echoed, but every panel simulation runs in one process.
+    sources maps each key parse_config read to its line or flag, so that a
+    range error found later can name it.
     """
 
     market: MarketConfig
@@ -341,7 +341,7 @@ def _curve_params(rc: RunConfig, rho: float, K: float) -> AnomalyParams:
 
 
 def _cmd_simulate(rc: RunConfig, out: Path) -> int:
-    panel = simulate_market(rc.market, rc.seed, rc.threads)
+    panel = simulate_market(rc.market, rc.seed)
     write_panel_csv(out / "panel.csv", panel)
     detail = []
     for a in range(min(10, panel.n_assets)):
@@ -401,7 +401,7 @@ def _cmd_curves(rc: RunConfig, out: Path) -> int:
 
 
 def _cmd_cohorts(rc: RunConfig, out: Path) -> int:
-    panel = simulate_market(rc.market, rc.seed, rc.threads)
+    panel = simulate_market(rc.market, rc.seed)
     path = out / "cohorts.csv"
     first = True
     for t in rc.market.record_times:
@@ -417,9 +417,7 @@ def _cmd_cohorts(rc: RunConfig, out: Path) -> int:
 
 def _cmd_estimate(rc: RunConfig, out: Path) -> int:
     try:
-        res = roundtrip(
-            rc.market, rc.seed, t=rc.estimation_t, n_boot=rc.n_boot, threads=rc.threads
-        )
+        res = roundtrip(rc.market, rc.seed, t=rc.estimation_t, n_boot=rc.n_boot)
     except InputError as e:
         if not e.fields:
             raise
@@ -451,7 +449,7 @@ def _cmd_estimate(rc: RunConfig, out: Path) -> int:
 
 def _conservation_check(rc: RunConfig) -> float:
     cfg = replace(rc.market, n_assets=1000)
-    panel = simulate_market(cfg, rc.seed, rc.threads)
+    panel = simulate_market(cfg, rc.seed)
     odds_pi = panel.pi / (1 - panel.pi)
     odds_Pi = panel.Pi / (1 - panel.Pi)
     K_pow = cfg.pricing.K ** panel.sign[:, None].astype(float)
@@ -524,7 +522,7 @@ def _validate_checks(rc: RunConfig):
     )
 
     cfg_ref = replace(rc.market, n_assets=20_000, b_measure="reference")
-    p_ref = simulate_market(cfg_ref, rc.seed, rc.threads)
+    p_ref = simulate_market(cfg_ref, rc.seed)
     pi0 = cfg_ref.truth.pi1_0
     z_ref = 0.0
     for j in range(len(p_ref.times)):
@@ -533,7 +531,7 @@ def _validate_checks(rc: RunConfig):
     yield "reference-measure belief martingale (3 SE)", z_ref <= 3.0, f"max |z| {z_ref:.2f}"
 
     cfg_rne = replace(rc.market, n_assets=20_000, b_measure="rne")
-    p_rne = simulate_market(cfg_rne, rc.seed, rc.threads)
+    p_rne = simulate_market(cfg_rne, rc.seed)
     z_rne = 0.0
     for sgn in (1, -1):
         sel = p_rne.sign == sgn
@@ -546,7 +544,7 @@ def _validate_checks(rc: RunConfig):
     # the decomposition's residual has mean zero only when B is drawn from
     # the truth, so this check simulates under it whatever the config's measure
     cfg_small = replace(rc.market, n_assets=20_000, b_measure="truth")
-    p_small = simulate_market(cfg_small, rc.seed, rc.threads)
+    p_small = simulate_market(cfg_small, rc.seed)
     t_mid = rc.market.record_times[min(2, len(rc.market.record_times) - 1)]
     dec = expost_decomposition(p_small, t_mid)
     z_dec = max(
@@ -555,8 +553,8 @@ def _validate_checks(rc: RunConfig):
     yield "ex-post decomposition reconciles (3 SE)", z_dec <= 3.0, f"max |z| {z_dec:.2f}"
 
     cfg_tiny = replace(rc.market, n_assets=2000)
-    pa = simulate_market(cfg_tiny, rc.seed, rc.threads)
-    pb = simulate_market(cfg_tiny, rc.seed, rc.threads)
+    pa = simulate_market(cfg_tiny, rc.seed)
+    pb = simulate_market(cfg_tiny, rc.seed)
     same = all(
         np.array_equal(getattr(pa, f), getattr(pb, f))
         for f in ("B", "sign", "loglr", "pi", "Pi", "S")
@@ -619,8 +617,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, metavar="U64", help="override config seed")
     ap.add_argument("--out-dir", default="out", metavar="PATH")
     ap.add_argument("--threads", type=int, metavar="N",
-                    help="override the CPU budget of the panel simulation "
-                         "(no effect on artifacts)")
+                    help="accepted and echoed, but no effect: the panel "
+                         "simulation runs in one process")
     ap.add_argument("--grid-points", type=int, metavar="N",
                     help="override analytic grid resolution")
     args = ap.parse_args(argv)

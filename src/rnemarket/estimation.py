@@ -19,7 +19,6 @@ from .inference import InputError, Milestones, window_check, write_csv
 from .market import (
     CohortSort,
     MarketConfig,
-    MarketPanel,
     cohort_table,
     measure_expost_excess,
     simulate_market,
@@ -202,9 +201,9 @@ def recover_params(v_max: float, rp_max: float, S_delta: float) -> tuple[float, 
     return rho_hat, K_hat
 
 
-def _fold_median_level(panel: MarketPanel, idx: int) -> float:
+def _fold_median_level(Pi: np.ndarray) -> float:
     """Fallback level for featureless curves: fold of the median belief."""
-    med = float(np.median(panel.Pi[:, idx]))
+    med = float(np.median(Pi))
     return min(med, 1.0 - med)
 
 
@@ -260,7 +259,6 @@ def roundtrip(
     seed: int,
     t: float | None = None,
     n_boot: int = 200,
-    threads: int = 1,
 ) -> EstimationResult:
     """Simulate, sort volatility cohorts, locate the peak, invert to (K, rho).
 
@@ -270,8 +268,8 @@ def roundtrip(
     no_significant_peak. Other shape defects propagate as ShapeError with
     the measured curve attached. Bootstrap intervals resample assets through
     their category table (see _TableBootstrap), and diagnostics["boot_paths"]
-    counts the path each resample's estimate took. threads is the CPU
-    budget of the simulation (see simulate_market). Fewer than FIT_WIDTH
+    counts the path each resample's estimate took. Only epoch t is
+    simulated, the one column the estimate reads. Fewer than FIT_WIDTH
     volatility bins (an InputError on n_bins) and a t that is not a record
     time (an InputError on t) are raised before simulating.
     """
@@ -283,8 +281,8 @@ def roundtrip(
         t, in_win = _pick_epoch(config)
     else:
         in_win = None
-    idx = config.time_index(t)
-    panel = simulate_market(config, seed, threads)
+    panel = simulate_market(config, seed, epochs=[config.time_index(t)])
+    Pi = panel.Pi[:, 0]
     sort = sort_cohorts(panel, t, conditioning="volatility")
     measured = measure_expost_excess(panel, sort)
     curve = measured["volatility"]
@@ -295,7 +293,7 @@ def roundtrip(
         flags.append("no_in_window_epoch")
     try:
         v_hat, rp_hat, stats, extra = _estimate_from_curve(
-            curve, config.n_min, lambda: _fold_median_level(panel, idx), lenient=False
+            curve, config.n_min, lambda: _fold_median_level(Pi), lenient=False
         )
         flags.extend(extra)
     except ShapeError as err:
@@ -317,7 +315,7 @@ def roundtrip(
     }
 
     if n_boot > 0:
-        boot = _TableBootstrap(panel, sort, idx, np.random.default_rng([seed, 0xB007]))
+        boot = _TableBootstrap(sort, Pi, np.random.default_rng([seed, 0xB007]))
         boots = {"rho": [], "K": [], "v": [], "rp": []}
         paths = dict.fromkeys(BOOT_PATHS, 0)
         for _ in range(n_boot):
@@ -356,11 +354,11 @@ class _TableBootstrap:
     of its sequential binomials always lands on an occupied category.
     """
 
-    def __init__(self, panel: MarketPanel, sort: CohortSort, idx: int, rng):
+    def __init__(self, sort: CohortSort, vals: np.ndarray, rng):
         self.code = sort.code
-        self.vals = panel.Pi[:, idx]
+        self.vals = vals
         self.rng = rng
-        self.n = panel.n_assets
+        self.n = len(vals)
         m = cohort_table(sort).ravel()
         self.n_cat = m.size
         self.occupied = np.flatnonzero(m)

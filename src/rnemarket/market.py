@@ -15,10 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import mmap
-import os
-import sys
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,6 +45,14 @@ __all__ = [
 # per-block array work is amortized, small enough that the block's
 # temporaries stay a few MB beside the output arrays.
 ASSET_BLOCK = 4096
+
+
+def _time_index(times, t: float) -> int:
+    """Position of t among times, to 1e-12; an InputError on t where none matches."""
+    hits = np.nonzero(np.isclose(times, t, rtol=0, atol=1e-12))[0]
+    if len(hits) != 1:
+        raise InputError(f"t={t} is not a recorded epoch", "t")
+    return int(hits[0])
 
 
 class ResourceLimitError(RuntimeError):
@@ -129,10 +133,7 @@ class MarketConfig:
 
     def time_index(self, t: float) -> int:
         """Position of t among record_times, to 1e-12."""
-        hits = np.nonzero(np.isclose(self.record_times, t, rtol=0, atol=1e-12))[0]
-        if len(hits) != 1:
-            raise InputError(f"t={t} is not a recorded epoch", "t")
-        return int(hits[0])
+        return _time_index(self.record_times, t)
 
     def Pi1_0(self, sign_change: int) -> float:
         return float(rne_belief(self.truth.pi1_0, self.pricing.K, sign_change))
@@ -158,9 +159,9 @@ def make_config(**kw) -> MarketConfig:
 
 @dataclass
 class MarketPanel:
-    """Simulated ensemble at the recorded epochs.
+    """Simulated ensemble at the epochs times, some or all of config.record_times.
 
-    Arrays are (n_assets, n_times) except B and sign which are per asset.
+    Arrays are (n_assets, len(times)) except B and sign which are per asset.
     Pi is the priced probability of the change itself (not of the upper
     branch); S folds the direction, matching the canonical price.
     """
@@ -191,73 +192,6 @@ def _b_prob(config: MarketConfig, sign: int) -> float:
     if config.b_measure == "reference":
         return config.truth.pi1_0
     return config.Pi1_0(sign)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _shard_cuts(n_assets: int, threads: int, cpus: int) -> list:
-    """Row cut points [0, ..., n_assets] of the simulation shards.
-
-    min(threads, cpus, n_blocks) contiguous shards of whole ASSET_BLOCK
-    blocks, as even in blocks as their number allows; every cut but the
-    last is a block boundary.
-    """
-    n_blocks = -(-n_assets // ASSET_BLOCK)
-    k = max(1, min(threads, cpus, n_blocks))
-    return [min(i * n_blocks // k * ASSET_BLOCK, n_assets) for i in range(k + 1)]
-
-
-def _empty_outputs(n: int, T: int) -> list:
-    """loglr, pi, Pi, S as (n, T) floats, then B and sign as n int8.
-
-    All six lie in one anonymous shared mapping, so that forked children
-    write their rows in place and the parent reads them.
-    """
-    specs = [((n, T), np.float64)] * 4 + [((n,), np.int8)] * 2
-    buf = mmap.mmap(-1, n * (4 * T * 8 + 2))
-    out, offset = [], 0
-    for shape, dtype in specs:
-        a = np.frombuffer(buf, dtype, math.prod(shape), offset).reshape(shape)
-        offset += a.nbytes
-        out.append(a)
-    return out
-
-
-def _run_shards(run, cuts: list) -> None:
-    """Call run(lo, hi) on each shard [cuts[i], cuts[i+1]).
-
-    The parent runs the first shard; each other shard runs in a forked child
-    that leaves with os._exit. The parent reaps every child, also when its
-    own shard raised. A child that fails is reported by its asset range.
-    """
-    children = {}
-    try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    run(lo, hi)
-                    code = 0
-                except BaseException:  # the child's top level: report, then exit below
-                    sys.excepthook(*sys.exc_info())
-                    sys.stderr.flush()
-                finally:
-                    os._exit(code)
-            children[pid] = (lo, hi)
-        run(cuts[0], cuts[1])
-    finally:
-        failed = [rows for pid, rows in children.items() if os.waitpid(pid, 0)[1]]
-    if failed:
-        raise RuntimeError(
-            "simulation failed for assets " + ", ".join(f"[{lo}, {hi})" for lo, hi in failed)
-        )
 
 
 # Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox computes it: the
@@ -420,7 +354,7 @@ def _block_draws(seed: int, lo: int, words: np.ndarray, draws: np.ndarray) -> np
     return np.flatnonzero((rabs >= kbound[signed_level]).any(axis=0))
 
 
-def simulate_market(config: MarketConfig, seed: int, threads: int = 1) -> MarketPanel:
+def simulate_market(config: MarketConfig, seed: int, epochs=None) -> MarketPanel:
     """Simulate the panel with exact Gaussian jumps between recorded epochs.
 
     Asset a draws from Philox keyed by the exact 64-bit pair (seed, a), so
@@ -438,12 +372,11 @@ def simulate_market(config: MarketConfig, seed: int, threads: int = 1) -> Market
     the block's paths, beliefs and prices together, which bounds the
     working memory whatever n_assets is.
 
-    threads is a CPU budget. The blocks split into min(threads, usable CPUs,
-    blocks) contiguous shards, and every shard past the first runs in a
-    forked child that writes its rows into shared output arrays. An asset's
-    draws depend on (seed, a) alone, so the panel is bit-identical whatever
-    the budget. Nothing is forked where os.fork is missing or another
-    Python thread is running.
+    epochs lists indices into config.record_times: the panel keeps those
+    epochs' columns only (every epoch when None). A column depends on its
+    epoch alone, so it is bit-identical to that column of the full panel,
+    and the outputs shrink with the epochs kept. It all runs in the
+    calling process.
     """
     if not 0 <= seed < 2**64:
         raise InputError("seed must lie in [0, 2**64)")
@@ -458,57 +391,52 @@ def simulate_market(config: MarketConfig, seed: int, threads: int = 1) -> Market
         )
     pr = config.pricing
     b_prob = {s: _b_prob(config, s) for s in (1, -1)}
-    n, T = config.n_assets, len(rec_idx)
+    epochs = slice(None) if epochs is None else np.atleast_1d(epochs)
+    cols = rec_idx[epochs]
+    n, T = config.n_assets, len(cols)
     n_draws = 2 + n_int * (2 if pr.draws_z(var_z) else 1)
+    loglr, pi, Pi, S = (np.empty((n, T)) for _ in range(4))
+    B, sign = np.empty(n, np.int8), np.empty(n, np.int8)
 
-    if hasattr(os, "fork") and threading.active_count() == 1:
-        cuts = _shard_cuts(n, threads, _usable_cpus())
-    else:
-        cuts = [0, n]
-    loglr, pi, Pi, S, B, sign = _empty_outputs(n, T)
-    _ziggurat_tables()  # read before the fork, so that every shard inherits them
+    # Python ints convert to the C key words exactly
+    key = [seed, 0]
+    zeros = (0, 0, 0, 0)
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": key},
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
+    width = min(n, ASSET_BLOCK)
+    words = np.empty((-(-n_draws // 4) * 4, width), np.uint64)
+    draws = np.empty((n_draws, width))
+    row = np.empty(n_draws)
+    uniforms, normals = row[:2], row[2:]
 
-    def run(start: int, stop: int) -> None:
-        # Python ints convert to the C key words exactly
-        key = [seed, 0]
-        zeros = (0, 0, 0, 0)
-        fresh = {
-            "bit_generator": "Philox",
-            "state": {"counter": zeros, "key": key},
-            "buffer": zeros,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        bitgen = np.random.Philox()
-        rng = np.random.Generator(bitgen)
-        width = min(stop - start, ASSET_BLOCK)
-        words = np.empty((-(-n_draws // 4) * 4, width), np.uint64)
-        draws = np.empty((n_draws, width))
-        row = np.empty(n_draws)
-        uniforms, normals = row[:2], row[2:]
+    for lo in range(0, n, ASSET_BLOCK):
+        hi = min(lo + ASSET_BLOCK, n)
+        d = draws[:, : hi - lo]
+        for i in _block_draws(seed, lo, words[:, : hi - lo], d):
+            key[1] = lo + int(i)
+            bitgen.state = fresh
+            rng.random(out=uniforms)
+            rng.standard_normal(out=normals)
+            d[:, i] = row
+        plus = d[0] < config.sign_prob_plus
+        b = d[1] < np.where(plus, b_prob[1], b_prob[-1])
+        z = d[2:].T
+        B[lo:hi] = b
+        sign[lo:hi] = np.where(plus, 1, -1)
+        loglr[lo:hi], pi[lo:hi], Pi[lo:hi], S[lo:hi] = price_paths(
+            pr, times, cols, loglr_paths(var_z, var_d, b, z), b, plus, z
+        )
 
-        for lo in range(start, stop, ASSET_BLOCK):
-            hi = min(lo + ASSET_BLOCK, stop)
-            d = draws[:, : hi - lo]
-            for i in _block_draws(seed, lo, words[:, : hi - lo], d):
-                key[1] = lo + int(i)
-                bitgen.state = fresh
-                rng.random(out=uniforms)
-                rng.standard_normal(out=normals)
-                d[:, i] = row
-            plus = d[0] < config.sign_prob_plus
-            b = d[1] < np.where(plus, b_prob[1], b_prob[-1])
-            z = d[2:].T
-            B[lo:hi] = b
-            sign[lo:hi] = np.where(plus, 1, -1)
-            loglr[lo:hi], pi[lo:hi], Pi[lo:hi], S[lo:hi] = price_paths(
-                pr, times, rec_idx, loglr_paths(var_z, var_d, b, z), b, plus, z
-            )
-
-    _run_shards(run, cuts)
     return MarketPanel(
-        config=config, seed=seed, times=np.asarray(config.record_times, float),
+        config=config, seed=seed, times=np.asarray(config.record_times, float)[epochs],
         B=B, sign=sign, loglr=loglr, pi=pi, Pi=Pi, S=S,
     )
 
@@ -535,8 +463,9 @@ def sort_cohorts(panel: MarketPanel, t: float, conditioning: str = "volatility")
 
     pi_level cuts [0, 1] into n_bins bins; volatility folds Pi to
     min(Pi, 1 - Pi) and cuts [0, 1/2] into n_bins // 2. Empty bins are kept.
+    t must be one of panel.times.
     """
-    vals = panel.Pi[:, panel.config.time_index(t)]
+    vals = panel.Pi[:, _time_index(panel.times, t)]
     n_bins = panel.config.n_bins
     if conditioning == "volatility":
         x, high, n_bins, top = np.minimum(vals, 1.0 - vals), vals > 0.5, n_bins // 2, 0.5
@@ -631,9 +560,10 @@ def expost_decomposition(panel: MarketPanel, t: float) -> dict:
     identically; the residual is the pure luck term, zero in expectation
     under the truth measure. Reported for the whole panel and per sign
     group: with a symmetric sign mix the bias legs of the two groups offset
-    each other, so the group scopes are where the bias is visible.
+    each other, so the group scopes are where the bias is visible. t must
+    be one of panel.times.
     """
-    idx = panel.config.time_index(t)
+    idx = _time_index(panel.times, t)
     S_delta = panel.config.pricing.S_delta
     s = panel.sign.astype(float)
     b_hit = (panel.B == 1).astype(float)

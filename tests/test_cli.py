@@ -381,7 +381,7 @@ def test_grid_points_flag_controls_resolution(tmp_path):
 
 
 def test_outputs_do_not_depend_on_the_thread_budget(tmp_path):
-    # 2000 assets are one simulation block; 9000 are three, so they shard
+    # threads steers nothing; 2000 assets are one simulation block, 9000 are three
     for n_assets in (2000, 9000):
         cfg = _write(tmp_path, f"c{n_assets}.cfg", f"market.n_assets = {n_assets}\nseed = 17\n")
         dirs = []

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,20 @@ def test_errors_shrink_with_panel_size():
         small = float(np.median([e[j] for e in errs[10_000]]))
         big = float(np.median([e[j] for e in errs[100_000]]))
         assert big <= small, (name, big, small)
+
+
+def test_roundtrip_memory_grows_with_one_epoch_per_asset():
+    # the simulation keeps the estimate's epoch alone: 34 output bytes per
+    # asset, where all four record epochs would add 96 more
+    peaks = []
+    for n in (50_000, 100_000):
+        tracemalloc.start()
+        try:
+            roundtrip(make_config(n_assets=n), ACCEPT_SEED, n_boot=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 50_000 <= 96, peaks
 
 
 def test_report_and_csv_round_trip(tmp_path):

@@ -119,6 +119,20 @@ def test_pi_level_sort_splits_by_direction():
         sort_cohorts(panel, 0.7)  # not a recorded epoch
 
 
+def test_a_one_epoch_panel_answers_for_its_own_epoch_only():
+    cfg = make_config(n_assets=200)
+    panel = simulate_market(cfg, 3, epochs=[1])
+    full = simulate_market(cfg, 3)
+    t = cfg.record_times[1]
+    assert np.array_equal(sort_cohorts(panel, t).code, sort_cohorts(full, t).code)
+    assert expost_decomposition(panel, t) == expost_decomposition(full, t)
+    other = cfg.record_times[2]  # recorded by the config, not kept by the panel
+    for lookup in (sort_cohorts, expost_decomposition):
+        with pytest.raises(InputError, match="is not a recorded epoch") as err:
+            lookup(panel, other)
+        assert err.value.fields == ("t",)
+
+
 def test_momentum_cohorts_match_prediction(small_panel):
     t = 2.4
     cfg = small_panel.config

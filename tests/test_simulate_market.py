@@ -1,7 +1,5 @@
 """simulate_market against the per-asset reference loop, bit for bit."""
 
-import os
-import threading
 import tracemalloc
 
 import numpy as np
@@ -13,7 +11,6 @@ from rnemarket.market import (
     ASSET_BLOCK,
     MarketPanel,
     _b_prob,
-    _shard_cuts,
     make_config,
     simulate_market,
 )
@@ -99,34 +96,11 @@ def reference_simulate_market(config, seed):
     )
 
 
-def _count_forks(monkeypatch, cpus):
-    """Pretend the process may use cpus CPUs; returns the list of forked pids."""
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(market, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_matches_reference_loop_bit_for_bit(name, seed, monkeypatch):
     # asset a's draws depend on (seed, a) alone, so the reference panel of
-    # the largest size holds the reference of every smaller one as a prefix,
-    # and of every shard as a slice
-    forks = _count_forks(monkeypatch, cpus=2)
+    # the largest size holds the reference of every smaller one as a prefix
     redone = []  # (assets sent down numpy's per-asset path, normals per asset), per block
     block_draws = market._block_draws
 
@@ -137,23 +111,31 @@ def test_matches_reference_loop_bit_for_bit(name, seed, monkeypatch):
 
     monkeypatch.setattr(market, "_block_draws", spy)
     ref = reference_simulate_market(make_config(n_assets=max(SIZES), **CONFIGS[name]), seed)
-    for threads in (1, 2):
-        for n in SIZES:
-            del forks[:], redone[:]
-            got = simulate_market(make_config(n_assets=n, **CONFIGS[name]), seed, threads)
-            assert len(forks) == len(_shard_cuts(n, threads, 2)) - 2, (threads, n)
-            _assert_no_child_left()
+    for n in SIZES:
+        cfg = make_config(n_assets=n, **CONFIGS[name])
+        del redone[:]
+        got = simulate_market(cfg, seed)
+        for f in FIELDS:
+            want = getattr(ref, f) if f == "times" else getattr(ref, f)[:n]
+            have = getattr(got, f)
+            assert have.dtype == want.dtype, (f, n)
+            assert np.array_equal(have, want), (f, n)
+        if n == max(SIZES):
+            # some assets took numpy's per-asset draw, fewer than if 2% of
+            # normals left the ziggurat fast path (about 1.5% do)
+            n_redone, k = sum(r for r, _ in redone), redone[0][1]
+            assert 0 < n_redone < n * (1 - 0.98**k), (n_redone, k)
+        # a panel of one epoch is that epoch's column of the full panel
+        for j in range(len(cfg.record_times)):
+            one = simulate_market(cfg, seed, epochs=[j])
             for f in FIELDS:
-                want = getattr(ref, f) if f == "times" else getattr(ref, f)[:n]
-                have = getattr(got, f)
-                assert have.dtype == want.dtype, (f, n, threads)
-                assert np.array_equal(have, want), (f, n, threads)
-            if threads == 1 and n == max(SIZES):
-                # every block ran here: some assets took numpy's per-asset
-                # draw, fewer than if 2% of normals left the ziggurat fast
-                # path (about 1.5% do)
-                n_redone, k = sum(r for r, _ in redone), redone[0][1]
-                assert 0 < n_redone < n * (1 - 0.98**k), (n_redone, k)
+                want = getattr(got, f)
+                if f == "times":
+                    want = want[[j]]
+                elif want.ndim == 2:
+                    want = want[:, [j]]
+                assert want.dtype == getattr(one, f).dtype, (f, n, j)
+                assert np.array_equal(getattr(one, f), want), (f, n, j)
 
 
 @pytest.mark.parametrize("seed", (0, 112, 2**64 - 1))
@@ -203,70 +185,6 @@ def test_ziggurat_tables_match_numpy():
     assert enabled == 255  # level 1 has no fast path: numpy tests every draw of it
 
 
-def test_shard_cuts_split_whole_blocks_within_the_budget():
-    B = ASSET_BLOCK
-    assert _shard_cuts(1, 1, 2) == [0, 1]
-    assert _shard_cuts(B - 1, 8, 8) == [0, B - 1]  # n < ASSET_BLOCK: one block
-    assert _shard_cuts(3 * B + 7, 8, 2) == [0, 2 * B, 3 * B + 7]  # threads > cpus
-    assert _shard_cuts(2 * B, 8, 8) == [0, B, 2 * B]  # threads > blocks
-    assert _shard_cuts(100_000, 10**6, 2) == [0, 12 * B, 100_000]
-    assert _shard_cuts(100_000, 10**6, 10**6) == [i * B for i in range(25)] + [100_000]
-    for n in (1, B - 1, B, B + 1, 5 * B, 7 * B + 3):
-        for threads in (1, 2, 3, 4, 8, 10**6):
-            for cpus in (1, 2, 3, 64):
-                cuts = _shard_cuts(n, threads, cpus)
-                assert cuts[0] == 0 and cuts[-1] == n
-                assert all(c % B == 0 for c in cuts[:-1])
-                assert all(a < b for a, b in zip(cuts, cuts[1:]))
-                assert len(cuts) - 1 == min(threads, cpus, -(-n // B))
-
-
-@pytest.mark.parametrize("where", ("child", "parent"))
-def test_a_failed_shard_raises_and_leaves_no_child(where, monkeypatch):
-    forks = _count_forks(monkeypatch, cpus=2)
-    parent = os.getpid()
-    real_price_paths = market.price_paths
-
-    def price_paths(*args):
-        # the child runs the rows from ASSET_BLOCK on, the parent those below
-        if (os.getpid() != parent) == (where == "child"):
-            raise ValueError("injected failure")
-        return real_price_paths(*args)
-
-    monkeypatch.setattr(market, "price_paths", price_paths)
-    cfg = make_config(n_assets=2 * ASSET_BLOCK)
-    if where == "child":
-        match = rf"assets \[{ASSET_BLOCK}, {2 * ASSET_BLOCK}\)"
-        with pytest.raises(RuntimeError, match=match):
-            simulate_market(cfg, 0, threads=2)
-    else:
-        with pytest.raises(ValueError, match="injected failure"):
-            simulate_market(cfg, 0, threads=2)
-    assert len(forks) == 1
-    _assert_no_child_left()
-
-
-def test_one_process_beside_another_thread_or_without_fork(monkeypatch):
-    forks = _count_forks(monkeypatch, cpus=2)
-    cfg = make_config(n_assets=2 * ASSET_BLOCK)
-    want = simulate_market(cfg, 0)
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
-    try:
-        beside_thread = simulate_market(cfg, 0, threads=2)
-    finally:
-        release.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-    monkeypatch.delattr(os, "fork")
-    without_fork = simulate_market(cfg, 0, threads=2)
-    assert forks == []
-    for got in (beside_thread, without_fork):
-        for f in FIELDS:
-            assert np.array_equal(getattr(got, f), getattr(want, f)), f
-
-
 def test_distinct_seeds_give_distinct_panels():
     # 2**63 + 1 and 2**64 - 1 used to alias through a float64 key
     seeds = (0, 1, 2**53 + 1, 2**63 - 1, 2**63 + 1, 2**64 - 1)
@@ -285,13 +203,15 @@ def test_seed_outside_the_u64_range_is_rejected():
 
 
 def test_working_memory_is_bounded_by_the_block():
+    # the outputs are n * (2 + 4 * T * 8) bytes: B and sign as int8, and
+    # loglr, pi, Pi, S as T float columns
     cfg = make_config(n_assets=100_000)
-    T = len(cfg.record_times)
-    outputs = cfg.n_assets * (2 + 4 * T * 8)
-    tracemalloc.start()
-    try:
-        simulate_market(cfg, 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= outputs + 4 * 2**20, (peak, outputs)
+    for epochs, T in ((None, len(cfg.record_times)), ([2], 1)):
+        outputs = cfg.n_assets * (2 + 4 * T * 8)
+        tracemalloc.start()
+        try:
+            simulate_market(cfg, 0, epochs=epochs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= outputs + 4 * 2**20, (epochs, peak, outputs)

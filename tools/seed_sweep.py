@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
-import os
 import sys
 
 import numpy as np
@@ -38,16 +37,13 @@ def _seeds(text: str) -> range:
 
 
 def sweep(n_assets: int, seeds, n_boot: int) -> list[dict]:
-    """One record per seed: outcome, point estimates, CIs and path counts.
-
-    Each simulation may use every CPU; the budget moves no estimate.
-    """
+    """One record per seed: outcome, point estimates, CIs and path counts."""
     config = make_config(n_assets=n_assets)
     rows = []
     for seed in seeds:
         rec = {"seed": seed, "outcome": "ok"}
         try:
-            res = roundtrip(config, seed, n_boot=n_boot, threads=os.cpu_count() or 1)
+            res = roundtrip(config, seed, n_boot=n_boot)
         except ShapeError as err:
             rec["outcome"] = err.reason
             rows.append(rec)
