@@ -439,7 +439,7 @@ def _cmd_estimate(rc: RunConfig, out: Path) -> int:
                     )
         print(f"estimation failed ({e.reason}); diagnostics in {report}", file=sys.stderr)
         return 3
-    write_roundtrip_csv(out / "estimate.csv", [res])
+    write_roundtrip_csv(out / "estimate.csv", res)
     report = format_report(res)
     (out / "estimate_report.txt").write_text(report + "\n")
     print(report)

@@ -20,7 +20,6 @@ from .market import (
     CohortSort,
     MarketConfig,
     cohort_table,
-    measure_expost_excess,
     simulate_market,
     sort_cohorts,
     table_stats,
@@ -207,21 +206,21 @@ def _fold_median_level(Pi: np.ndarray) -> float:
     return min(med, 1.0 - med)
 
 
-def _estimate_from_curve(curve: CohortCurve, n_min: int, median_level, lenient: bool):
-    """Peak estimate with the flat-curve fallbacks.
+def _estimate(curve: CohortCurve, n_min: int, S_delta: float, median_level, lenient: bool):
+    """The curve's peak read as (v, rp, rho, K, fit stats, path), path in BOOT_PATHS.
 
-    A curve whose level is indistinguishable from zero is the unpriced
-    (K=1) signature whatever its shape defect says (flat, spurious rival
-    bumps, a drifting monotone of noise): location falls back to the folded
-    median belief, size to the (clamped) mean level. A flat shape whose
-    level is clearly positive is a real but under-resolved peak: take the
-    best lower-confidence-bound bin. Shape defects on curves with a clearly
-    positive level are genuine ambiguity and re-raise. With lenient=True
-    (bootstrap resamples) every shape defect degrades to a fallback.
+    "regular" is find_peak's fit. A level indistinguishable from zero is the
+    unpriced (K=1) signature whatever the shape defect (flat, spurious rival
+    bumps, a drifting monotone of noise): "no_significant_peak" puts the
+    location at median_level() and the size at the mean level. A flat curve
+    with a clearly positive level is an under-resolved peak:
+    "peak_shape_unresolved" takes the best lower-confidence-bound bin. Other
+    defects of a clearly positive curve re-raise with the curve attached,
+    unless lenient (bootstrap resamples). rp is clamped below S_delta/2.
     """
     try:
         v_hat, rp_hat, stats = find_peak(curve, n_min=n_min)
-        return v_hat, rp_hat, stats, []
+        path = "regular"
     except ShapeError as err:
         stats = dict(err.diagnostics)
         wm = stats.get("weighted_mean_rp")
@@ -229,11 +228,15 @@ def _estimate_from_curve(curve: CohortCurve, n_min: int, median_level, lenient: 
         level_known = wm is not None and sew is not None
         significant = level_known and wm > 3.0 * sew
         if err.reason == "flat curve" and significant and "lcb_v" in stats:
-            return stats["lcb_v"], stats["lcb_rp"], stats, ["peak_shape_unresolved"]
-        if not lenient and (significant or not level_known):
+            v_hat, rp_hat, path = stats["lcb_v"], stats["lcb_rp"], "peak_shape_unresolved"
+        elif not lenient and (significant or not level_known):
+            err.diagnostics["curve"] = curve
             raise
-        rp_hat = max(0.0, wm) if level_known else 0.0
-        return median_level(), rp_hat, stats, ["no_significant_peak"]
+        else:
+            v_hat, path = median_level(), "no_significant_peak"
+            rp_hat = max(0.0, wm) if level_known else 0.0
+    rp_hat = min(max(rp_hat, 0.0), 0.499999 * S_delta)
+    return (v_hat, rp_hat, *recover_params(v_hat, rp_hat, S_delta), stats, path)
 
 
 def _pick_epoch(config: MarketConfig) -> tuple[float, bool]:
@@ -260,48 +263,39 @@ def roundtrip(
     t: float | None = None,
     n_boot: int = 200,
 ) -> EstimationResult:
-    """Simulate, sort volatility cohorts, locate the peak, invert to (K, rho).
+    """Simulate epoch t, sort volatility cohorts, and read the peak as (K, rho).
 
-    A curve that fails the flatness gate is not an error here: it is the
-    K=1 signature, reported as a degenerate estimate (peak size at the
-    curve's weighted mean, location at the folded median belief) flagged
-    no_significant_peak. Other shape defects propagate as ShapeError with
-    the measured curve attached. Bootstrap intervals resample assets through
-    their category table (see _TableBootstrap), and diagnostics["boot_paths"]
-    counts the path each resample's estimate took. Only epoch t is
-    simulated, the one column the estimate reads. Fewer than FIT_WIDTH
-    volatility bins (an InputError on n_bins) and a t that is not a record
-    time (an InputError on t) are raised before simulating.
+    The category table is counted once. The point estimate and each
+    bootstrap resample (a table drawn from it by _TableBootstrap) go through
+    table_stats and _estimate alike; a fallback path is a flag on the point
+    estimate and a count in diagnostics["boot_paths"] on the resamples. A
+    ShapeError carries the measured curve. Fewer than FIT_WIDTH volatility
+    bins (an InputError on n_bins) and a t that is not a record time (an
+    InputError on t) are raised before simulating.
     """
     if config.n_bins // 2 < FIT_WIDTH:
         raise InputError(
             f"n_bins must be at least {2 * FIT_WIDTH} for the peak fit", "n_bins"
         )
-    if t is None:
-        t, in_win = _pick_epoch(config)
-    else:
-        in_win = None
+    t, in_win = _pick_epoch(config) if t is None else (t, None)
     panel = simulate_market(config, seed, epochs=[config.time_index(t)])
     Pi = panel.Pi[:, 0]
     sort = sort_cohorts(panel, t, conditioning="volatility")
-    measured = measure_expost_excess(panel, sort)
-    curve = measured["volatility"]
+    table = cohort_table(sort)
+    centers = 0.5 * (sort.edges[:-1] + sort.edges[1:])
     S_delta = config.pricing.S_delta
 
-    flags = []
-    if in_win is False:
-        flags.append("no_in_window_epoch")
-    try:
-        v_hat, rp_hat, stats, extra = _estimate_from_curve(
-            curve, config.n_min, lambda: _fold_median_level(Pi), lenient=False
-        )
-        flags.extend(extra)
-    except ShapeError as err:
-        err.diagnostics["curve"] = curve
-        raise
-    rp_hat = min(max(rp_hat, 0.0), 0.499999 * S_delta)
-    rho_hat, K_hat = recover_params(v_hat, rp_hat, S_delta)
+    def curve_of(k) -> CohortCurve:
+        rp, se, n = table_stats(sort, k, S_delta)["volatility"]
+        return CohortCurve("volatility", centers, rp, n, se=se)
 
+    curve = curve_of(table)
+    v_hat, rp_hat, rho_hat, K_hat, stats, path = _estimate(
+        curve, config.n_min, S_delta, lambda: _fold_median_level(Pi), lenient=False
+    )
+    flags = ["no_in_window_epoch"] if in_win is False else []
+    if path != "regular":
+        flags.append(path)
     diag = {
         "t": t,
         "seed": seed,
@@ -315,28 +309,19 @@ def roundtrip(
     }
 
     if n_boot > 0:
-        boot = _TableBootstrap(sort, Pi, np.random.default_rng([seed, 0xB007]))
-        boots = {"rho": [], "K": [], "v": [], "rp": []}
-        paths = dict.fromkeys(BOOT_PATHS, 0)
+        boot = _TableBootstrap(sort, table, Pi, np.random.default_rng([seed, 0xB007]))
+        draws, paths = [], dict.fromkeys(BOOT_PATHS, 0)
         for _ in range(n_boot):
             k = boot.draw()
-            rp_b, se_b, n_b = table_stats(sort, k, S_delta)["volatility"]
-            bc = CohortCurve("volatility", curve.v, rp_b, n_b, se=se_b)
-            vb, rb, _, extra = _estimate_from_curve(
-                bc, config.n_min, lambda: boot.fold_median(k), lenient=True
+            _, _, rho_b, K_b, _, path = _estimate(
+                curve_of(k), config.n_min, S_delta, lambda: boot.fold_median(k), lenient=True
             )
-            paths[extra[0] if extra else "regular"] += 1
-            rb = min(max(rb, 0.0), 0.499999 * S_delta)
-            rho_b, K_b = recover_params(vb, rb, S_delta)
-            boots["rho"].append(rho_b)
-            boots["K"].append(K_b)
-            boots["v"].append(vb)
-            boots["rp"].append(rb)
-        for key in boots:
-            lo, hi = np.percentile(boots[key], [2.5, 97.5])
+            paths[path] += 1
+            draws.append((rho_b, K_b))
+        for key, vals in zip(("rho", "K"), zip(*draws)):
+            lo, hi = np.percentile(vals, [2.5, 97.5])
             diag[f"{key}_ci"] = (float(lo), float(hi))
-        diag["n_boot"] = n_boot
-        diag["boot_paths"] = paths
+        diag.update(n_boot=n_boot, boot_paths=paths)
 
     return EstimationResult(
         v_max_hat=v_hat, rp_max_hat=rp_hat, rho_hat=rho_hat, K_hat=K_hat, diagnostics=diag
@@ -352,14 +337,16 @@ class _TableBootstrap:
     Tibshirani 1993, ch. 6), so a resample costs O(categories), not O(n).
     Only the empty categories are left out of the draw, so the remainder
     of its sequential binomials always lands on an occupied category.
+    table is the sort's unit-weight cohort_table, the point estimate's own;
+    vals are the beliefs the fold-median fallback reads.
     """
 
-    def __init__(self, sort: CohortSort, vals: np.ndarray, rng):
+    def __init__(self, sort: CohortSort, table: np.ndarray, vals: np.ndarray, rng):
         self.code = sort.code
         self.vals = vals
         self.rng = rng
         self.n = len(vals)
-        m = cohort_table(sort).ravel()
+        m = table.ravel()
         self.n_cat = m.size
         self.occupied = np.flatnonzero(m)
         self.p = m[self.occupied] / self.n
@@ -429,18 +416,18 @@ def format_report(res: EstimationResult) -> str:
     d = res.diagnostics
     lines = [
         "volatility-curve recovery",
-        f"  truth:     K={d.get('K_true', math.nan):g} rho={d.get('rho_true', math.nan):g}",
+        f"  truth:     K={d['K_true']:g} rho={d['rho_true']:g}",
         f"  estimate:  K_hat={res.K_hat:.6g} rho_hat={res.rho_hat:.6g}",
         f"  peak:      v_max={res.v_max_hat:.6g} rp_max={res.rp_max_hat:.6g}"
-        f" (S_delta={d.get('S_delta', math.nan):g} assumed known)",
-        f"  epoch t={d.get('t', math.nan):g}, N={d.get('n_assets', 0)}, seed={d.get('seed')}",
+        f" (S_delta={d['S_delta']:g} assumed known)",
+        f"  epoch t={d['t']:g}, N={d['n_assets']}, seed={d['seed']}",
     ]
     if "K_ci" in d:
         lines.append(
             f"  bootstrap 95% CIs: K [{d['K_ci'][0]:.4g}, {d['K_ci'][1]:.4g}],"
             f" rho [{d['rho_ci'][0]:.4g}, {d['rho_ci'][1]:.4g}] ({d['n_boot']} resamples)"
         )
-    if d.get("flags"):
+    if d["flags"]:
         lines.append("  flags: " + ", ".join(d["flags"]))
     if "boot_paths" in d:
         lines.append(
@@ -449,28 +436,19 @@ def format_report(res: EstimationResult) -> str:
     return "\n".join(lines)
 
 
-def write_roundtrip_csv(path, results: list[EstimationResult]) -> None:
-    diags = [res.diagnostics for res in results]
+def write_roundtrip_csv(path, res: EstimationResult) -> None:
+    """roundtrip's result as one CSV row; the CIs are NaN without resamples."""
+    d = res.diagnostics
     nan2 = (math.nan, math.nan)
+    row = [
+        d["K_true"], d["rho_true"], res.K_hat, res.rho_hat, res.v_max_hat, res.rp_max_hat,
+        *d.get("K_ci", nan2), *d.get("rho_ci", nan2), d["n_assets"], d["seed"],
+    ]
     write_csv(
         path,
         [
             "K_true", "rho_true", "K_hat", "rho_hat", "v_max", "rp_max",
             "K_ci_lo", "K_ci_hi", "rho_ci_lo", "rho_ci_hi", "n_assets", "seed",
         ],
-        [
-            [d.get("K_true", math.nan) for d in diags],
-            [d.get("rho_true", math.nan) for d in diags],
-            [res.K_hat for res in results],
-            [res.rho_hat for res in results],
-            [res.v_max_hat for res in results],
-            [res.rp_max_hat for res in results],
-            [d.get("K_ci", nan2)[0] for d in diags],
-            [d.get("K_ci", nan2)[1] for d in diags],
-            [d.get("rho_ci", nan2)[0] for d in diags],
-            [d.get("rho_ci", nan2)[1] for d in diags],
-            [d.get("n_assets", 0) for d in diags],
-            # as objects: np.asarray would make int64 and uint64 seeds side by side floats
-            np.array([d.get("seed", "") for d in diags], dtype=object),
-        ],
+        [[x] for x in row],
     )

@@ -375,11 +375,18 @@ def simulate_market(config: MarketConfig, seed: int, epochs=None) -> MarketPanel
     epochs lists indices into config.record_times: the panel keeps those
     epochs' columns only (every epoch when None). A column depends on its
     epoch alone, so it is bit-identical to that column of the full panel,
-    and the outputs shrink with the epochs kept. It all runs in the
-    calling process.
+    and the outputs shrink with the epochs kept. Anything but a nonempty
+    list of distinct indices in [0, len(record_times)) is an InputError on
+    epochs. It all runs in the calling process.
     """
     if not 0 <= seed < 2**64:
         raise InputError("seed must lie in [0, 2**64)")
+    n_rec = len(config.record_times)
+    epochs = np.arange(n_rec) if epochs is None else np.asarray(epochs)
+    flat = epochs.ndim == 1 and epochs.dtype.kind in "iu"
+    valid = set(epochs.tolist()) & set(range(n_rec)) if flat else set()
+    if not valid or len(valid) != epochs.size:
+        raise InputError(f"epochs must be distinct indices into the {n_rec} record times", "epochs")
     inf = config.inference
     times, rec_idx = inf.path_grid(config.record_times)
     var_z, var_d = inf.interval_variances(times)
@@ -391,7 +398,6 @@ def simulate_market(config: MarketConfig, seed: int, epochs=None) -> MarketPanel
         )
     pr = config.pricing
     b_prob = {s: _b_prob(config, s) for s in (1, -1)}
-    epochs = slice(None) if epochs is None else np.atleast_1d(epochs)
     cols = rec_idx[epochs]
     n, T = config.n_assets, len(cols)
     n_draws = 2 + n_int * (2 if pr.draws_z(var_z) else 1)

@@ -226,7 +226,7 @@ def test_table_stats_of_an_integer_table_equal_the_weighted_stats(rows, conditio
 
 
 def _table_median(panel, sort, w):
-    boot = _TableBootstrap(sort, panel.Pi[:, 0], rng=None)
+    boot = _TableBootstrap(sort, cohort_table(sort), panel.Pi[:, 0], rng=None)
     return boot.median(cohort_table(sort, w), lambda counts, idx, pos: w[idx])
 
 
@@ -262,7 +262,7 @@ def test_group_search_at_a_half_total_on_a_group_boundary():
     w = np.array([1, 1, 0, 1, 1, 0, 0])
     panel = _toy_panel(Pi, [1, 0, 1, 0, 1, 1, 0], [1, -1, 1, 1, -1, 1, 1], n_bins=8)
     sort = sort_cohorts(panel, 1.0)
-    boot = _TableBootstrap(sort, panel.Pi[:, 0], rng=None)
+    boot = _TableBootstrap(sort, cohort_table(sort), panel.Pi[:, 0], rng=None)
     cum = np.cumsum(cohort_table(sort, w).reshape(-1, 4).sum(axis=1)[boot.groups])
     assert cum[0] == cum[-1] / 2 == 2
     vals = panel.Pi[:, 0]
@@ -296,7 +296,7 @@ def test_table_draws_follow_the_asset_level_law():
     order = np.argsort(vals)
     reps = 20_000
     asset_rng = np.random.default_rng(7)
-    boot = _TableBootstrap(sort, vals, np.random.default_rng(8))
+    boot = _TableBootstrap(sort, cohort_table(sort), vals, np.random.default_rng(8))
     asset_tables, asset_medians, tables, medians = [], [], [], []
     for _ in range(reps):
         w = np.bincount(asset_rng.integers(n, size=n), minlength=n)

@@ -15,7 +15,7 @@ from rnemarket.estimation import (
     EstimationResult,
     ShapeError,
     _chi2_sf,
-    _estimate_from_curve,
+    _estimate,
     _flatness_gate,
     find_peak,
     format_report,
@@ -176,8 +176,10 @@ def test_flat_level_falls_back_to_the_unpriced_reading():
     v = np.linspace(0.05, 0.45, 21)
     rng = np.random.default_rng(3)
     noise = _curve(v, rng.normal(0.0, 0.005, len(v)), se=0.005)
-    v_hat, rp_hat, stats, flags = _estimate_from_curve(noise, 50, lambda: 0.12, lenient=False)
-    assert flags == ["no_significant_peak"]
+    v_hat, rp_hat, _, _, stats, path = _estimate(
+        noise, 50, S_delta=1.0, median_level=lambda: 0.12, lenient=False
+    )
+    assert path == "no_significant_peak"
     assert v_hat == 0.12
     assert 0.0 <= rp_hat <= 0.005
 
@@ -185,8 +187,10 @@ def test_flat_level_falls_back_to_the_unpriced_reading():
 def test_flat_but_significant_level_uses_the_best_lcb_bin():
     v = np.linspace(0.05, 0.45, 21)
     level = _curve(v, np.full(len(v), 0.08), se=0.01)
-    v_hat, rp_hat, stats, flags = _estimate_from_curve(level, 50, lambda: 0.0, lenient=False)
-    assert flags == ["peak_shape_unresolved"]
+    v_hat, rp_hat, _, _, stats, path = _estimate(
+        level, 50, S_delta=1.0, median_level=lambda: 0.0, lenient=False
+    )
+    assert path == "peak_shape_unresolved"
     assert rp_hat == pytest.approx(0.08)
     assert 0.05 <= v_hat <= 0.45
 
@@ -195,10 +199,13 @@ def test_significant_shape_defects_propagate_unless_lenient():
     v = np.linspace(0.05, 0.45, 21)
     two_bumps = 0.08 - 1.0 * np.minimum((v - 0.13) ** 2, (v - 0.37) ** 2)
     bumpy = _curve(v, two_bumps, se=1e-4)
-    with pytest.raises(ShapeError, match="multiple peaks"):
-        _estimate_from_curve(bumpy, 50, lambda: 0.1, lenient=False)
-    v_hat, rp_hat, _, flags = _estimate_from_curve(bumpy, 50, lambda: 0.1, lenient=True)
-    assert flags == ["no_significant_peak"]
+    with pytest.raises(ShapeError, match="multiple peaks") as exc:
+        _estimate(bumpy, 50, S_delta=1.0, median_level=lambda: 0.1, lenient=False)
+    assert exc.value.diagnostics["curve"] is bumpy
+    v_hat, rp_hat, _, _, _, path = _estimate(
+        bumpy, 50, S_delta=1.0, median_level=lambda: 0.1, lenient=True
+    )
+    assert path == "no_significant_peak"
     assert v_hat == 0.1
 
 
@@ -271,7 +278,7 @@ def test_report_and_csv_round_trip(tmp_path):
     assert "rho_hat" in text
 
     path = tmp_path / "roundtrip.csv"
-    write_roundtrip_csv(path, [res])
+    write_roundtrip_csv(path, res)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == [
@@ -282,3 +289,20 @@ def test_report_and_csv_round_trip(tmp_path):
     assert float(rows[1][2]) == res.K_hat
     assert float(rows[1][6]) == res.diagnostics["K_ci"][0]
     assert int(rows[1][10]) == 20_000
+
+
+def test_one_row_writer_prints_a_top_seed_and_nan_intervals(tmp_path):
+    res = EstimationResult(
+        v_max_hat=0.1, rp_max_hat=0.05, rho_hat=9.0, K_hat=1.5,
+        diagnostics={"K_true": 1.5, "rho_true": 9.0, "n_assets": 1000, "seed": 2**64 - 1},
+    )
+    path = tmp_path / "estimate.csv"
+    write_roundtrip_csv(path, res)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1
+    (row,) = rows
+    assert row["seed"] == "18446744073709551615"
+    for key in ("K_ci_lo", "K_ci_hi", "rho_ci_lo", "rho_ci_hi"):
+        assert row[key] == "nan"
+    assert float(row["K_hat"]) == 1.5

@@ -133,6 +133,16 @@ def test_a_one_epoch_panel_answers_for_its_own_epoch_only():
         assert err.value.fields == ("t",)
 
 
+@pytest.mark.parametrize("epochs", [[4], [-1], [], [0, 0], [0.0], [True], 1, [[0]]])
+def test_bad_epochs_are_rejected_before_simulating(epochs):
+    # a step budget of 1 would stop any simulation with a ResourceLimitError
+    cfg = make_config(n_assets=200, max_asset_steps=1)
+    assert len(cfg.record_times) == 4
+    with pytest.raises(InputError, match="epochs") as err:
+        simulate_market(cfg, 3, epochs=epochs)
+    assert err.value.fields == ("epochs",)
+
+
 def test_momentum_cohorts_match_prediction(small_panel):
     t = 2.4
     cfg = small_panel.config
