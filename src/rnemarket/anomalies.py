@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import InputError, Milestones, expit, logit
+from .inference import InputError, Milestones, expit, logit, loglr_law
 
 __all__ = [
     "AnomalyParams",
@@ -221,14 +221,12 @@ def _norm_logpdf(x, loc: float, scale: float):
 
 
 def _log_occupancy(v, sign_change: int, params: AnomalyParams):
-    """log density of Pi_t at v for one sign, mixing B with true weights."""
+    """log density of Pi_t at v for one sign, mixing B's loglr_law with true weights."""
     v = np.asarray(v, float)
     level = _event_loglevel(v, sign_change, params)
-    sd = params.sigma_l * math.sqrt(params.t)
-    half_var = params.sigma_l**2 * params.t / 2.0
     w1 = params.p1_0
-    la = np.log(w1) + _norm_logpdf(level, half_var, sd)
-    lb = np.log1p(-w1) + _norm_logpdf(level, -half_var, sd)
+    la = np.log(w1) + _norm_logpdf(level, *loglr_law(params.t, 1, params.sigma_l))
+    lb = np.log1p(-w1) + _norm_logpdf(level, *loglr_law(params.t, 0, params.sigma_l))
     return np.logaddexp(la, lb) - np.log(v * (1 - v))
 
 

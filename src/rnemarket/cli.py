@@ -105,7 +105,7 @@ class RunConfig:
     def derived(self) -> dict:
         truth = self.market.truth
         pr = self.market.pricing
-        sigma_l = self.market.inference.sigma_l_total(0.0)
+        sigma_l = math.hypot(*self.market.inference.sigma_at(0.0))  # the pair live at 0
         mil = Milestones.from_params(truth.p1_0, max(truth.rho, 1.0), pr.K, sigma_l)
         return {
             "pi1_0": truth.pi1_0,

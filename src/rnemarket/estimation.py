@@ -242,8 +242,10 @@ def _estimate(curve: CohortCurve, n_min: int, S_delta: float, median_level, leni
 def _pick_epoch(config: MarketConfig) -> tuple[float, bool]:
     """The last record time in the anomaly window, True; else the last one, False.
 
-    A record time with no signal cannot be in the window: its milestones
-    never arrive.
+    Each record time t is judged at sigma_l_total(t), the constant
+    signal-to-noise that gives l_t the schedule's law. A record time with
+    no variance built up by then (V_t = 0) cannot be in the window: its
+    milestones never arrive.
     """
     in_win = []
     for t in config.record_times:

@@ -335,60 +335,53 @@ class InferenceParams:
 
     def sigma_at(self, t: float) -> tuple[float, float]:
         """Active (sigma_lZ, sigma_lD) at time t."""
-        out = (self.sigma_lZ, self.sigma_lD)
-        for t0, slz, sld in self.schedule:
-            if t0 <= t:
-                out = (slz, sld)
-            else:
-                break
-        return out
+        live = [seg[1:] for seg in self.schedule if seg[0] <= t]
+        return live[-1] if live else (self.sigma_lZ, self.sigma_lD)
 
     def sigma_l_total(self, t: float) -> float:
-        slz, sld = self.sigma_at(t)
-        return math.hypot(slz, sld)
+        """The constant signal-to-noise that gives l_t the schedule's law.
 
-    def breakpoints(self) -> list[float]:
-        return [seg[0] for seg in self.schedule]
-
-    def variance_between(self, t0: float, t1: float) -> tuple[float, float]:
-        """Exact (Z-variance, D-variance) of the l-increment over [t0, t1]."""
-        if t1 < t0:
-            raise InputError("need t1 >= t0")
-        edges = [t0] + [b for b in self.breakpoints() if t0 < b < t1] + [t1]
-        var_z = 0.0
-        var_d = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            slz, sld = self.sigma_at(a)
-            var_z += slz * slz * (b - a)
-            var_d += sld * sld * (b - a)
-        return var_z, var_d
-
-    def jump_grid(self, record_times) -> np.ndarray:
-        """Sorted grid of 0, the record times and the breakpoints inside them."""
-        inner = [p for p in self.breakpoints() if 0 < p < record_times[-1]]
-        return np.unique(np.concatenate([[0.0], np.asarray(record_times, float), inner]))
+        That is sqrt(V_t / t), V_t being the variance of l_t summed over the
+        intervals of path_grid([t]), so that l_t | b ~ N(+/- V_t/2, V_t) reads
+        as loglr_law(t, b, sigma_l_total(t)). Where one pair is live on all of
+        [0, t) (t = 0 included) it is that pair's hypot, exactly.
+        """
+        if not any(0 < t0 < t for t0, _, _ in self.schedule):
+            return math.hypot(*self.sigma_at(0.0))
+        var_z, var_d = self.interval_variances(self.path_grid([t], t_max=t)[0])
+        return math.sqrt((var_z.sum() + var_d.sum()) / t)
 
     def interval_variances(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Z-variance, D-variance) arrays of the l-increments between grid points."""
-        laws = [self.variance_between(a, b) for a, b in zip(times[:-1], times[1:])]
-        return np.array([z for z, _ in laws], float), np.array([d for _, d in laws], float)
+        """(Z-variance, D-variance) arrays of the l-increments between grid points.
+
+        times must hold every breakpoint inside it, as path_grid's grids do:
+        each interval's variances are then the squares of the pair live at its
+        start times its length.
+        """
+        pairs = np.array([(self.sigma_lZ, self.sigma_lD), *(seg[1:] for seg in self.schedule)])
+        live = pairs[np.searchsorted([seg[0] for seg in self.schedule], times[:-1], side="right")]
+        dts = np.diff(times)
+        return live[:, 0] * live[:, 0] * dts, live[:, 1] * live[:, 1] * dts
 
     def path_grid(self, record_times=None, t_max=None):
-        """(times, cols): a simulation grid and the columns reported on it.
+        """(times, cols): a simulation grid and the indices of its reported times.
 
-        Without record_times, the dense dt-grid up to the horizon t_max
-        (default self.t_max) with every column reported; with them, the jump
-        grid with the columns of the record times, which must not pass the
-        horizon.
+        The reported times are record_times, which must not pass the horizon
+        t_max (default self.t_max), or else the dt-grid up to the last step not
+        past it. times holds them, 0 and the schedule breakpoints inside them,
+        so that no interval straddles a breakpoint.
         """
         horizon = self.t_max if t_max is None else t_max
         if record_times is None:
-            n_steps = int(round(horizon / self.dt))
-            return np.linspace(0.0, n_steps * self.dt, n_steps + 1), slice(None)
-        times = self.jump_grid(record_times)
-        if times[-1] > horizon:
-            raise InputError("record_times exceed the horizon")
-        return times, np.searchsorted(times, np.asarray(record_times, float))
+            n_steps = math.floor(horizon / self.dt * (1 + 1e-12))  # 0.3 / 0.1 = 2.9999999999999996
+            reported = np.linspace(0.0, n_steps * self.dt, n_steps + 1)
+        else:
+            reported = np.asarray(record_times, float)
+            if reported.max() > horizon:
+                raise InputError("record_times exceed the horizon")
+        inner = [t0 for t0, _, _ in self.schedule if 0 < t0 < reported[-1]]
+        times = np.unique(np.concatenate([[0.0], reported, inner]))
+        return times, np.searchsorted(times, reported)
 
 
 @dataclass(frozen=True)

@@ -253,9 +253,8 @@ def simulate_price_path(
     The draws are the D-stream normals of every interval, then the Z-stream
     normals if params.draws_z. On the panel's record times, fed a panel
     asset's substream after its two uniforms, the path reproduces that
-    asset's panel row. Schedule breakpoints should align with the dense grid
-    so the anchor and the log-LR stay driven by the same Z-noise within each
-    step; jump mode inserts the breakpoints automatically.
+    asset's panel row. The grid holds the schedule breakpoints too (see
+    InferenceParams.path_grid); the path reports the dense or record times.
     """
     params.check_consistent(inf)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

@@ -167,8 +167,6 @@ CURVE_OUT_OF_RANGE = [
     ([("curves.rho_list", "-3, 9")], 1),
     ([("curves.K_list", "0.5")], 1),
     ([("curves.t", "0")], 1),
-    ([("inference.schedule", "2:0:0")], 1),
-    ([("inference.schedule", "2:0:0"), ("curves.t", "3")], 2),
     ([("curves.K_list", "1.5, 1.2, 1.5")], 1),
 ]
 
@@ -209,7 +207,7 @@ def test_out_of_range_values_are_config_errors_on_their_lines(
 
 
 @pytest.mark.parametrize("line", [
-    "inference.schedule = 2:0:0", "curves.K_list = 0.5", "curves.t = 0",
+    "curves.rho_list = -3, 9", "curves.K_list = 0.5", "curves.t = 0",
 ])
 def test_curve_lattice_errors_leave_simulate_running(tmp_path, line):
     cfg = _write(tmp_path, "c.cfg", f"market.n_assets = 200\n{line}\n")

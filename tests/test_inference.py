@@ -148,16 +148,22 @@ def test_loglr_law_drift_sign_follows_outcome():
     assert sd1 == sd0 == pytest.approx(SIGMA * math.sqrt(2.4), abs=1e-15)
 
 
-def test_variance_between_honors_schedule():
+def test_interval_variances_honor_schedule():
     params = InferenceParams(
         sigma_lZ=0.0, sigma_lD=0.5, schedule=((2.0, 0.0, 0.3), (5.0, 0.1, 0.0))
     )
-    var_z, var_d = params.variance_between(0.0, 6.0)
-    assert var_d == pytest.approx(0.25 * 2 + 0.09 * 3 + 0.0 * 1, abs=1e-14)
-    assert var_z == pytest.approx(0.01 * 1, abs=1e-14)
+    times, cols = params.path_grid([6.0])
+    assert np.array_equal(times, [0.0, 2.0, 5.0, 6.0]) and np.array_equal(cols, [3])
+    var_z, var_d = params.interval_variances(times)
+    assert var_d.sum() == pytest.approx(0.25 * 2 + 0.09 * 3 + 0.0 * 1, abs=1e-14)
+    assert var_z.sum() == pytest.approx(0.01 * 1, abs=1e-14)
     assert params.sigma_at(1.9) == (0.0, 0.5)
     assert params.sigma_at(2.0) == (0.0, 0.3)
-    assert params.sigma_l_total(5.5) == pytest.approx(0.1, abs=1e-15)
+    # the law of l_5.5: the variance built up over [0, 5.5), not the pair live at 5.5
+    want = math.sqrt((0.25 * 2 + 0.09 * 3 + 0.01 * 0.5) / 5.5)
+    assert params.sigma_l_total(5.5) == pytest.approx(want, abs=1e-15)
+    # one pair live on all of [0, t): its hypot, to the last bit
+    assert params.sigma_l_total(2.0) == 0.5 and params.sigma_l_total(0.0) == 0.5
 
 
 def test_schedule_must_increase():
@@ -208,8 +214,8 @@ def test_switched_off_signal_stalls_resolution():
     stalled = InferenceParams(schedule=((1.0, 0.0, 0.0),))
     slz, sld = stalled.sigma_at(5.0)
     assert slz * slz + sld * sld == 0.0
-    var_z, var_d = stalled.variance_between(0.0, 5.0)
-    assert var_z + var_d == pytest.approx(0.25, abs=1e-14)
+    var_z, var_d = stalled.interval_variances(stalled.path_grid([5.0])[0])
+    assert var_z.sum() + var_d.sum() == pytest.approx(0.25, abs=1e-14)
 
 
 def test_certainty_tracker_crosses_zero_at_the_hurdle_time():

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import expit, logit
 
-from rnemarket.anomalies import AnomalyParams, analytic_curve
-from rnemarket.inference import InputError
+from rnemarket.anomalies import AnomalyParams, analytic_curve, occupancy_density
+from rnemarket.inference import InferenceParams, InputError
 from rnemarket.market import (
     MarketPanel,
     ResourceLimitError,
@@ -79,6 +80,34 @@ def test_priced_measure_prices_are_driftless():
             x = p.Pi[sel, j]
             z = abs(np.mean(x) - prior) / (np.std(x, ddof=1) / math.sqrt(len(x)))
             assert z <= 3, (s, p.times[j], z)
+
+
+def test_priced_levels_follow_the_schedule_law():
+    # the signal-to-noise drops from 0.5 to 0.2 at t = 1, so l_2.4 carries the
+    # variance V built up over [0, 2.4): the analytic density of logit(Pi_2.4)
+    # at sigma_l_total(2.4) = sqrt(V / 2.4) must match the panel bin by bin
+    t = 2.4
+    inf = InferenceParams(schedule=((1.0, 0.0, 0.2),))
+    var_z, var_d = inf.interval_variances(inf.path_grid([t])[0])
+    V = var_z.sum() + var_d.sum()
+    sigma_l = inf.sigma_l_total(t)
+    assert abs(sigma_l**2 * t - V) <= 1e-12
+    cfg = make_config(n_assets=40_000, inference=inf, record_times=(t,), sign_prob_plus=1.0)
+    x = logit(simulate_market(cfg, ACCEPT_SEED).Pi[:, 0])
+    params = AnomalyParams.from_primitives(cfg.truth.p1_0, cfg.truth.rho, cfg.pricing.K,
+                                           sigma_l, t)
+
+    def density(y):  # of logit(Pi_t), from that of Pi_t
+        v = expit(y)
+        return occupancy_density(v, 1, params) * v * (1 - v)
+
+    center = logit(cfg.truth.pi1_0) - math.log(cfg.pricing.K)
+    edges = center + math.sqrt(V) * np.linspace(-2.5, 2.5, 11)
+    counts = np.histogram(x, edges)[0]
+    for a, b, count in zip(edges[:-1], edges[1:], counts):
+        mass = quad(density, a, b)[0]
+        se = math.sqrt(len(x) * mass * (1 - mass))
+        assert abs(count - len(x) * mass) <= 3 * se, (a, b, count, len(x) * mass)
 
 
 def _toy_panel(Pi_col, sign=None):

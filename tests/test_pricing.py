@@ -162,15 +162,29 @@ def test_record_times_past_either_horizon_are_rejected():
 
 def test_dense_path_draws_z_when_only_the_last_step_carries_it():
     # the Z-stream switches on at 9.995, inside the last dt step [9.99, 10]:
-    # that step has Z-variance 0.25 * 0.005, so its increment needs Z noise
+    # the grid splits that step there, and its [9.995, 10] sub-step has
+    # Z-variance 0.25 * 0.005, so the step's increment needs Z noise
     inf = InferenceParams(schedule=((9.995, 0.5, 0.5),))
     run = simulate_price_path(inf, PricingParams(), 1, seed=4)
-    n = len(run.t) - 1
-    z_d, z_z = np.random.default_rng(4).standard_normal((2, n))
-    var_z, var_d = inf.variance_between(run.t[-2], run.t[-1])
-    assert var_z == pytest.approx(0.00125, rel=1e-9)
-    want = (var_z + var_d) / 2 + math.sqrt(var_d) * z_d[-1] + math.sqrt(var_z) * z_z[-1]
-    assert run.loglr[-1] - run.loglr[-2] == pytest.approx(want, abs=1e-12)
+    times, cols = inf.path_grid()
+    assert np.array_equal(times[cols], run.t) and times[-2] == 9.995
+    var_z, var_d = inf.interval_variances(times)
+    assert var_z[-1] == pytest.approx(0.00125, rel=1e-9) and not var_z[:-1].any()
+    z_d, z_z = np.random.default_rng(4).standard_normal((2, len(var_d)))
+    want = (var_z + var_d) / 2 + np.sqrt(var_d) * z_d + np.sqrt(var_z) * z_z
+    assert run.loglr[-1] - run.loglr[-2] == pytest.approx(want[-2:].sum(), abs=1e-12)
+
+
+def test_dense_grid_stops_at_the_last_step_not_past_the_horizon():
+    # 10 / 0.6 is 16.7 steps: the dense path ends at 9.6, where S_delta
+    # still decays to a positive gap, not at 10.2 past the horizon
+    pr = PricingParams(rZ_delta=0.0999)
+    run = simulate_price_path(InferenceParams(dt=0.6), pr, 1, seed=3)
+    assert len(run.t) == 17 and run.t[-1] == pytest.approx(9.6, abs=1e-12)
+    assert pr.s_delta_at(run.t[-1]) > 0
+    # a quotient that rounds just below a whole step count keeps that step
+    assert len(InferenceParams().path_grid()[0]) == 1001
+    assert 0.3 / 0.1 < 3 and len(InferenceParams(dt=0.1, t_max=0.3).path_grid()[0]) == 4
 
 
 def test_ensemble_drift_matches_diffusion_price_of_risk():

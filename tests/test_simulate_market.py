@@ -38,9 +38,8 @@ def reference_simulate_market(config, seed):
     the key list converts exactly.
     """
     inf = config.inference
-    times = inf.jump_grid(config.record_times)
+    times, rec_idx = inf.path_grid(config.record_times)
     var_z, var_d = inf.interval_variances(times)
-    rec_idx = np.searchsorted(times, np.asarray(config.record_times, float))
     n_int = len(times) - 1
     pr = config.pricing
     need_z = pr.sigma_Z > 0 or np.any(var_z > 0)

@@ -9,11 +9,15 @@ assets and seed 7, where the estimate takes the best lower-confidence-bound
 bin and some resamples take the fold-median fallback, simulate once more
 with a Z-stream (pricing.sigma_Z 0.1, a two-entry inference.schedule),
 whose assets draw 2 + 2 * n_intervals numbers instead of 2 + n_intervals,
-and curves on the benchmark's 3x3 lattice (rho 3, 9, 27 x K 1.2, 1.5, 1.9)
+curves on the benchmark's 3x3 lattice (rho 3, 9, 27 x K 1.2, 1.5, 1.9)
 at 2,000 grid points, whose files hold floats of both signs from about
-1e-64 to 37. Prints each subcommand's exit code, then one `sha256  run/file`
-line per artifact, so the diff of two checkouts' outputs names every
-artifact that changed. Not part of the test suite.
+1e-64 to 37, and curves, estimate and simulate under inference.schedule
+1.005:0:0.2, whose breakpoint lies before curves.t and off the dt grid:
+the analytic side reads the law of l_t built over [0, t), and the dense
+price paths' grid holds the breakpoint. Prints each subcommand's exit code,
+then one `sha256  run/file` line per artifact, so the diff of two
+checkouts' outputs names every artifact that changed. Exits 1 if any
+subcommand exits non-zero. Not part of the test suite.
 """
 
 from __future__ import annotations
@@ -45,10 +49,12 @@ RUNS.append(("curves-lattice", "curves", {
     "curves.K_list": "1.2, 1.5, 1.9",
     "curves.grid_points": 2_000,
 }))
+RUNS += [(f"{cmd}-schedule", cmd, {"inference.schedule": "1.005:0:0.2"})
+         for cmd in ("curves", "estimate", "simulate")]
 
 
 def main() -> int:
-    lines = []
+    lines, failed = [], False
     with tempfile.TemporaryDirectory() as tmp:
         for name, cmd, overrides in RUNS:
             cfg = Path(tmp) / f"{name}.cfg"
@@ -57,11 +63,12 @@ def main() -> int:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli_main([cmd, "--config", str(cfg), "--out-dir", str(out)])
             print(f"exit {code}  {name}")
+            failed |= code != 0
             for path in sorted(out.iterdir()):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 lines.append(f"{digest}  {name}/{path.name}")
     print("\n".join(lines))
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
