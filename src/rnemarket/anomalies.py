@@ -210,20 +210,22 @@ def vol_mix(v, t: float, m: Milestones, rho: float, K: float, B: int):
     return M * (1 + R_plus) / (1 + R_minus)
 
 
-def _event_loglevel(v, sign_change: int, params: AnomalyParams):
-    return params.H_p + math.log(params.rho) + sign_change * math.log(params.K) + logit(v)
-
-
 def _norm_logpdf(x, loc: float, scale: float):
     """Normal log density, in scipy.stats.norm.logpdf's operation order."""
     z = (x - loc) / scale
     return -z**2 / 2.0 - 0.5 * math.log(2 * math.pi) - math.log(scale)
 
 
-def _log_occupancy(v, sign_change: int, params: AnomalyParams):
-    """log density of Pi_t at v for one sign, mixing B's loglr_law with true weights."""
+def _log_occupancy(v, sign_change: int, params: AnomalyParams, logit_v=None):
+    """log density of Pi_t at v for one sign, mixing B's loglr_law with true weights.
+
+    logit_v is logit(v), for a caller that reads both signs at one level
+    array; it is computed here when not given.
+    """
     v = np.asarray(v, float)
-    level = _event_loglevel(v, sign_change, params)
+    # the log-LR level at which a sign_change asset prices the change at v
+    level = (params.H_p + math.log(params.rho) + sign_change * math.log(params.K)
+             + (logit(v) if logit_v is None else logit_v))
     w1 = params.p1_0
     la = np.log(w1) + _norm_logpdf(level, *loglr_law(params.t, 1, params.sigma_l))
     lb = np.log1p(-w1) + _norm_logpdf(level, *loglr_law(params.t, 0, params.sigma_l))
@@ -237,23 +239,30 @@ def occupancy_density(v, sign_change: int, params: AnomalyParams):
     return np.exp(_log_occupancy(v, sign_change, params))
 
 
-def _balanced_arm(u, params: AnomalyParams):
-    """Half-sum of the two sign branches' excess at one level u.
+def _balanced_arm(logit_u, params: AnomalyParams):
+    """Half-sum of the two sign branches' excess at one level u, given logit(u).
 
     The level terms cancel between the branches, leaving a pure gap of true
-    change probabilities; this is the piece whose maximum sits at
-    v = 1/(rho+1) with size (K-1)/(2(K+1))*S_delta.
+    change probabilities (true_change_prob of each sign); this is the piece
+    whose maximum sits at v = 1/(rho+1) with size (K-1)/(2(K+1))*S_delta.
     """
-    u = np.asarray(u, float)
-    up = true_change_prob(u, 1, params.rho, params.K)
-    down = true_change_prob(u, -1, params.rho, params.K)
+    shifted = logit_u + math.log(params.rho)
+    up = expit(shifted + math.log(params.K))
+    down = expit(shifted - math.log(params.K))
     return 0.5 * (up - down) * params.S_delta
 
 
-def _log_folded_weight(u, params: AnomalyParams):
-    lp = _log_occupancy(u, 1, params)
-    lm = _log_occupancy(u, -1, params)
-    return np.logaddexp(lp, lm) - math.log(2.0)
+def _log_folded_weights(v, params: AnomalyParams) -> tuple:
+    """(lw_lo, lw_hi, logit_lo, logit_hi): the folded log weights at the levels
+    v and 1 - v, and the logits of those levels, one logit per level array."""
+    weights, logits = [], []
+    for u in (v, 1 - v):
+        lu = logit(np.asarray(u))  # an array, so that a 0-d input takes numpy's path too
+        lp = _log_occupancy(u, 1, params, lu)
+        lm = _log_occupancy(u, -1, params, lu)
+        weights.append(np.logaddexp(lp, lm) - math.log(2.0))
+        logits.append(lu)
+    return (*weights, *logits)
 
 
 def vol_conditioned_excess(v, params: AnomalyParams):
@@ -265,16 +274,22 @@ def vol_conditioned_excess(v, params: AnomalyParams):
     exponentially small in the bias-dominant regime, so the curve is the
     balanced arm up to tiny corrections and peaks near 1/(rho+1).
     """
+    return _vol_curve(v, params)[0]
+
+
+def _vol_curve(v, params: AnomalyParams) -> tuple:
+    """vol_conditioned_excess at v, and the folded log weights at the levels
+    it read (v clipped to 1/2, and 1 - v), or None at K = 1, where it reads none."""
     v = np.asarray(v, float)
     if np.any((v <= 0) | (v > 0.5 + 1e-12)):
         raise InputError("volatility levels live on (0, 1/2]")
     v = np.minimum(v, 0.5)
     if params.K == 1.0:
-        return np.zeros_like(v)
-    lw_lo = _log_folded_weight(v, params)
-    lw_hi = _log_folded_weight(1 - v, params)
+        return np.zeros_like(v), None
+    lw_lo, lw_hi, logit_lo, logit_hi = _log_folded_weights(v, params)
     w_lo = expit(lw_lo - lw_hi)
-    return w_lo * _balanced_arm(v, params) + (1 - w_lo) * _balanced_arm(1 - v, params)
+    rp = w_lo * _balanced_arm(logit_lo, params) + (1 - w_lo) * _balanced_arm(logit_hi, params)
+    return rp, (lw_lo, lw_hi)
 
 
 def lowrisk_peak(rho: float, K: float, S_delta: float) -> tuple[float, float]:
@@ -310,12 +325,13 @@ def analytic_curve(kind: str, params: AnomalyParams, grid=None) -> CohortCurve:
     if grid is None:
         grid = default_grid(kind)
     grid = np.asarray(grid, float)
-    rp = _curve_values(kind, params, grid)
     if kind == "volatility":
-        w = np.exp(_log_folded_weight(grid, params)) + np.exp(
-            _log_folded_weight(1 - grid, params)
-        )
+        rp, lw = _vol_curve(grid, params)
+        if lw is None or np.any(grid > 0.5):  # the weights are read at the grid as given
+            lw = _log_folded_weights(grid, params)
+        w = np.exp(lw[0]) + np.exp(lw[1])
     else:
+        rp = _curve_values(kind, params, grid)
         w = occupancy_density(grid, 1 if kind == "momentum_plus" else -1, params)
     return CohortCurve(kind=kind, v=grid, rp=rp, n=w)
 

@@ -27,7 +27,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from .anomalies import AnomalyParams, lowrisk_peak, peak_report
+from .anomalies import AnomalyParams, default_grid, lowrisk_peak, peak_report
 from .estimation import (
     ShapeError,
     format_report,
@@ -35,7 +35,7 @@ from .estimation import (
     roundtrip,
     write_roundtrip_csv,
 )
-from .inference import InferenceParams, InputError, Milestones, write_csv
+from .inference import InferenceParams, InputError, Milestones, text_17g, write_csv
 from .market import (
     MarketConfig,
     PricingParams,
@@ -373,6 +373,11 @@ def _cmd_curves(rc: RunConfig, out: Path) -> int:
             named[text] = v
     step = 1.0 / rc.grid_points
     kinds = ("momentum_plus", "momentum_minus", "volatility")
+    # every curve of a kind lies on default_grid(kind, step), and the two
+    # momentum kinds share theirs: its text is made once and written as is
+    momentum = text_17g(default_grid("momentum_plus", step))
+    grid_text = {"momentum_plus": momentum, "momentum_minus": momentum,
+                 "volatility": text_17g(default_grid("volatility", step))}
     peak_rows = []
     for rho in rc.curves_rho:
         for K in rc.curves_K:
@@ -380,11 +385,13 @@ def _cmd_curves(rc: RunConfig, out: Path) -> int:
             fname = out / f"curve_rho{rho:g}_K{K:g}.csv"
             for i, kind in enumerate(kinds):
                 rep = peak_report(kind, params, step=step)
-                curve = rep["curve"]
+                curve = rep.pop("curve")
                 write_csv(
-                    fname, ["kind", "v", "rp", "weight"], [kind, curve.v, curve.rp, curve.n],
+                    fname, ["kind", "v", "rp", "weight"],
+                    [kind, grid_text[kind], curve.rp, curve.n],
                     append=i > 0,
                 )
+                del curve  # the next curve's arrays take this one's memory
                 peak_rows.append(
                     [rho, K, kind, rep["v_max"], rep["rp_max"], rep["v_formula"],
                      rep["formula_value"], rep["abs_gap"], rep["v_abs_gap"]]

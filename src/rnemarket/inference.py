@@ -69,10 +69,13 @@ def write_csv(path, header, columns, append=False) -> None:
     on every row. A float column prints as f"{x:.17g}", which parses back to
     the same double: a numpy kernel (_format_17g) writes those exact bytes,
     and Python's own formatter takes the few values whose rounding the kernel
-    cannot certify. Any other value prints as str, in UTF-8. No field is
-    quoted, so values must not contain commas, quotes, line breaks or NUL
-    bytes. With append=True the rows are added to the file without the
-    header. Formatting works on CSV_BLOCK rows at a time.
+    cannot certify. A bytes (numpy "S") column is written verbatim: each
+    value's bytes, without the NUL padding of its dtype. So text_17g(x), made
+    once, writes the same bytes as x each time it is passed. Any other value
+    prints as str, in UTF-8. No field is quoted, so values must not contain
+    commas, quotes, line breaks or NUL bytes. With append=True the rows are
+    added to the file without the header. Formatting works on CSV_BLOCK rows
+    at a time.
     """
     cols = [np.asarray(c) for c in columns]
     lengths = {len(c) for c in cols if c.ndim}
@@ -117,7 +120,11 @@ def _csv_fields(c: np.ndarray) -> np.ndarray:
     array whose rows hold the bytes in order, with NUL bytes between."""
     if c.dtype.kind == "f":
         return _format_17g(c.astype(np.float64))
-    if c.dtype.kind in "biu":
+    if c.dtype == np.int8:
+        text = _format_tables()["int8"].take(c.view(np.uint8))
+    elif c.dtype.kind == "S":
+        text = np.ascontiguousarray(c)
+    elif c.dtype.kind in "biu":
         text = c.astype("S")
     else:
         text = np.array([str(v).encode() for v in c.tolist()], "S")
@@ -138,7 +145,8 @@ def _format_tables() -> dict:
     of a little-endian uint64 (none for j <= 0, all for j >= 8). For each E
     in [-300, 300], before: the digits before the point, and entry
     2 * (E + 300) + negative of template: the sign, "0." and zeros below 1,
-    the point and the exponent of .17g's text.
+    the point and the exponent of .17g's text. int8: entry i is the text of
+    the int8 whose bit pattern is i, for _csv_fields.
     """
     pow10 = []
     for k in range(_K_MIN, _K_MAX + 1):
@@ -173,6 +181,7 @@ def _format_tables() -> dict:
         "keep": np.array([2 ** (8 * min(max(i, 0), 8)) - 1 for i in range(-16, 24)], np.uint64),
         "before": np.array([max(e + 1, 0) if -4 <= e < 17 else 1 for e in range(-300, 301)]),
         "template": np.frombuffer(b"".join(template), _FIELD),
+        "int8": np.array([b"%d" % v for v in [*range(128), *range(-128, 0)]], "S4"),
     }
     for table in tables.values():
         table.flags.writeable = False
@@ -235,13 +244,19 @@ def _ascii_digits(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     next eight and the last one, and the count of digits up to the last
     nonzero one."""
     tables = _format_tables()
-    eights = np.stack([n // 10**9, n // 10 % 10**8]).astype(np.uint32)
-    groups = np.stack([eights // 10_000, eights % 10_000], axis=1)
+    # one int64 division splits off the first eight digits; every other
+    # split is a uint32 quotient q and the multiply-subtract x - q * d
+    high = n // 10**9
+    low = (n - high * 10**9).astype(np.uint32)
+    mid = low // 10
+    last = low - mid * 10
+    eights = np.stack([high.astype(np.uint32), mid])
+    q = eights // 10_000
+    groups = np.stack([q, eights - q * 10_000], axis=1)
     fours = tables["digits4"].take(groups)
     fours[:, 1] <<= np.uint64(32)
     words = np.empty((3, len(n)), np.uint64)
     np.bitwise_or(fours[:, 0], fours[:, 1], out=words[:2])
-    last = n % 10
     words[2] = last + ord("0")
     places = tables["place"].take(groups.reshape(4, len(n)) + _PLACE_OFFSET)
     return words, np.where(last > 0, 17, places.max(axis=0))
@@ -289,6 +304,26 @@ def _format_17g(x: np.ndarray) -> np.ndarray:
         raw[slow] = 0
         raw[slow, :24] = _python_17g(x[slow]).view(np.uint8).reshape(len(slow), 24)
     return raw
+
+
+def text_17g(x) -> np.ndarray:
+    """f"{v:.17g}" of each v of the 1-d float array x, as an S24 array.
+
+    The kernel formats CSV_BLOCK values at a time, and each value's
+    characters move to the front of its 24 bytes, so no Python object per
+    value is made.
+    """
+    x = np.asarray(x, np.float64)
+    out = np.zeros(len(x) * 24, np.uint8)
+    for lo in range(0, len(x), CSV_BLOCK):
+        raw = _format_17g(x[lo : lo + CSV_BLOCK])
+        chars = np.frombuffer(raw.tobytes().translate(None, b"\0"), np.uint8)
+        size = np.count_nonzero(raw, axis=1)
+        # character k of the block goes to byte k + 24 * (lo + i) - (the
+        # characters of the rows before i), where i is the row it belongs to
+        shift = 24 * np.arange(lo, lo + len(raw)) - (np.cumsum(size) - size)
+        out[np.arange(len(chars)) + np.repeat(shift, size)] = chars
+    return out.view("S24")
 
 
 def _python_17g(x: np.ndarray) -> np.ndarray:

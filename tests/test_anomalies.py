@@ -30,6 +30,7 @@ from rnemarket.anomalies import (
     vol_conditioned_excess,
     vol_mix,
 )
+from rnemarket.cli import _curve_params, parse_config
 from rnemarket.inference import InputError, Milestones
 
 from momentum_bins import bin_averaged_momentum
@@ -233,6 +234,71 @@ def test_analytic_curve_weights_are_occupancy_masses():
     assert np.all(curve.n >= 0)
     # weights are folded occupancy densities: they integrate to one
     assert np.trapezoid(curve.n, curve.v) == pytest.approx(1.0, abs=1e-3)
+
+
+def _former_curve(kind, p, grid):
+    """analytic_curve's (rp, n) written out as each term was once computed:
+    one logit per sign and per use, and the folded weights computed afresh
+    for the n column. Operation order is the package's, so the bits agree."""
+    logit, expit = inference.logit, inference.expit
+
+    def log_occupancy(v, s):
+        v = np.asarray(v, float)
+        level = p.H_p + math.log(p.rho) + s * math.log(p.K) + logit(v)
+        scale = p.sigma_l * math.sqrt(p.t)
+
+        def logpdf(b):
+            z = (level - (1.0 if b == 1 else -1.0) * p.sigma_l * p.sigma_l * p.t / 2.0) / scale
+            return -z**2 / 2.0 - 0.5 * math.log(2 * math.pi) - math.log(scale)
+
+        la = np.log(p.p1_0) + logpdf(1)
+        lb = np.log1p(-p.p1_0) + logpdf(0)
+        return np.logaddexp(la, lb) - np.log(v * (1 - v))
+
+    def folded(u):
+        return np.logaddexp(log_occupancy(u, 1), log_occupancy(u, -1)) - math.log(2.0)
+
+    def arm(u):
+        u = np.asarray(u, float)
+        up = expit(logit(u) + math.log(p.rho) + 1 * math.log(p.K))
+        down = expit(logit(u) + math.log(p.rho) + -1 * math.log(p.K))
+        return 0.5 * (up - down) * p.S_delta
+
+    if kind == "volatility":
+        v = np.minimum(grid, 0.5)
+        if p.K == 1.0:
+            rp = np.zeros_like(v)
+        else:
+            w_lo = expit(folded(v) - folded(1 - v))
+            rp = w_lo * arm(v) + (1 - w_lo) * arm(1 - v)
+        return rp, np.exp(folded(grid)) + np.exp(folded(1 - grid))
+    s = 1 if kind == "momentum_plus" else -1
+    a = 1.0 / (p.rho * p.K**s)
+    rp = s * grid * (1 - grid) * (1 - a) / (grid + (1 - grid) * a) * p.S_delta
+    return rp, np.exp(log_occupancy(grid, s))
+
+
+@pytest.mark.parametrize("schedule", ["", "inference.schedule = 1.005:0:0.2\n"])
+def test_analytic_curve_is_bit_equal_to_its_former_formulas(schedule):
+    # the benchmark's (rho, K) lattice at its 20,000 grid points, and K = 1
+    rc = parse_config("curves.rho_list = 3, 9, 27\ncurves.K_list = 1, 1.2, 1.5, 1.9\n"
+                      "curves.grid_points = 20000\n" + schedule)
+    for rho in rc.curves_rho:
+        for K in rc.curves_K:
+            p = _curve_params(rc, rho, K)
+            for kind in ("momentum_plus", "momentum_minus", "volatility"):
+                grid = default_grid(kind, 1.0 / rc.grid_points)
+                curve = analytic_curve(kind, p, grid)
+                rp, n = _former_curve(kind, p, grid)
+                assert curve.rp.tobytes() == rp.tobytes(), (rho, K, kind)
+                assert curve.n.tobytes() == n.tobytes(), (rho, K, kind)
+    # a level past 1/2 within the tolerance: rp reads it clipped, n as given
+    grid = np.array([0.1, 0.3, 0.5 + 5e-13])
+    for K in rc.curves_K:
+        p = _curve_params(rc, 9.0, K)
+        curve = analytic_curve("volatility", p, grid)
+        rp, n = _former_curve("volatility", p, grid)
+        assert (curve.rp.tobytes(), curve.n.tobytes()) == (rp.tobytes(), n.tobytes()), K
 
 
 def test_bin_averaged_momentum_matches_point_values_on_narrow_bins():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rnemarket import inference
+from rnemarket.anomalies import default_grid
 from rnemarket.cli import main
 from rnemarket.inference import (
     CSV_BLOCK,
@@ -30,6 +31,7 @@ from rnemarket.inference import (
     redundancy_gap_growth,
     redundancy_ode_residual,
     window_check,
+    text_17g,
     write_csv,
     _format_17g,
 )
@@ -436,8 +438,33 @@ def test_format_17g_certifies_nearly_every_curve_value(tmp_path, monkeypatch):
                    "curves.grid_points = 2000\n")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["curves", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
-    assert counts["floats"] > 100_000
+    # 9 files of rp and weight over 1,999 + 1,999 + 1,000 levels, the text of
+    # the momentum and volatility level grids made once, and 27 peak rows of
+    # 8 floats
+    assert counts["floats"] == 9 * 2 * (1_999 + 1_999 + 1_000) + 1_999 + 1_000 + 27 * 8
     assert counts["python"] <= 1e-4 * counts["floats"], counts
+
+
+def test_a_float_column_and_its_text_write_the_same_bytes(tmp_path):
+    rng = np.random.default_rng(21)
+    edges = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 2.0**-25, 1e300])
+    bits = rng.integers(0, 2**64, size=2 * CSV_BLOCK + 3, dtype=np.uint64).view(np.float64)
+    x = np.concatenate([edges, -edges, bits, default_grid("momentum_plus", 1e-3)])
+    text = text_17g(x)
+    assert text.dtype == "S24"
+    assert text.tolist() == [f"{v:.17g}".encode() for v in x.tolist()]
+    others = ["momentum_plus", rng.standard_normal(len(x))]
+    write_csv(tmp_path / "float.csv", ["kind", "v", "rp"], [others[0], x, others[1]])
+    write_csv(tmp_path / "text.csv", ["kind", "v", "rp"], [others[0], text, others[1]])
+    assert (tmp_path / "float.csv").read_bytes() == (tmp_path / "text.csv").read_bytes()
+
+
+def test_int8_text_table_is_str_of_every_value(tmp_path):
+    values = np.arange(256, dtype=np.uint8).view(np.int8)
+    want = [str(v).encode() for v in values.tolist()]
+    assert inference._format_tables()["int8"].tolist() == want
+    write_csv(tmp_path / "b.csv", ["b"], [values])
+    assert (tmp_path / "b.csv").read_bytes().split(b"\n")[1:-1] == want
 
 
 def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
