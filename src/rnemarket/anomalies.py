@@ -311,9 +311,13 @@ def lowrisk_peak(rho: float, K: float, S_delta: float) -> tuple[float, float]:
 
 
 def default_grid(kind: str, step: float = 1e-3) -> np.ndarray:
+    """np.arange's levels step, 2 step, ... in the curve's domain: up to 1/2 (plus
+    analytic_curve's 1e-12) for volatility, below 1 for momentum."""
     if kind == "volatility":
-        return np.arange(step, 0.5 + step / 2, step)
-    return np.arange(step, 1.0, step)
+        grid = np.arange(step, 0.5 + step / 2, step)
+        return grid[: np.searchsorted(grid, 0.5 + 1e-12, side="right")]
+    grid = np.arange(step, 1.0, step)
+    return grid[: np.searchsorted(grid, 1.0)]
 
 
 def analytic_curve(kind: str, params: AnomalyParams, grid=None) -> CohortCurve:

@@ -41,8 +41,10 @@ from .market import (
     PricingParams,
     ResourceLimitError,
     TruthParams,
+    cohort_table,
     expost_decomposition,
     measure_expost_excess,
+    simulate_blocks,
     simulate_market,
     sort_cohorts,
     write_cohorts_csv,
@@ -341,21 +343,19 @@ def _curve_params(rc: RunConfig, rho: float, K: float) -> AnomalyParams:
 
 
 def _cmd_simulate(rc: RunConfig, out: Path) -> int:
-    panel = simulate_market(rc.market, rc.seed)
-    write_panel_csv(out / "panel.csv", panel)
-    detail = []
-    for a in range(min(10, panel.n_assets)):
-        params = replace(rc.market.pricing, sign_change=int(panel.sign[a]))
-        detail.append(
-            simulate_price_path(
-                rc.market.inference,
-                params,
-                int(panel.B[a]),
-                np.random.default_rng([rc.seed, a, 0xDE7A11]),
-            )
-        )
+    # each block's rows go out as they come: the file is asset-major
+    for block in simulate_blocks(rc.market, rc.seed):
+        write_panel_csv(out / "panel.csv", block, append=block.first_id > 0)
+        if block.first_id == 0:
+            signs, outcomes = block.sign[:10], block.B[:10]
+    detail = [
+        simulate_price_path(rc.market.inference, replace(rc.market.pricing, sign_change=int(s)),
+                            int(b), np.random.default_rng([rc.seed, a, 0xDE7A11]))
+        for a, (s, b) in enumerate(zip(signs, outcomes))
+    ]
     write_price_paths_csv(out / "price_paths.csv", detail)
-    print(f"wrote {out / 'panel.csv'} ({panel.n_assets} assets x {len(panel.times)} epochs)")
+    print(f"wrote {out / 'panel.csv'} ({rc.market.n_assets} assets x "
+          f"{len(rc.market.record_times)} epochs)")
     print(f"wrote {out / 'price_paths.csv'} ({len(detail)} illustrative dense paths)")
     return 0
 
@@ -408,16 +408,20 @@ def _cmd_curves(rc: RunConfig, out: Path) -> int:
 
 
 def _cmd_cohorts(rc: RunConfig, out: Path) -> int:
-    panel = simulate_market(rc.market, rc.seed)
+    # every block's category tables add into the panel's: integer counts sum exactly
+    sorts = {}
+    for block in simulate_blocks(rc.market, rc.seed):
+        for t in rc.market.record_times:
+            for conditioning in ("pi_level", "volatility"):
+                srt = sort_cohorts(block, t, conditioning=conditioning)
+                _, table = sorts.get((t, conditioning), (None, 0))
+                sorts[t, conditioning] = srt, table + cohort_table(srt)
     path = out / "cohorts.csv"
-    first = True
-    for t in rc.market.record_times:
+    for i, t in enumerate(rc.market.record_times):
         measured = {}
         for conditioning in ("pi_level", "volatility"):
-            srt = sort_cohorts(panel, t, conditioning=conditioning)
-            measured.update(measure_expost_excess(panel, srt))
-        write_cohorts_csv(path, measured, t, append=not first)
-        first = False
+            measured.update(measure_expost_excess(block, *sorts[t, conditioning]))
+        write_cohorts_csv(path, measured, t, append=i > 0)
     print(f"wrote {path} ({len(rc.market.record_times)} epochs)")
     return 0
 

@@ -10,7 +10,7 @@ full simulate-sort-measure-recover round trip with bootstrap intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .market import (
     CohortSort,
     MarketConfig,
     cohort_table,
-    simulate_market,
+    simulate_blocks,
     sort_cohorts,
     table_stats,
 )
@@ -239,6 +239,19 @@ def _estimate(curve: CohortCurve, n_min: int, S_delta: float, median_level, leni
     return (v_hat, rp_hat, *recover_params(v_hat, rp_hat, S_delta), stats, path)
 
 
+def _percentiles(x, qs) -> tuple:
+    """np.percentile(x, qs) of finite x bit for bit, without its numpy.ma import: at
+    v = (n - 1) q/100, i = floor(v), g = v - i, numpy's _lerp of x_(i), x_(i+1) by g."""
+    s = np.sort(x)
+    out = []
+    for q in qs:
+        v = (len(s) - 1) * (q / 100)
+        i = -1 if v >= len(s) - 1 else math.floor(v)
+        a, b, g = s[i], s[i + 1 if i >= 0 else -1], v - i
+        out.append(float(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g))
+    return tuple(out)
+
+
 def _pick_epoch(config: MarketConfig) -> tuple[float, bool]:
     """The last record time in the anomaly window, True; else the last one, False.
 
@@ -267,22 +280,28 @@ def roundtrip(
 ) -> EstimationResult:
     """Simulate epoch t, sort volatility cohorts, and read the peak as (K, rho).
 
-    The category table is counted once. The point estimate and each
-    bootstrap resample (a table drawn from it by _TableBootstrap) go through
-    table_stats and _estimate alike; a fallback path is a flag on the point
-    estimate and a count in diagnostics["boot_paths"] on the resamples. A
-    ShapeError carries the measured curve. Fewer than FIT_WIDTH volatility
-    bins (an InputError on n_bins) and a t that is not a record time (an
-    InputError on t) are raised before simulating.
+    Of the panel, simulated block by block, each asset's belief at t and
+    category are kept (the bin edges depend on n_bins alone, so the blocks'
+    codes are the panel's): 16 bytes per asset. The table is counted once.
+    The point estimate and each bootstrap resample (a table drawn from it by
+    _TableBootstrap) go through table_stats and _estimate alike; a fallback
+    path is a flag on the point estimate and a count in
+    diagnostics["boot_paths"] on the resamples. A ShapeError carries the
+    measured curve. Fewer than FIT_WIDTH volatility bins (an InputError on
+    n_bins) and a t that is not a record time (an InputError on t) are
+    raised before simulating.
     """
     if config.n_bins // 2 < FIT_WIDTH:
         raise InputError(
             f"n_bins must be at least {2 * FIT_WIDTH} for the peak fit", "n_bins"
         )
     t, in_win = _pick_epoch(config) if t is None else (t, None)
-    panel = simulate_market(config, seed, epochs=[config.time_index(t)])
-    Pi = panel.Pi[:, 0]
-    sort = sort_cohorts(panel, t, conditioning="volatility")
+    Pi, code = np.empty(config.n_assets), np.empty(config.n_assets, np.int64)
+    for block in simulate_blocks(config, seed, epochs=[config.time_index(t)]):
+        sort = sort_cohorts(block, t, conditioning="volatility")
+        rows = slice(block.first_id, block.first_id + block.n_assets)
+        Pi[rows], code[rows] = block.Pi[:, 0], sort.code
+    sort = replace(sort, code=code)
     table = cohort_table(sort)
     centers = 0.5 * (sort.edges[:-1] + sort.edges[1:])
     S_delta = config.pricing.S_delta
@@ -321,8 +340,7 @@ def roundtrip(
             paths[path] += 1
             draws.append((rho_b, K_b))
         for key, vals in zip(("rho", "K"), zip(*draws)):
-            lo, hi = np.percentile(vals, [2.5, 97.5])
-            diag[f"{key}_ci"] = (float(lo), float(hi))
+            diag[f"{key}_ci"] = _percentiles(vals, (2.5, 97.5))
         diag.update(n_boot=n_boot, boot_paths=paths)
 
     return EstimationResult(

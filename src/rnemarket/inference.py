@@ -415,7 +415,8 @@ class InferenceParams:
             if reported.max() > horizon:
                 raise InputError("record_times exceed the horizon")
         inner = [t0 for t0, _, _ in self.schedule if 0 < t0 < reported[-1]]
-        times = np.unique(np.concatenate([[0.0], reported, inner]))
+        # np.unique's result, without the numpy.ma import it makes
+        times = np.array(sorted({0.0, *reported.tolist(), *inner}))
         return times, np.searchsorted(times, reported)
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "MarketPanel",
     "CohortSort",
     "make_config",
+    "simulate_blocks",
     "simulate_market",
     "sort_cohorts",
     "cohort_table",
@@ -163,7 +164,8 @@ class MarketPanel:
 
     Arrays are (n_assets, len(times)) except B and sign which are per asset.
     Pi is the priced probability of the change itself (not of the upper
-    branch); S folds the direction, matching the canonical price.
+    branch); S folds the direction, matching the canonical price. Row i is
+    asset first_id + i: a block of simulate_blocks starts past 0.
     """
 
     config: MarketConfig
@@ -175,6 +177,7 @@ class MarketPanel:
     pi: np.ndarray
     Pi: np.ndarray
     S: np.ndarray
+    first_id: int = 0
 
     @property
     def n_assets(self) -> int:
@@ -354,8 +357,8 @@ def _block_draws(seed: int, lo: int, words: np.ndarray, draws: np.ndarray) -> np
     return np.flatnonzero((rabs >= kbound[signed_level]).any(axis=0))
 
 
-def simulate_market(config: MarketConfig, seed: int, epochs=None) -> MarketPanel:
-    """Simulate the panel with exact Gaussian jumps between recorded epochs.
+def simulate_blocks(config: MarketConfig, seed: int, epochs=None):
+    """The panel of simulate_market as an iterator of MarketPanel blocks, in asset order.
 
     Asset a draws from Philox keyed by the exact 64-bit pair (seed, a), so
     seed must lie in [0, 2**64). Per asset, the substream order is: sign
@@ -369,15 +372,15 @@ def simulate_market(config: MarketConfig, seed: int, epochs=None) -> MarketPanel
     config) takes numpy's own draw instead: one bit generator is reseated
     to its key and draws its row. Either way each draw is numpy's, bit for
     bit. The shared path kernel (loglr_paths, price_paths) then evaluates
-    the block's paths, beliefs and prices together, which bounds the
-    working memory whatever n_assets is.
+    the block's paths, beliefs and prices together. Block k holds assets
+    k * ASSET_BLOCK onwards (its first_id) in arrays of its own, so a caller
+    that keeps only what it reads holds memory that does not grow with n_assets.
 
-    epochs lists indices into config.record_times: the panel keeps those
-    epochs' columns only (every epoch when None). A column depends on its
-    epoch alone, so it is bit-identical to that column of the full panel,
-    and the outputs shrink with the epochs kept. Anything but a nonempty
-    list of distinct indices in [0, len(record_times)) is an InputError on
-    epochs. It all runs in the calling process.
+    epochs lists indices into config.record_times: the blocks keep those
+    epochs' columns only (every epoch when None), each bit-identical to that
+    column of the full panel. Anything but a nonempty list of distinct
+    indices in [0, len(record_times)) is an InputError on epochs. Every
+    InputError and ResourceLimitError comes from this call, before any block.
     """
     if not 0 <= seed < 2**64:
         raise InputError("seed must lie in [0, 2**64)")
@@ -399,52 +402,55 @@ def simulate_market(config: MarketConfig, seed: int, epochs=None) -> MarketPanel
     pr = config.pricing
     b_prob = {s: _b_prob(config, s) for s in (1, -1)}
     cols = rec_idx[epochs]
-    n, T = config.n_assets, len(cols)
+    kept = np.asarray(config.record_times, float)[epochs]
+    n = config.n_assets
     n_draws = 2 + n_int * (2 if pr.draws_z(var_z) else 1)
-    loglr, pi, Pi, S = (np.empty((n, T)) for _ in range(4))
-    B, sign = np.empty(n, np.int8), np.empty(n, np.int8)
 
-    # Python ints convert to the C key words exactly
-    key = [seed, 0]
-    zeros = (0, 0, 0, 0)
-    fresh = {
-        "bit_generator": "Philox",
-        "state": {"counter": zeros, "key": key},
-        "buffer": zeros,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    bitgen = np.random.Philox()
-    rng = np.random.Generator(bitgen)
-    width = min(n, ASSET_BLOCK)
-    words = np.empty((-(-n_draws // 4) * 4, width), np.uint64)
-    draws = np.empty((n_draws, width))
-    row = np.empty(n_draws)
-    uniforms, normals = row[:2], row[2:]
+    def blocks():
+        # Python ints convert to the C key words exactly
+        key = [seed, 0]
+        zeros = (0, 0, 0, 0)
+        fresh = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                 "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        bitgen = np.random.Philox()
+        rng = np.random.Generator(bitgen)
+        width = min(n, ASSET_BLOCK)
+        words = np.empty((-(-n_draws // 4) * 4, width), np.uint64)
+        draws = np.empty((n_draws, width))
+        row = np.empty(n_draws)
+        uniforms, normals = row[:2], row[2:]
+        for lo in range(0, n, ASSET_BLOCK):
+            d = draws[:, : min(lo + ASSET_BLOCK, n) - lo]
+            for i in _block_draws(seed, lo, words[:, : d.shape[1]], d):
+                key[1] = lo + int(i)
+                bitgen.state = fresh
+                rng.random(out=uniforms)
+                rng.standard_normal(out=normals)
+                d[:, i] = row
+            plus = d[0] < config.sign_prob_plus
+            b = d[1] < np.where(plus, b_prob[1], b_prob[-1])
+            z = d[2:].T
+            paths = price_paths(pr, times, cols, loglr_paths(var_z, var_d, b, z), b, plus, z)
+            yield MarketPanel(config, seed, kept, b.astype(np.int8),
+                              np.where(plus, 1, -1).astype(np.int8), *paths, first_id=lo)
 
-    for lo in range(0, n, ASSET_BLOCK):
-        hi = min(lo + ASSET_BLOCK, n)
-        d = draws[:, : hi - lo]
-        for i in _block_draws(seed, lo, words[:, : hi - lo], d):
-            key[1] = lo + int(i)
-            bitgen.state = fresh
-            rng.random(out=uniforms)
-            rng.standard_normal(out=normals)
-            d[:, i] = row
-        plus = d[0] < config.sign_prob_plus
-        b = d[1] < np.where(plus, b_prob[1], b_prob[-1])
-        z = d[2:].T
-        B[lo:hi] = b
-        sign[lo:hi] = np.where(plus, 1, -1)
-        loglr[lo:hi], pi[lo:hi], Pi[lo:hi], S[lo:hi] = price_paths(
-            pr, times, cols, loglr_paths(var_z, var_d, b, z), b, plus, z
-        )
+    return blocks()
 
-    return MarketPanel(
-        config=config, seed=seed, times=np.asarray(config.record_times, float)[epochs],
-        B=B, sign=sign, loglr=loglr, pi=pi, Pi=Pi, S=S,
-    )
+
+def simulate_market(config: MarketConfig, seed: int, epochs=None) -> MarketPanel:
+    """Simulate the panel with exact Gaussian jumps between recorded epochs.
+
+    The concatenation of simulate_blocks(config, seed, epochs), filled in
+    block by block: beside the output the working memory is one block's.
+    """
+    panel, rows = None, ("B", "sign", "loglr", "pi", "Pi", "S")
+    for block in simulate_blocks(config, seed, epochs):
+        parts = {f: getattr(block, f) for f in rows}
+        panel = panel or replace(block, **{
+            f: np.empty_like(a, shape=(config.n_assets, *a.shape[1:])) for f, a in parts.items()})
+        for f, a in parts.items():
+            getattr(panel, f)[block.first_id : block.first_id + block.n_assets] = a
+    return panel
 
 
 @dataclass
@@ -538,14 +544,17 @@ def table_stats(sort: CohortSort, table, S_delta: float) -> dict:
     return {"volatility": (rp, se, n_tot)}
 
 
-def measure_expost_excess(panel: MarketPanel, cohorts: CohortSort) -> dict:
+def measure_expost_excess(panel: MarketPanel, cohorts: CohortSort, table=None) -> dict:
     """The sort's cohort curves from its unit-weight cohort_table: {kind: CohortCurve}.
 
     rp, se and n are the table's table_stats at the bin centers; mix is each
     bin's sign mix n_plus/n_minus over both fold sides (NaN unless both
-    signs are present), the same for every curve of the sort.
+    signs are present), the same for every curve of the sort. A table given
+    replaces cohort_table(cohorts), e.g. the sum of simulate_blocks' blocks'
+    tables; of panel only the config is read.
     """
-    table = cohort_table(cohorts)
+    if table is None:
+        table = cohort_table(cohorts)
     signs = table.sum(axis=(1, 3))
     with np.errstate(invalid="ignore", divide="ignore"):
         mix = np.where((signs > 0).all(axis=1), signs[:, 1] / signs[:, 0], np.nan)
@@ -598,14 +607,15 @@ def expost_decomposition(panel: MarketPanel, t: float) -> dict:
     return out
 
 
-def write_panel_csv(path, panel: MarketPanel) -> None:
-    """Long-format panel rows (asset_id, t, pi, Pi, S, B, sign)."""
+def write_panel_csv(path, panel: MarketPanel, append: bool = False) -> None:
+    """Long-format panel rows (asset_id, t, pi, Pi, S, B, sign); append=True adds
+    them without a header, so simulate_blocks' blocks in turn write the panel's file."""
     T = len(panel.times)
     write_csv(
         path,
         ["asset_id", "t", "pi", "Pi", "S", "B", "sign"],
         [
-            np.repeat(np.arange(panel.n_assets), T),
+            np.repeat(np.arange(panel.first_id, panel.first_id + panel.n_assets), T),
             np.tile(panel.times, panel.n_assets),
             panel.pi.ravel(),
             panel.Pi.ravel(),
@@ -613,6 +623,7 @@ def write_panel_csv(path, panel: MarketPanel) -> None:
             np.repeat(panel.B, T),
             np.repeat(panel.sign, T),
         ],
+        append=append,
     )
 
 

@@ -340,3 +340,24 @@ def test_log_occupancy_is_bit_equal_to_the_scipy_stats_form():
             lb = np.log1p(-p.p1_0) + norm.logpdf(level, loc=-half_var, scale=sd)
             want = np.logaddexp(la, lb) - np.log(v * (1 - v))
             assert np.array_equal(_log_occupancy(v, s, p), want)
+
+
+def test_default_grid_keeps_aranges_levels_inside_the_curve_domain():
+    # arange's volatility grid passes 1/2 (plus analytic_curve's 1e-12) at
+    # 21, 43, 57, 73, ... and 33333 points; its momentum grid ends at 1.0 at
+    # 19, 27, 63, 171, ... and 41391. At 200, 1,000, 2,000 and 20,000 points
+    # neither overshoots, and the grids are arange's as they were
+    params = AnomalyParams.from_primitives(0.49, 9.0, 1.5, 0.5, 2.4)
+    past_half = (21, 43, 57, 73, 33333)
+    at_one = (19, 27, 63, 171, 41391)
+    for points in past_half + at_one + (200, 1_000, 2_000, 20_000):
+        step = 1.0 / points
+        for kind, stop, top in (("volatility", 0.5 + step / 2, 0.5 + 1e-12),
+                                ("momentum_plus", 1.0, np.nextafter(1.0, 0))):
+            whole = np.arange(step, stop, step)
+            grid = default_grid(kind, step)
+            cut = points in (past_half if kind == "volatility" else at_one)
+            assert len(grid) == len(whole) - cut, (points, kind)
+            assert np.array_equal(grid, whole[: len(grid)]), (points, kind)
+            assert grid[-1] <= top, (points, kind)
+            assert np.isfinite(analytic_curve(kind, params, grid).n).all(), (points, kind)

@@ -7,14 +7,16 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rnemarket import inference, market
 from rnemarket.cli import ConfigError, echo_config, main, parse_config
-from rnemarket.market import make_config
+from rnemarket.market import ASSET_BLOCK, make_config
 
 DATA = Path(__file__).parent / "data"
 
@@ -475,7 +477,7 @@ def test_estimation_t_off_the_record_times_is_a_config_error_before_simulating(
     def never(*args, **kwargs):
         raise AssertionError("simulated before checking estimation.t")
 
-    monkeypatch.setattr("rnemarket.estimation.simulate_market", never)
+    monkeypatch.setattr("rnemarket.estimation.simulate_blocks", never)
     cfg = _write(tmp_path, "c.cfg", "estimation.n_boot = 0\nestimation.t = 2.5\n")
     out = tmp_path / "out"
     assert main(["estimate", "--config", cfg, "--out-dir", str(out)]) == 2
@@ -492,10 +494,57 @@ def test_estimate_runs_when_no_record_time_has_signal(tmp_path):
     assert "no_in_window_epoch" in (out / "estimate_report.txt").read_text()
 
 
+@pytest.mark.parametrize("cmd", ["simulate", "cohorts"])
+def test_simulate_and_cohorts_heap_does_not_grow_with_the_panel(tmp_path, cmd):
+    # 2 and 10 blocks; holding the panel would add 130 bytes per asset
+    market._ziggurat_tables()  # the process-wide tables: part of neither run
+    inference._format_tables()
+    peaks = []
+    for n in (2 * ASSET_BLOCK, 10 * ASSET_BLOCK):
+        cfg = _write(tmp_path, f"{n}.cfg", f"market.n_assets = {n}\n")
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([cmd, "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2**16, peaks
+
+
+@pytest.mark.parametrize("grid_points", [19, 21])
+def test_curves_grids_stay_in_their_domains(tmp_path, grid_points):
+    # at 19 points arange's momentum grid ends at 1.0, at 21 its volatility
+    # grid passes 1/2
+    out = tmp_path / "out"
+    assert main(["curves", "--out-dir", str(out), "--grid-points", str(grid_points)]) == 0
+    for path in out.glob("*.csv"):
+        assert "nan" not in path.read_text(), path.name
+
+
+def test_estimate_on_a_regular_point_estimate_loads_no_numpy_ma(tmp_path):
+    # np.unique and np.percentile import numpy.ma; only the fold-median
+    # fallback of the point estimate may still
+    code = (
+        "import sys, rnemarket.cli as cli\n"
+        "code = cli.main(['estimate', '--config', sys.argv[1], '--out-dir', sys.argv[2]])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    cfg = _write(tmp_path, "c.cfg", "market.n_assets = 50000\nseed = 112\nestimation.n_boot = 50\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code, cfg, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "0 False"
+    assert "flags" not in (tmp_path / "out" / "estimate_report.txt").read_text()
+
+
 def test_resource_guard_exits_four(tmp_path, capsys):
     cfg = _write(tmp_path, "c.cfg", "market.max_asset_steps = 10\n")
     assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 4
     assert "resource guard" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "panel.csv").exists()
 
 
 def test_estimate_reports_the_recovery(tmp_path, capsys):

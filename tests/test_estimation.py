@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rnemarket import market
 from rnemarket.anomalies import AnomalyParams, CohortCurve, analytic_curve, lowrisk_peak
 from rnemarket.estimation import (
     FLATNESS_CONFIDENCE,
@@ -17,6 +18,8 @@ from rnemarket.estimation import (
     _chi2_sf,
     _estimate,
     _flatness_gate,
+    _percentiles,
+    _TableBootstrap,
     find_peak,
     format_report,
     recover_params,
@@ -24,7 +27,7 @@ from rnemarket.estimation import (
     write_roundtrip_csv,
 )
 from rnemarket.inference import InputError
-from rnemarket.market import make_config
+from rnemarket.market import cohort_table, make_config, simulate_market, sort_cohorts
 
 from conftest import ACCEPT_SEED
 
@@ -256,8 +259,10 @@ def test_errors_shrink_with_panel_size():
 
 
 def test_roundtrip_memory_grows_with_one_epoch_per_asset():
-    # the simulation keeps the estimate's epoch alone: 34 output bytes per
-    # asset, where all four record epochs would add 96 more
+    # of the panel the estimate keeps each asset's belief at its epoch and
+    # its category code, 16 bytes per asset; one byte per asset is slack.
+    # Holding the one-epoch panel would add 34 bytes per asset
+    market._ziggurat_tables()  # built once per process: not part of either run
     peaks = []
     for n in (50_000, 100_000):
         tracemalloc.start()
@@ -266,7 +271,45 @@ def test_roundtrip_memory_grows_with_one_epoch_per_asset():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert (peaks[1] - peaks[0]) / 50_000 <= 96, peaks
+    assert (peaks[1] - peaks[0]) / 50_000 <= 16 + 1, peaks
+
+
+def test_roundtrip_sorts_its_blocks_into_the_whole_panels_cohorts(monkeypatch):
+    # 10,001 assets are two full blocks and a third of 1,809
+    cfg = make_config(n_assets=10_001)
+    seen = {}
+    init = _TableBootstrap.__init__
+
+    def spy(self, sort, table, vals, rng):
+        seen.update(sort=sort, table=table, vals=vals)
+        init(self, sort, table, vals, rng)
+
+    monkeypatch.setattr(_TableBootstrap, "__init__", spy)
+    roundtrip(cfg, 5, t=2.4, n_boot=1)
+    panel = simulate_market(cfg, 5)
+    full = sort_cohorts(panel, 2.4, conditioning="volatility")
+    assert seen["sort"].code.dtype == full.code.dtype
+    assert np.array_equal(seen["sort"].code, full.code)
+    assert np.array_equal(seen["sort"].edges, full.edges)
+    assert np.array_equal(seen["table"], cohort_table(full))
+    assert np.array_equal(seen["vals"], panel.Pi[:, cfg.time_index(2.4)])
+
+
+def test_percentiles_are_numpy_percentile_bit_for_bit():
+    # ties, and arrays of one and two values; no array holds both 0.0 and
+    # -0.0, which compare equal, so no sort fixes which comes first
+    rng = np.random.default_rng(20)
+    for k in range(1_500):
+        n = (1, 2)[k % 10] if k % 10 < 2 else int(rng.integers(3, 400))
+        x = rng.standard_normal(n) * 10.0 ** int(rng.integers(-6, 7))
+        if k % 3 == 0:
+            x = np.round(x, 1) + 0.0
+        elif k % 3 == 1:
+            x = rng.integers(1, 5, n) * 0.7
+        qs = (2.5, 97.5) if k % 2 else (*rng.uniform(0, 100, 3), 0.0, 50.0, 100.0)
+        want = np.percentile(x, list(qs))
+        got = np.array(_percentiles(x, qs))
+        assert got.tobytes() == want.tobytes(), (n, qs, got, want)
 
 
 def test_report_and_csv_round_trip(tmp_path):

@@ -10,8 +10,10 @@ from rnemarket.inference import InferenceParams, InputError, posterior_from_logl
 from rnemarket.market import (
     ASSET_BLOCK,
     MarketPanel,
+    ResourceLimitError,
     _b_prob,
     make_config,
+    simulate_blocks,
     simulate_market,
 )
 from rnemarket.pricing import canonical_price, rne_belief
@@ -214,3 +216,32 @@ def test_working_memory_is_bounded_by_the_block():
         finally:
             tracemalloc.stop()
         assert peak <= outputs + 4 * 2**20, (epochs, peak, outputs)
+
+
+@pytest.mark.parametrize("epochs", [None, [2]], ids=["all", "one"])
+@pytest.mark.parametrize("n", [1_000, 2 * ASSET_BLOCK, 10_001])
+def test_blocks_concatenate_to_the_panel_bit_for_bit(n, epochs):
+    cfg = make_config(n_assets=n, **CONFIGS["z_stream"])
+    panel = simulate_market(cfg, 7, epochs=epochs)
+    blocks = list(simulate_blocks(cfg, 7, epochs=epochs))
+    assert [b.first_id for b in blocks] == list(range(0, n, ASSET_BLOCK))
+    assert sum(b.n_assets for b in blocks) == n
+    for f in FIELDS:
+        want = getattr(panel, f)
+        got = (getattr(blocks[0], f) if f == "times"
+               else np.concatenate([getattr(b, f) for b in blocks]))
+        assert got.dtype == want.dtype, f
+        assert np.array_equal(got, want), f
+        if f == "times":
+            assert all(np.array_equal(b.times, want) for b in blocks)
+
+
+def test_block_errors_come_from_the_call_before_any_block():
+    # no block is drawn: the generator is never advanced
+    cfg = make_config(n_assets=1_000)
+    with pytest.raises(ResourceLimitError):
+        simulate_blocks(make_config(n_assets=1_000, max_asset_steps=100), 1)
+    with pytest.raises(InputError, match="epochs"):
+        simulate_blocks(cfg, 1, epochs=[4])
+    with pytest.raises(InputError, match="seed"):
+        simulate_blocks(cfg, 2**64)

@@ -14,10 +14,12 @@ at 2,000 grid points, whose files hold floats of both signs from about
 1e-64 to 37, and curves, estimate and simulate under inference.schedule
 1.005:0:0.2, whose breakpoint lies before curves.t and off the dt grid:
 the analytic side reads the law of l_t built over [0, t), and the dense
-price paths' grid holds the breakpoint. Prints each subcommand's exit code,
-then one `sha256  run/file` line per artifact, so the diff of two
-checkouts' outputs names every artifact that changed. Exits 1 if any
-subcommand exits non-zero. Not part of the test suite.
+price paths' grid holds the breakpoint, and simulate and cohorts at 1,000
+and 8,192 assets, inside one 4,096-asset block and on a block edge. Prints
+each subcommand's exit code, then one `sha256  run/file` line per
+artifact, so the diff of two checkouts' outputs names every artifact that
+changed. Exits 1 if any subcommand exits non-zero. Not part of the test
+suite.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ RUNS.append(("curves-lattice", "curves", {
 }))
 RUNS += [(f"{cmd}-schedule", cmd, {"inference.schedule": "1.005:0:0.2"})
          for cmd in ("curves", "estimate", "simulate")]
+RUNS += [(f"{cmd}-{n}", cmd, {"market.n_assets": n})
+         for n in (1_000, 8_192) for cmd in ("simulate", "cohorts")]
 
 
 def main() -> int:
