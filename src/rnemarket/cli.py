@@ -178,8 +178,10 @@ _SCHEMA = {
     "seed": (int, "seed"),
     "threads": (int, "threads"),
 }
-# attribute path -> key, for naming the keys behind an InputError's fields
+# attribute path -> key, for naming the keys behind an InputError's fields;
+# pricing's prior is the truth's pi1_0, which these two keys set
 _KEY_AT = {path: key for key, (_, path) in _SCHEMA.items()}
+_KEY_AT["market.pricing.pi0"] = ("market.p1_0", "market.rho")
 
 _DERIVED_KEYS = ("pi1_0", "Pi1_0_plus", "Pi1_0_minus", "t_p", "t_K", "t_rho")
 

@@ -41,6 +41,9 @@ FIT_WIDTH = 5
 # Paths a bootstrap resample's estimate can take: the quadratic peak fit, the
 # best lower-confidence-bound bin, the fold median belief.
 BOOT_PATHS = ("regular", "peak_shape_unresolved", "no_significant_peak")
+# Category codes compared per step when finding a group's members, so that
+# no n-sized temporary is built.
+_SCAN = 1 << 16
 
 
 class ShapeError(ValueError):
@@ -200,9 +203,49 @@ def recover_params(v_max: float, rp_max: float, S_delta: float) -> tuple[float, 
     return rho_hat, K_hat
 
 
-def _fold_median_level(Pi: np.ndarray) -> float:
-    """Fallback level for featureless curves: fold of the median belief."""
-    med = float(np.median(Pi))
+def _belief_groups(n_cat: int) -> np.ndarray:
+    """The volatility sort's (bin, side) groups, code >> 2, in belief order.
+
+    The low side by ascending bin (Pi = folded level), then the high side by
+    descending bin (Pi = 1 - level): every belief of a group is at most
+    every belief of the groups after it.
+    """
+    keys = np.arange(n_cat // 4)
+    return np.concatenate([keys[0::2], keys[1::2][::-1]])
+
+
+def _group_scan(code: np.ndarray, g: int):
+    """(start, mask) per _SCAN codes from start: mask marks the members of group g."""
+    for lo in range(0, len(code), _SCAN):
+        yield lo, code[lo : lo + _SCAN] >> 2 == g
+
+
+def _fold_median_level(Pi: np.ndarray, code: np.ndarray, table: np.ndarray) -> float:
+    """Fallback level for featureless curves: fold of np.median(Pi), bit for bit.
+
+    code and table are the volatility sort's. The order statistics n//2 - 1
+    and n//2 lie in the groups that the table's cumulative group counts
+    find, in belief order; only those groups' beliefs are gathered and
+    partitioned. For even n the median is their mean (a + b)/2, as in
+    np.median, which would copy all n beliefs and import numpy.ma.
+    """
+    groups = _belief_groups(table.size)
+    size = table.reshape(-1, 4).sum(axis=1)[groups]
+    cum = np.cumsum(size)
+
+    def nth(k: int) -> float:
+        i = int(np.searchsorted(cum, k, side="right"))
+        vals, at = np.empty(size[i]), 0
+        for lo, mask in _group_scan(code, int(groups[i])):
+            part = Pi[lo : lo + _SCAN][mask]
+            vals[at : at + len(part)] = part
+            at += len(part)
+        j = k - int(cum[i] - size[i])
+        vals.partition(j)
+        return vals[j]
+
+    n = len(Pi)
+    med = float(nth(n // 2) if n % 2 else (nth(n // 2 - 1) + nth(n // 2)) / 2)
     return min(med, 1.0 - med)
 
 
@@ -281,8 +324,9 @@ def roundtrip(
     """Simulate epoch t, sort volatility cohorts, and read the peak as (K, rho).
 
     Of the panel, simulated block by block, each asset's belief at t and
-    category are kept (the bin edges depend on n_bins alone, so the blocks'
-    codes are the panel's): 16 bytes per asset. The table is counted once.
+    category code are kept (the bin edges depend on n_bins alone, so the
+    blocks' codes are the panel's): 9 bytes per asset while the code fits
+    in one byte (n_bins up to 65). The table is the sum of the blocks'.
     The point estimate and each bootstrap resample (a table drawn from it by
     _TableBootstrap) go through table_stats and _estimate alike; a fallback
     path is a flag on the point estimate and a count in
@@ -296,13 +340,15 @@ def roundtrip(
             f"n_bins must be at least {2 * FIT_WIDTH} for the peak fit", "n_bins"
         )
     t, in_win = _pick_epoch(config) if t is None else (t, None)
-    Pi, code = np.empty(config.n_assets), np.empty(config.n_assets, np.int64)
+    Pi, code, table = np.empty(config.n_assets), None, 0
     for block in simulate_blocks(config, seed, epochs=[config.time_index(t)]):
         sort = sort_cohorts(block, t, conditioning="volatility")
+        if code is None:
+            code = np.empty(config.n_assets, sort.code.dtype)
         rows = slice(block.first_id, block.first_id + block.n_assets)
         Pi[rows], code[rows] = block.Pi[:, 0], sort.code
+        table = table + cohort_table(sort)
     sort = replace(sort, code=code)
-    table = cohort_table(sort)
     centers = 0.5 * (sort.edges[:-1] + sort.edges[1:])
     S_delta = config.pricing.S_delta
 
@@ -312,7 +358,7 @@ def roundtrip(
 
     curve = curve_of(table)
     v_hat, rp_hat, rho_hat, K_hat, stats, path = _estimate(
-        curve, config.n_min, S_delta, lambda: _fold_median_level(Pi), lenient=False
+        curve, config.n_min, S_delta, lambda: _fold_median_level(Pi, code, table), lenient=False
     )
     flags = ["no_in_window_epoch"] if in_win is False else []
     if path != "regular":
@@ -370,10 +416,7 @@ class _TableBootstrap:
         self.n_cat = m.size
         self.occupied = np.flatnonzero(m)
         self.p = m[self.occupied] / self.n
-        keys = np.arange(self.n_cat // 4)
-        # (bin, side) groups in belief order: low side by ascending bin
-        # (Pi = folded level), then high side by descending bin (Pi = 1 - level)
-        self.groups = np.concatenate([keys[0::2], keys[1::2][::-1]])
+        self.groups = _belief_groups(self.n_cat)
         self._members = {}
 
     def draw(self) -> np.ndarray:
@@ -385,7 +428,7 @@ class _TableBootstrap:
     def members(self, g: int):
         """Group g's assets by ascending belief, and each category's positions among them."""
         if g not in self._members:
-            idx = np.flatnonzero(self.code >> 2 == g)
+            idx = np.concatenate([np.flatnonzero(m) + lo for lo, m in _group_scan(self.code, g)])
             idx = idx[np.argsort(self.vals[idx], kind="stable")]
             cat = self.code[idx] & 3
             self._members[g] = idx, [np.flatnonzero(cat == c) for c in range(4)]

@@ -454,6 +454,8 @@ class Milestones:
             raise InputError("sigma_l must be positive", "sigma_l")
         h_p = math.log((1 - p1_0) / p1_0)
         rate = sigma_l * sigma_l / 2.0
+        if rate == 0:
+            raise InputError("sigma_l is so small that sigma_l**2/2 underflows to 0", "sigma_l")
         return cls(
             H_p=h_p,
             t_p=h_p / rate,

@@ -460,8 +460,10 @@ class CohortSort:
     code[i] = ((bin*2 + high side)*2 + plus sign)*2 + hit runs over
     [0, 8*n_bins) and indexes cohort_table's flattened (bin, fold side,
     sign, B) axes: bin = code >> 3, side = code >> 2 & 1, sign = code >> 1 & 1,
-    hit = code & 1. The high side holds the volatility sort's assets with
-    Pi > 1/2; on the pi_level sort every asset is on the low side.
+    hit = code & 1. Its dtype is the narrowest unsigned one that holds
+    8*n_bins - 1 (uint8 up to 32 bins, uint16 up to 8,192). The high side
+    holds the volatility sort's assets with Pi > 1/2; on the pi_level sort
+    every asset is on the low side.
     """
 
     conditioning: str
@@ -488,7 +490,7 @@ def sort_cohorts(panel: MarketPanel, t: float, conditioning: str = "volatility")
     edges = np.linspace(0.0, top, n_bins + 1)
     bin_index = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, n_bins - 1)
     code = ((bin_index * 2 + high) * 2 + (panel.sign == 1)) * 2 + (panel.B == 1)
-    return CohortSort(conditioning, t, edges, code)
+    return CohortSort(conditioning, t, edges, code.astype(np.min_scalar_type(8 * n_bins - 1)))
 
 
 def cohort_table(sort: CohortSort, weights=None) -> np.ndarray:

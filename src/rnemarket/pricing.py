@@ -80,6 +80,8 @@ class PricingParams:
             raise InputError("sign_change must be +1 or -1", "sign_change")
         if self.S_delta <= 0:
             raise InputError("S_delta must be positive", "S_delta")
+        if self.S_delta * self.S_delta == math.inf:
+            raise InputError("S_delta must be below 1.34e154, where S_delta**2 overflows", "S_delta")
         if not 0 < self.pi0 < 1:
             raise InputError("pi0 must lie in (0,1)", "pi0")
         negative = [

@@ -446,6 +446,23 @@ def test_bad_config_exits_two(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "o")]) == 2
 
 
+# values whose arithmetic once escaped the range checks: S_delta**2
+# overflowed, sigma_l**2/2 underflowed to 0, and a prior pi1_0 that rounds to
+# 1 named no line
+@pytest.mark.parametrize("text, named", [
+    ("pricing.S_delta = 1e308\n", "line 2: S_delta"),
+    ("inference.sigma_lD = 1e-300\n", "line 2: sigma_l"),
+    ("market.p1_0 = 0.1\nmarket.rho = 1e-300\n", "line 2, line 3: pi0"),
+], ids=["S_delta", "sigma_lD", "rho"])
+@pytest.mark.parametrize("cmd", ["estimate", "cohorts", "curves", "simulate"])
+def test_extreme_values_are_config_errors_on_their_lines(tmp_path, capsys, text, named, cmd):
+    cfg = _write(tmp_path, "c.cfg", "market.n_assets = 3000\n" + text)
+    out = tmp_path / "o"
+    assert main([cmd, "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {named}")
+    assert {p.name for p in out.glob("*")} <= {"config_echo.txt"}
+
+
 def test_unresolvable_estimate_exits_three(tmp_path, capsys):
     cfg = _write(tmp_path, "c.cfg", "market.n_assets = 300\nseed = 1\n"
                                     "estimation.n_boot = 0\n")
@@ -522,22 +539,40 @@ def test_curves_grids_stay_in_their_domains(tmp_path, grid_points):
         assert "nan" not in path.read_text(), path.name
 
 
-def test_estimate_on_a_regular_point_estimate_loads_no_numpy_ma(tmp_path):
-    # np.unique and np.percentile import numpy.ma; only the fold-median
-    # fallback of the point estimate may still
+def _estimate_report_and_numpy_ma(tmp_path, text):
+    """The report of estimate on config text in a fresh process, and whether it loaded numpy.ma."""
     code = (
         "import sys, rnemarket.cli as cli\n"
         "code = cli.main(['estimate', '--config', sys.argv[1], '--out-dir', sys.argv[2]])\n"
         "print(code, 'numpy.ma' in sys.modules)\n"
     )
-    cfg = _write(tmp_path, "c.cfg", "market.n_assets = 50000\nseed = 112\nestimation.n_boot = 50\n")
+    cfg = _write(tmp_path, "c.cfg", text)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
         [sys.executable, "-c", code, cfg, str(tmp_path / "out")],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.splitlines()[-1] == "0 False"
-    assert "flags" not in (tmp_path / "out" / "estimate_report.txt").read_text()
+    exit_code, loaded = out.stdout.splitlines()[-1].split()
+    assert exit_code == "0"
+    return (tmp_path / "out" / "estimate_report.txt").read_text(), loaded == "True"
+
+
+def test_estimate_on_a_regular_point_estimate_loads_no_numpy_ma(tmp_path):
+    # np.unique, np.percentile and np.median import numpy.ma
+    report, loaded = _estimate_report_and_numpy_ma(
+        tmp_path, "market.n_assets = 50000\nseed = 112\nestimation.n_boot = 50\n"
+    )
+    assert not loaded
+    assert "flags" not in report
+
+
+def test_estimate_on_the_fold_median_fallback_loads_no_numpy_ma(tmp_path):
+    # K = 1: the point estimate and most resamples read the fold median
+    report, loaded = _estimate_report_and_numpy_ma(
+        tmp_path, "market.n_assets = 20000\nseed = 112\nestimation.n_boot = 50\npricing.K = 1\n"
+    )
+    assert not loaded
+    assert "flags: no_significant_peak" in report
 
 
 def test_resource_guard_exits_four(tmp_path, capsys):

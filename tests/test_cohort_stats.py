@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
+from rnemarket import estimation
 from rnemarket.estimation import _TableBootstrap, _usable_mask
 from rnemarket.market import (
     MarketPanel,
@@ -269,6 +270,26 @@ def test_group_search_at_a_half_total_on_a_group_boundary():
     expected = _fold_median_weighted(vals, np.argsort(vals), w)
     assert expected == 0.1
     assert _table_median(panel, sort, w) == expected
+
+
+def test_fold_median_level_is_numpy_median_bit_for_bit(monkeypatch):
+    # odd and even n, ties, beliefs at 1/2 and on bin edges (both sides of
+    # the fold), one- and two-byte codes; a scan of 7 codes at a time makes
+    # each group's gather span several scans
+    monkeypatch.setattr(estimation, "_SCAN", 7)
+    rng = np.random.default_rng(22)
+    for k in range(600):
+        n_bins = (4, 6, 50, 66)[k % 4]
+        n = int(rng.integers(1, 300)) if k % 5 else int(rng.integers(1, 4))
+        edges = np.linspace(0.0, 0.5, n_bins // 2 + 1)[1:]
+        pool = np.concatenate([edges, 1.0 - edges, rng.uniform(0.001, 0.999, 4)])
+        Pi = rng.choice(pool, n) if k % 3 else rng.uniform(0.001, 0.999, n)
+        panel = _toy_panel(Pi, rng.integers(0, 2, n), rng.choice([-1, 1], n), n_bins=n_bins)
+        sort = sort_cohorts(panel, 1.0)
+        assert sort.code.dtype == (np.uint8 if n_bins <= 65 else np.uint16)
+        med = float(np.median(Pi))
+        got = estimation._fold_median_level(panel.Pi[:, 0], sort.code, cohort_table(sort))
+        assert got == min(med, 1.0 - med), (n, n_bins, got, med)
 
 
 def _homogeneous(a, b, alpha):

@@ -260,18 +260,24 @@ def test_errors_shrink_with_panel_size():
 
 def test_roundtrip_memory_grows_with_one_epoch_per_asset():
     # of the panel the estimate keeps each asset's belief at its epoch and
-    # its category code, 16 bytes per asset; one byte per asset is slack.
-    # Holding the one-epoch panel would add 34 bytes per asset
+    # its one-byte category code, 9 bytes per asset; one byte per asset is
+    # slack. Holding the one-epoch panel would add 34 bytes per asset, and
+    # int64 codes 7. K = 1 takes the fold-median fallback, which reads the
+    # median through the table and gathers only its groups' beliefs
     market._ziggurat_tables()  # built once per process: not part of either run
-    peaks = []
-    for n in (50_000, 100_000):
-        tracemalloc.start()
-        try:
-            roundtrip(make_config(n_assets=n), ACCEPT_SEED, n_boot=0)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert (peaks[1] - peaks[0]) / 50_000 <= 16 + 1, peaks
+    for K in (1.5, 1.0):
+        # a warm-up run: no first-call import enters either peak
+        roundtrip(make_config(K=K, n_assets=5_000), ACCEPT_SEED, n_boot=0)
+        peaks = []
+        for n in (50_000, 100_000):
+            tracemalloc.start()
+            try:
+                res = roundtrip(make_config(K=K, n_assets=n), ACCEPT_SEED, n_boot=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert ("no_significant_peak" in res.diagnostics["flags"]) == (K == 1.0)
+        assert (peaks[1] - peaks[0]) / 50_000 <= 9 + 1, (K, peaks)
 
 
 def test_roundtrip_sorts_its_blocks_into_the_whole_panels_cohorts(monkeypatch):
