@@ -5,7 +5,8 @@ cohorts, estimate, validate). Everything that affects output lives in the
 config or the documented flags; no environment variable changes an
 artifact, and for a fixed (config, seed) the emitted CSVs are byte-identical.
 The thread budget (threads, --threads) steers nothing: every panel is
-simulated in one process (see market.simulate_market). OpenBLAS defaults to
+simulated in one process, block by block (see market.simulate_blocks), and
+each subcommand keeps only what it reads of the blocks. OpenBLAS defaults to
 one thread, since nothing here gains from its pool.
 
 Exit codes: 0 success, 2 config error, 3 validation/estimation failure,
@@ -20,6 +21,7 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 from functools import reduce
+from itertools import zip_longest
 from pathlib import Path
 
 # before numpy loads OpenBLAS; a value the user set stays
@@ -45,7 +47,6 @@ from .market import (
     expost_decomposition,
     measure_expost_excess,
     simulate_blocks,
-    simulate_market,
     sort_cohorts,
     write_cohorts_csv,
     write_panel_csv,
@@ -63,6 +64,13 @@ from . import anomalies
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
+
+
+# The finest analytic grid: curves holds about 100 bytes per grid point, so
+# 10**6 points peak near 100 MB.
+MAX_GRID_POINTS = 10**6
+# Dense illustrative price paths written by simulate.
+N_DENSE_PATHS = 10
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,10 @@ class RunConfig:
             raise InputError("estimation.n_boot must be nonnegative", "n_boot")
         if self.grid_points < 10:
             raise InputError("curves.grid_points must be at least 10", "grid_points")
+        if self.grid_points > MAX_GRID_POINTS:
+            raise InputError(
+                f"curves.grid_points must be at most {MAX_GRID_POINTS}", "grid_points"
+            )
         if self.threads < 1:
             raise InputError("threads must be at least 1", "threads")
         if not 0 <= self.seed < 2**64:
@@ -345,11 +357,20 @@ def _curve_params(rc: RunConfig, rho: float, K: float) -> AnomalyParams:
 
 
 def _cmd_simulate(rc: RunConfig, out: Path) -> int:
+    blocks = simulate_blocks(rc.market, rc.seed)
+    # the dense paths count against the step budget too, before anything is written
+    inf, n_paths = rc.market.inference, min(N_DENSE_PATHS, rc.market.n_assets)
+    n_steps = inf.dense_steps(min(inf.t_max, rc.market.pricing.t_max))
+    if n_paths * n_steps > rc.market.max_asset_steps:
+        raise ResourceLimitError(
+            f"{n_paths} dense price paths x {n_steps} steps exceeds "
+            f"max_asset_steps={rc.market.max_asset_steps:g}"
+        )
     # each block's rows go out as they come: the file is asset-major
-    for block in simulate_blocks(rc.market, rc.seed):
+    for block in blocks:
         write_panel_csv(out / "panel.csv", block, append=block.first_id > 0)
         if block.first_id == 0:
-            signs, outcomes = block.sign[:10], block.B[:10]
+            signs, outcomes = block.sign[:n_paths], block.B[:n_paths]
     detail = [
         simulate_price_path(rc.market.inference, replace(rc.market.pricing, sign_change=int(s)),
                             int(b), np.random.default_rng([rc.seed, a, 0xDE7A11]))
@@ -380,25 +401,25 @@ def _cmd_curves(rc: RunConfig, out: Path) -> int:
     momentum = text_17g(default_grid("momentum_plus", step))
     grid_text = {"momentum_plus": momentum, "momentum_minus": momentum,
                  "volatility": text_17g(default_grid("volatility", step))}
+    # every lattice point's range errors come before any curve file is written
+    lattice = [(rho, K, _curve_params(rc, rho, K)) for rho in rc.curves_rho for K in rc.curves_K]
     peak_rows = []
-    for rho in rc.curves_rho:
-        for K in rc.curves_K:
-            params = _curve_params(rc, rho, K)
-            fname = out / f"curve_rho{rho:g}_K{K:g}.csv"
-            for i, kind in enumerate(kinds):
-                rep = peak_report(kind, params, step=step)
-                curve = rep.pop("curve")
-                write_csv(
-                    fname, ["kind", "v", "rp", "weight"],
-                    [kind, grid_text[kind], curve.rp, curve.n],
-                    append=i > 0,
-                )
-                del curve  # the next curve's arrays take this one's memory
-                peak_rows.append(
-                    [rho, K, kind, rep["v_max"], rep["rp_max"], rep["v_formula"],
-                     rep["formula_value"], rep["abs_gap"], rep["v_abs_gap"]]
-                )
-            print(f"wrote {fname}")
+    for rho, K, params in lattice:
+        fname = out / f"curve_rho{rho:g}_K{K:g}.csv"
+        for i, kind in enumerate(kinds):
+            rep = peak_report(kind, params, step=step)
+            curve = rep.pop("curve")
+            write_csv(
+                fname, ["kind", "v", "rp", "weight"],
+                [kind, grid_text[kind], curve.rp, curve.n],
+                append=i > 0,
+            )
+            del curve  # the next curve's arrays take this one's memory
+            peak_rows.append(
+                [rho, K, kind, rep["v_max"], rep["rp_max"], rep["v_formula"],
+                 rep["formula_value"], rep["abs_gap"], rep["v_abs_gap"]]
+            )
+        print(f"wrote {fname}")
     write_csv(
         out / "peaks.csv",
         ["rho", "K", "kind", "v_max", "rp_max", "v_formula", "formula_value",
@@ -418,11 +439,11 @@ def _cmd_cohorts(rc: RunConfig, out: Path) -> int:
                 srt = sort_cohorts(block, t, conditioning=conditioning)
                 _, table = sorts.get((t, conditioning), (None, 0))
                 sorts[t, conditioning] = srt, table + cohort_table(srt)
-    path = out / "cohorts.csv"
+    path, S_delta = out / "cohorts.csv", rc.market.pricing.S_delta
     for i, t in enumerate(rc.market.record_times):
         measured = {}
         for conditioning in ("pi_level", "volatility"):
-            measured.update(measure_expost_excess(block, *sorts[t, conditioning]))
+            measured.update(measure_expost_excess(*sorts[t, conditioning], S_delta))
         write_cohorts_csv(path, measured, t, append=i > 0)
     print(f"wrote {path} ({len(rc.market.record_times)} epochs)")
     return 0
@@ -462,11 +483,38 @@ def _cmd_estimate(rc: RunConfig, out: Path) -> int:
 
 def _conservation_check(rc: RunConfig) -> float:
     cfg = replace(rc.market, n_assets=1000)
-    panel = simulate_market(cfg, rc.seed)
+    (panel,) = simulate_blocks(cfg, rc.seed)  # 1,000 assets are one block
     odds_pi = panel.pi / (1 - panel.pi)
     odds_Pi = panel.Pi / (1 - panel.Pi)
     K_pow = cfg.pricing.K ** panel.sign[:, None].astype(float)
     return float(np.max(np.abs(odds_pi / odds_Pi / K_pow - 1)))
+
+
+# The Monte Carlo checks keep only the columns they read of simulate_blocks'
+# blocks, and only while they run.
+def _reference_martingale_z(rc: RunConfig) -> float:
+    cfg = replace(rc.market, n_assets=20_000, b_measure="reference")
+    pi = np.concatenate([block.pi for block in simulate_blocks(cfg, rc.seed)])
+    pi0 = cfg.truth.pi1_0
+    z = 0.0
+    for j in range(pi.shape[1]):
+        x = pi[:, j]
+        z = max(z, abs(x.mean() - pi0) / (x.std(ddof=1) / math.sqrt(len(x))))
+    return z
+
+
+def _priced_martingale_z(rc: RunConfig) -> float:
+    cfg = replace(rc.market, n_assets=20_000, b_measure="rne")
+    kept = [(block.sign, block.Pi) for block in simulate_blocks(cfg, rc.seed)]
+    sign, Pi = (np.concatenate(x) for x in zip(*kept))
+    z = 0.0
+    for sgn in (1, -1):
+        sel = sign == sgn
+        target = cfg.Pi1_0(sgn)
+        for j in range(Pi.shape[1]):
+            x = Pi[sel, j]
+            z = max(z, abs(x.mean() - target) / (x.std(ddof=1) / math.sqrt(sel.sum())))
+    return z
 
 
 def _validate_checks(rc: RunConfig):
@@ -534,43 +582,31 @@ def _validate_checks(rc: RunConfig):
         f"{mix[0]:.3g} at v={vgrid[0]:g} down to {mix[-1]:.3g} at v={vgrid[-1]:g}"
     )
 
-    cfg_ref = replace(rc.market, n_assets=20_000, b_measure="reference")
-    p_ref = simulate_market(cfg_ref, rc.seed)
-    pi0 = cfg_ref.truth.pi1_0
-    z_ref = 0.0
-    for j in range(len(p_ref.times)):
-        x = p_ref.pi[:, j]
-        z_ref = max(z_ref, abs(x.mean() - pi0) / (x.std(ddof=1) / math.sqrt(len(x))))
+    z_ref = _reference_martingale_z(rc)
     yield "reference-measure belief martingale (3 SE)", z_ref <= 3.0, f"max |z| {z_ref:.2f}"
 
-    cfg_rne = replace(rc.market, n_assets=20_000, b_measure="rne")
-    p_rne = simulate_market(cfg_rne, rc.seed)
-    z_rne = 0.0
-    for sgn in (1, -1):
-        sel = p_rne.sign == sgn
-        target = cfg_rne.Pi1_0(sgn)
-        for j in range(len(p_rne.times)):
-            x = p_rne.Pi[sel, j]
-            z_rne = max(z_rne, abs(x.mean() - target) / (x.std(ddof=1) / math.sqrt(sel.sum())))
+    z_rne = _priced_martingale_z(rc)
     yield "priced-measure belief martingale (3 SE)", z_rne <= 3.0, f"max |z| {z_rne:.2f}"
 
     # the decomposition's residual has mean zero only when B is drawn from
     # the truth, so this check simulates under it whatever the config's measure
     cfg_small = replace(rc.market, n_assets=20_000, b_measure="truth")
-    p_small = simulate_market(cfg_small, rc.seed)
-    t_mid = rc.market.record_times[min(2, len(rc.market.record_times) - 1)]
-    dec = expost_decomposition(p_small, t_mid)
+    j_mid = min(2, len(rc.market.record_times) - 1)
+    dec = expost_decomposition(simulate_blocks(cfg_small, rc.seed, epochs=[j_mid]),
+                               rc.market.record_times[j_mid])
     z_dec = max(
         abs(dec[s]["residual"]) / dec[s]["residual_se"] for s in ("all", "plus", "minus")
     )
     yield "ex-post decomposition reconciles (3 SE)", z_dec <= 3.0, f"max |z| {z_dec:.2f}"
 
+    # a stream that runs out before the other pairs a block with None
     cfg_tiny = replace(rc.market, n_assets=2000)
-    pa = simulate_market(cfg_tiny, rc.seed)
-    pb = simulate_market(cfg_tiny, rc.seed)
+    pairs = zip_longest(simulate_blocks(cfg_tiny, rc.seed), simulate_blocks(cfg_tiny, rc.seed))
     same = all(
-        np.array_equal(getattr(pa, f), getattr(pb, f))
-        for f in ("B", "sign", "loglr", "pi", "Pi", "S")
+        a is not None and b is not None
+        and all(np.array_equal(getattr(a, f), getattr(b, f))
+                for f in ("B", "sign", "loglr", "pi", "Pi", "S"))
+        for a, b in pairs
     )
     yield "rerun determinism", same, "two simulations of one seed give identical panels"
 

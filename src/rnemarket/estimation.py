@@ -20,9 +20,9 @@ from .market import (
     CohortSort,
     MarketConfig,
     cohort_table,
+    measure_expost_excess,
     simulate_blocks,
     sort_cohorts,
-    table_stats,
 )
 
 __all__ = [
@@ -328,8 +328,8 @@ def roundtrip(
     blocks' codes are the panel's): 9 bytes per asset while the code fits
     in one byte (n_bins up to 65). The table is the sum of the blocks'.
     The point estimate and each bootstrap resample (a table drawn from it by
-    _TableBootstrap) go through table_stats and _estimate alike; a fallback
-    path is a flag on the point estimate and a count in
+    _TableBootstrap) go through measure_expost_excess and _estimate alike; a
+    fallback path is a flag on the point estimate and a count in
     diagnostics["boot_paths"] on the resamples. A ShapeError carries the
     measured curve. Fewer than FIT_WIDTH volatility bins (an InputError on
     n_bins) and a t that is not a record time (an InputError on t) are
@@ -349,14 +349,8 @@ def roundtrip(
         Pi[rows], code[rows] = block.Pi[:, 0], sort.code
         table = table + cohort_table(sort)
     sort = replace(sort, code=code)
-    centers = 0.5 * (sort.edges[:-1] + sort.edges[1:])
     S_delta = config.pricing.S_delta
-
-    def curve_of(k) -> CohortCurve:
-        rp, se, n = table_stats(sort, k, S_delta)["volatility"]
-        return CohortCurve("volatility", centers, rp, n, se=se)
-
-    curve = curve_of(table)
+    curve = measure_expost_excess(sort, table, S_delta)["volatility"]
     v_hat, rp_hat, rho_hat, K_hat, stats, path = _estimate(
         curve, config.n_min, S_delta, lambda: _fold_median_level(Pi, code, table), lenient=False
     )
@@ -381,7 +375,8 @@ def roundtrip(
         for _ in range(n_boot):
             k = boot.draw()
             _, _, rho_b, K_b, _, path = _estimate(
-                curve_of(k), config.n_min, S_delta, lambda: boot.fold_median(k), lenient=True
+                measure_expost_excess(sort, k, S_delta)["volatility"], config.n_min, S_delta,
+                lambda: boot.fold_median(k), lenient=True,
             )
             paths[path] += 1
             draws.append((rho_b, K_b))

@@ -398,6 +398,10 @@ class InferenceParams:
         dts = np.diff(times)
         return live[:, 0] * live[:, 0] * dts, live[:, 1] * live[:, 1] * dts
 
+    def dense_steps(self, t_max: float) -> int:
+        """Steps of the dt-grid up to the last one not past t_max."""
+        return math.floor(t_max / self.dt * (1 + 1e-12))  # 0.3 / 0.1 = 2.9999999999999996
+
     def path_grid(self, record_times=None, t_max=None):
         """(times, cols): a simulation grid and the indices of its reported times.
 
@@ -408,7 +412,7 @@ class InferenceParams:
         """
         horizon = self.t_max if t_max is None else t_max
         if record_times is None:
-            n_steps = math.floor(horizon / self.dt * (1 + 1e-12))  # 0.3 / 0.1 = 2.9999999999999996
+            n_steps = self.dense_steps(horizon)
             reported = np.linspace(0.0, n_steps * self.dt, n_steps + 1)
         else:
             reported = np.asarray(record_times, float)

@@ -31,7 +31,6 @@ __all__ = [
     "CohortSort",
     "make_config",
     "simulate_blocks",
-    "simulate_market",
     "sort_cohorts",
     "cohort_table",
     "table_stats",
@@ -42,10 +41,12 @@ __all__ = [
 ]
 
 
-# Assets per evaluation block of simulate_market: large enough that the
-# per-block array work is amortized, small enough that the block's
-# temporaries stay a few MB beside the output arrays.
+# Assets per block of simulate_blocks: large enough that the per-block
+# array work is amortized, small enough that a block's arrays and
+# temporaries stay a few MB.
 ASSET_BLOCK = 4096
+# The most cohort bins: 8 categories per bin keep every code in two bytes.
+MAX_BINS = 8192
 
 
 def _time_index(times, t: float) -> int:
@@ -112,6 +113,8 @@ class MarketConfig:
             raise InputError("b_measure must be truth, reference or rne", "b_measure")
         if self.n_bins < 2:
             raise InputError("n_bins must be at least 2", "n_bins")
+        if self.n_bins > MAX_BINS:
+            raise InputError(f"n_bins must be at most {MAX_BINS}", "n_bins")
         if self.n_min < 0:
             raise InputError("n_min must be nonnegative", "n_min")
         if not self.max_asset_steps > 0:
@@ -340,7 +343,7 @@ def _ziggurat_tables() -> tuple:
 def _block_draws(seed: int, lo: int, words: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Draws of assets lo, lo+1, ... into the columns of draws; returns the columns to redo.
 
-    draws has a row per draw of the substream order (see simulate_market),
+    draws has a row per draw of the substream order (see simulate_blocks),
     words 4 * ceil(rows / 4) rows of the same width. The two uniforms are
     numpy's (w >> 11) * 2**-53 of the first two words, and each later word
     gives numpy's normal wherever its ziggurat fast path (_ziggurat_tables)
@@ -358,27 +361,30 @@ def _block_draws(seed: int, lo: int, words: np.ndarray, draws: np.ndarray) -> np
 
 
 def simulate_blocks(config: MarketConfig, seed: int, epochs=None):
-    """The panel of simulate_market as an iterator of MarketPanel blocks, in asset order.
+    """The simulated panel, in MarketPanel blocks of ASSET_BLOCK assets.
 
-    Asset a draws from Philox keyed by the exact 64-bit pair (seed, a), so
-    seed must lie in [0, 2**64). Per asset, the substream order is: sign
-    uniform, outcome uniform, the D-stream normals for every interval, then
-    the Z-stream normals if pricing.draws_z. The draws of a block of
-    ASSET_BLOCK assets come at once from a numpy kernel that computes their
-    Philox words and turns each later word into numpy's ziggurat normal on
-    its one-word fast path, with tables read once per process from numpy
-    itself (_ziggurat_tables). An asset with any word off that path (a
-    ziggurat rejection or the tail, about 6% of assets at the default
-    config) takes numpy's own draw instead: one bit generator is reseated
-    to its key and draws its row. Either way each draw is numpy's, bit for
-    bit. The shared path kernel (loglr_paths, price_paths) then evaluates
-    the block's paths, beliefs and prices together. Block k holds assets
-    k * ASSET_BLOCK onwards (its first_id) in arrays of its own, so a caller
-    that keeps only what it reads holds memory that does not grow with n_assets.
+    The panel is N independent assets with exact Gaussian log-LR jumps
+    between the recorded epochs; it is the concatenation of the blocks, in
+    asset order, and no function here builds it whole. Asset a draws from
+    Philox keyed by the exact 64-bit pair (seed, a), so seed must lie in
+    [0, 2**64). Per asset, the substream order is: sign uniform, outcome
+    uniform, the D-stream normals for every interval, then the Z-stream
+    normals if pricing.draws_z. The draws of a block come at once from a
+    numpy kernel that computes their Philox words and turns each later word
+    into numpy's ziggurat normal on its one-word fast path, with tables read
+    once per process from numpy itself (_ziggurat_tables). An asset with
+    any word off that path (a ziggurat rejection or the tail, about 6% of
+    assets at the default config) takes numpy's own draw instead: one bit
+    generator is reseated to its key and draws its row. Either way each
+    draw is numpy's, bit for bit. The shared path kernel (loglr_paths,
+    price_paths) then evaluates the block's paths, beliefs and prices
+    together. Block k holds assets k * ASSET_BLOCK onwards (its first_id)
+    in arrays of its own, so a caller that keeps only what it reads holds
+    memory that does not grow with n_assets.
 
     epochs lists indices into config.record_times: the blocks keep those
     epochs' columns only (every epoch when None), each bit-identical to that
-    column of the full panel. Anything but a nonempty list of distinct
+    column of the blocks of every epoch. Anything but a nonempty list of distinct
     indices in [0, len(record_times)) is an InputError on epochs. Every
     InputError and ResourceLimitError comes from this call, before any block.
     """
@@ -435,22 +441,6 @@ def simulate_blocks(config: MarketConfig, seed: int, epochs=None):
                               np.where(plus, 1, -1).astype(np.int8), *paths, first_id=lo)
 
     return blocks()
-
-
-def simulate_market(config: MarketConfig, seed: int, epochs=None) -> MarketPanel:
-    """Simulate the panel with exact Gaussian jumps between recorded epochs.
-
-    The concatenation of simulate_blocks(config, seed, epochs), filled in
-    block by block: beside the output the working memory is one block's.
-    """
-    panel, rows = None, ("B", "sign", "loglr", "pi", "Pi", "S")
-    for block in simulate_blocks(config, seed, epochs):
-        parts = {f: getattr(block, f) for f in rows}
-        panel = panel or replace(block, **{
-            f: np.empty_like(a, shape=(config.n_assets, *a.shape[1:])) for f, a in parts.items()})
-        for f, a in parts.items():
-            getattr(panel, f)[block.first_id : block.first_id + block.n_assets] = a
-    return panel
 
 
 @dataclass
@@ -546,56 +536,53 @@ def table_stats(sort: CohortSort, table, S_delta: float) -> dict:
     return {"volatility": (rp, se, n_tot)}
 
 
-def measure_expost_excess(panel: MarketPanel, cohorts: CohortSort, table=None) -> dict:
-    """The sort's cohort curves from its unit-weight cohort_table: {kind: CohortCurve}.
+def measure_expost_excess(cohorts: CohortSort, table, S_delta: float) -> dict:
+    """The sort's cohort curves from a unit-weight category table: {kind: CohortCurve}.
 
-    rp, se and n are the table's table_stats at the bin centers; mix is each
-    bin's sign mix n_plus/n_minus over both fold sides (NaN unless both
-    signs are present), the same for every curve of the sort. A table given
-    replaces cohort_table(cohorts), e.g. the sum of simulate_blocks' blocks'
-    tables; of panel only the config is read.
+    table is cohort_table(cohorts), or a sum of such tables, e.g. over
+    simulate_blocks' blocks. rp, se and n are its table_stats at the bin
+    centers; mix is each bin's sign mix n_plus/n_minus over both fold sides
+    (NaN unless both signs are present), the same for every curve of the sort.
     """
-    if table is None:
-        table = cohort_table(cohorts)
     signs = table.sum(axis=(1, 3))
     with np.errstate(invalid="ignore", divide="ignore"):
         mix = np.where((signs > 0).all(axis=1), signs[:, 1] / signs[:, 0], np.nan)
     centers = 0.5 * (cohorts.edges[:-1] + cohorts.edges[1:])
-    stats = table_stats(cohorts, table, panel.config.pricing.S_delta)
     return {
         kind: CohortCurve(kind, centers, rp, n, se=se, mix=mix)
-        for kind, (rp, se, n) in stats.items()
+        for kind, (rp, se, n) in table_stats(cohorts, table, S_delta).items()
     }
 
 
-def expost_decomposition(panel: MarketPanel, t: float) -> dict:
-    """Split the panel's mean excess into priced, bias and residual parts.
+def expost_decomposition(blocks, t: float) -> dict:
+    """Split the mean excess of a panel's blocks into priced, bias and residual parts.
 
-    Per asset the legs fold by the change direction: total = sign*(1_B - Pi),
-    priced = sign*(pi - Pi), bias = sign*(p_t - pi) with p_t the objective
-    posterior, residual = sign*(1_B - p_t). They telescope to the total
-    identically; the residual is the pure luck term, zero in expectation
-    under the truth measure. Reported for the whole panel and per sign
-    group: with a symmetric sign mix the bias legs of the two groups offset
-    each other, so the group scopes are where the bias is visible. t must
-    be one of panel.times.
+    blocks is an iterable of MarketPanel blocks, e.g. simulate_blocks' (a
+    whole panel is [panel]). Per asset the legs fold by the change
+    direction: total = sign*(1_B - Pi), priced = sign*(pi - Pi), bias =
+    sign*(p_t - pi) with p_t the objective posterior, residual =
+    sign*(1_B - p_t). They telescope to the total identically; the residual
+    is the pure luck term, zero in expectation under the truth measure.
+    Reported for all assets and per sign group: with a symmetric sign mix
+    the bias legs of the two groups offset each other, so the group scopes
+    are where the bias is visible. Only the legs and signs are kept from
+    each block. t must be one of each block's times.
     """
-    idx = _time_index(panel.times, t)
-    S_delta = panel.config.pricing.S_delta
-    s = panel.sign.astype(float)
-    b_hit = (panel.B == 1).astype(float)
-    p_t = panel.true_posterior(idx)
-    legs = {
-        "total_drift": s * (b_hit - panel.Pi[:, idx]) * S_delta,
-        "priced_part": s * (panel.pi[:, idx] - panel.Pi[:, idx]) * S_delta,
-        "bias_part": s * (p_t - panel.pi[:, idx]) * S_delta,
-        "residual": s * (b_hit - p_t) * S_delta,
-    }
-    scopes = {
-        "all": np.ones(len(s), bool),
-        "plus": panel.sign == 1,
-        "minus": panel.sign == -1,
-    }
+    names = ("total_drift", "priced_part", "bias_part", "residual")
+    parts = {name: [] for name in (*names, "sign")}
+    for block in blocks:
+        idx = _time_index(block.times, t)
+        S_delta = block.config.pricing.S_delta
+        s = block.sign.astype(float)
+        b_hit = (block.B == 1).astype(float)
+        p_t = block.true_posterior(idx)
+        pi, Pi = block.pi[:, idx], block.Pi[:, idx]
+        for name, x in zip(names, (b_hit - Pi, pi - Pi, p_t - pi, b_hit - p_t)):
+            parts[name].append(s * x * S_delta)
+        parts["sign"].append(block.sign)
+    legs = {name: np.concatenate(x) for name, x in parts.items()}
+    sign = legs.pop("sign")
+    scopes = {"all": np.ones(len(sign), bool), "plus": sign == 1, "minus": sign == -1}
     out = {}
     for scope, mask in scopes.items():
         rec = {"n": int(np.sum(mask))}

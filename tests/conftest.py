@@ -1,9 +1,24 @@
 """Shared fixtures: one large cached panel drives the expensive checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from rnemarket.market import make_config, simulate_market
+from rnemarket.market import make_config, simulate_blocks
+
+PANEL_FIELDS = ("B", "sign", "loglr", "pi", "Pi", "S")
+
+
+def whole_panel(config, seed, epochs=None):
+    """The panel that simulate_blocks yields in blocks, concatenated in asset order.
+
+    The tests that read a whole panel at once take it from here: the package
+    itself only streams blocks.
+    """
+    blocks = list(simulate_blocks(config, seed, epochs))
+    return replace(blocks[0], **{
+        f: np.concatenate([getattr(b, f) for b in blocks]) for f in PANEL_FIELDS})
 
 # Panel seed for the Monte Carlo checks. Their assertions use 3-SE
 # tolerances, but a check that takes the worst of many comparisons, or reads
@@ -22,13 +37,13 @@ def big_config():
 
 @pytest.fixture(scope="session")
 def big_panel(big_config):
-    return simulate_market(big_config, ACCEPT_SEED)
+    return whole_panel(big_config, ACCEPT_SEED)
 
 
 @pytest.fixture(scope="session")
 def small_panel():
     cfg = make_config(n_assets=20_000)
-    return simulate_market(cfg, ACCEPT_SEED)
+    return whole_panel(cfg, ACCEPT_SEED)
 
 
 # The acceptance tests record one verdict line each; echo them at the end of

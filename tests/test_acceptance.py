@@ -18,9 +18,9 @@ from rnemarket.cli import main
 from rnemarket.estimation import roundtrip
 from rnemarket.inference import Milestones
 from rnemarket.market import (
+    cohort_table,
     make_config,
     measure_expost_excess,
-    simulate_market,
     sort_cohorts,
 )
 from rnemarket.pricing import (
@@ -30,7 +30,7 @@ from rnemarket.pricing import (
     verify_canonical_ode,
 )
 
-from conftest import ACCEPT_SEED, CRITERION_LINES
+from conftest import ACCEPT_SEED, CRITERION_LINES, whole_panel
 from momentum_bins import bin_averaged_momentum
 
 
@@ -49,7 +49,7 @@ def test_criterion_1_conserved_odds_on_a_dense_panel():
     t0 = time.perf_counter()
     times = tuple(np.linspace(0.008, 8.0, 1000))
     cfg = make_config(n_assets=1000, record_times=times)
-    panel = simulate_market(cfg, ACCEPT_SEED)
+    panel = whole_panel(cfg, ACCEPT_SEED)
     ratio = (panel.pi / (1 - panel.pi)) / (panel.Pi / (1 - panel.Pi))
     target = cfg.pricing.K ** panel.sign.astype(float)
     dev = float(np.max(np.abs(ratio / target[:, None] - 1.0)))
@@ -130,7 +130,8 @@ def test_criterion_6_panel_cohorts_reproduce_the_curves(big_panel):
     t = 2.4
     pars = _params(t=t)
     sort_mo = sort_cohorts(big_panel, t, conditioning="pi_level")
-    measured = measure_expost_excess(big_panel, sort_mo)
+    S_delta = big_panel.config.pricing.S_delta
+    measured = measure_expost_excess(sort_mo, cohort_table(sort_mo), S_delta)
     worst_z = 0.0
     n_checked = 0
     for kind, sign in (("momentum_plus", 1), ("momentum_minus", -1)):
@@ -139,7 +140,8 @@ def test_criterion_6_panel_cohorts_reproduce_the_curves(big_panel):
         ok = c.n >= 200
         n_checked += int(ok.sum())
         worst_z = max(worst_z, float(np.max(np.abs(c.rp[ok] - rp_pred[ok]) / c.se[ok])))
-    vol = measure_expost_excess(big_panel, sort_cohorts(big_panel, t))["volatility"]
+    sort_vol = sort_cohorts(big_panel, t)
+    vol = measure_expost_excess(sort_vol, cohort_table(sort_vol), S_delta)["volatility"]
     occupied = (vol.n >= 200) & np.isfinite(vol.rp)
     peak_center = float(vol.v[occupied][np.argmax(vol.rp[occupied])])
     took = time.perf_counter() - t0
@@ -170,13 +172,13 @@ def test_criterion_7_parameters_recover_from_the_panel(big_config):
 def test_criterion_8_ensembles_follow_their_laws(big_panel):
     worst_z = 0.0
     cfg_ref = make_config(n_assets=20_000, b_measure="reference")
-    ref = simulate_market(cfg_ref, ACCEPT_SEED)
+    ref = whole_panel(cfg_ref, ACCEPT_SEED)
     for j in range(len(ref.times)):
         x = ref.pi[:, j]
         se = np.std(x, ddof=1) / math.sqrt(len(x))
         worst_z = max(worst_z, abs(np.mean(x) - cfg_ref.truth.pi1_0) / se)
     cfg_rne = make_config(n_assets=20_000, b_measure="rne")
-    rne = simulate_market(cfg_rne, ACCEPT_SEED)
+    rne = whole_panel(cfg_rne, ACCEPT_SEED)
     for s in (1, -1):
         sel = rne.sign == s
         for j in range(len(rne.times)):
@@ -206,7 +208,9 @@ def test_criterion_8_ensembles_follow_their_laws(big_panel):
 
 
 def _top_bin_mix(panel, t, n_floor):
-    curve = measure_expost_excess(panel, sort_cohorts(panel, t))["volatility"]
+    sort = sort_cohorts(panel, t)
+    curve = measure_expost_excess(sort, cohort_table(sort), panel.config.pricing.S_delta)[
+        "volatility"]
     ok = (curve.n >= n_floor) & np.isfinite(curve.mix)
     i = int(np.nonzero(ok)[0][-1])
     mix = float(curve.mix[i])

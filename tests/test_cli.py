@@ -15,8 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnemarket import inference, market
-from rnemarket.cli import ConfigError, echo_config, main, parse_config
-from rnemarket.market import ASSET_BLOCK, make_config
+from rnemarket.cli import (
+    MAX_GRID_POINTS,
+    ConfigError,
+    _validate_checks,
+    echo_config,
+    main,
+    parse_config,
+)
+from rnemarket.market import ASSET_BLOCK, MAX_BINS, make_config
 
 DATA = Path(__file__).parent / "data"
 
@@ -354,6 +361,16 @@ def test_curves_rejects_lattice_values_that_share_a_file_name(tmp_path, capsys):
     assert not list(out.glob("curve_*.csv"))
 
 
+def test_curves_checks_every_lattice_point_before_writing(tmp_path, capsys):
+    # the first point is valid: its file used to be written before the second failed
+    cfg = _write(tmp_path, "c.cfg", "curves.K_list = 1.5, 0.5\n")
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["curves", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: line 1: K must be >= 1")
+    assert {p.name for p in out.glob("*")} == {"config_echo.txt"}
+
+
 def test_curves_tabulates_the_analytic_family(tmp_path):
     cfg = _write(tmp_path, "c.cfg", "curves.rho_list = 1, 9\ncurves.K_list = 1.5\n")
     out = tmp_path / "out"
@@ -438,6 +455,22 @@ def test_validate_passes_under_every_b_measure(tmp_path, measure):
     assert "ex-post decomposition reconciles" in (out / "validate_report.txt").read_text()
 
 
+def test_validate_checks_hold_only_the_columns_they_read():
+    # three Monte Carlo checks simulate 20,000 assets each: their whole
+    # panels held at once peak near 10 MB, the columns each check reads
+    # while it runs near 2.2 MB
+    rc = parse_config("")
+    list(_validate_checks(rc))  # the process-wide tables and caches: part of no check
+    tracemalloc.start()
+    try:
+        results = list(_validate_checks(rc))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(passed for _, passed, _ in results)
+    assert peak <= 5_000_000, peak
+
+
 def test_bad_config_exits_two(tmp_path, capsys):
     cfg = _write(tmp_path, "c.cfg", "pricing.K = 0.5\n")
     assert main(["validate", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
@@ -448,12 +481,17 @@ def test_bad_config_exits_two(tmp_path, capsys):
 
 # values whose arithmetic once escaped the range checks: S_delta**2
 # overflowed, sigma_l**2/2 underflowed to 0, and a prior pi1_0 that rounds to
-# 1 named no line
+# 1 named no line; and sizes past their bounds, rejected before anything is
+# allocated, where the grid and the bins each asked for gigabytes
 @pytest.mark.parametrize("text, named", [
     ("pricing.S_delta = 1e308\n", "line 2: S_delta"),
     ("inference.sigma_lD = 1e-300\n", "line 2: sigma_l"),
     ("market.p1_0 = 0.1\nmarket.rho = 1e-300\n", "line 2, line 3: pi0"),
-], ids=["S_delta", "sigma_lD", "rho"])
+    (f"curves.grid_points = {MAX_GRID_POINTS + 1}\n", "line 2: curves.grid_points must be at most"),
+    ("curves.grid_points = 1000000000\n", "line 2: curves.grid_points must be at most"),
+    (f"market.n_bins = {MAX_BINS + 1}\n", "line 2: n_bins must be at most"),
+    ("market.n_bins = 1000000000\n", "line 2: n_bins must be at most"),
+], ids=["S_delta", "sigma_lD", "rho", "grid_points", "grid_points-1e9", "n_bins", "n_bins-1e9"])
 @pytest.mark.parametrize("cmd", ["estimate", "cohorts", "curves", "simulate"])
 def test_extreme_values_are_config_errors_on_their_lines(tmp_path, capsys, text, named, cmd):
     cfg = _write(tmp_path, "c.cfg", "market.n_assets = 3000\n" + text)
@@ -461,6 +499,43 @@ def test_extreme_values_are_config_errors_on_their_lines(tmp_path, capsys, text,
     assert main([cmd, "--config", cfg, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {named}")
     assert {p.name for p in out.glob("*")} <= {"config_echo.txt"}
+
+
+def test_sizes_at_their_bounds_parse():
+    rc = parse_config(f"curves.grid_points = {MAX_GRID_POINTS}\nmarket.n_bins = {MAX_BINS}\n")
+    assert (rc.grid_points, rc.market.n_bins) == (MAX_GRID_POINTS, MAX_BINS)
+
+
+@pytest.mark.parametrize("dt", ["1e-7", "1e-300"])
+def test_dense_paths_past_the_step_budget_exit_four_before_writing(tmp_path, capsys, dt):
+    # 10 dense paths of 8e7 (or 8e300) steps each: the budget is 2e8
+    cfg = _write(tmp_path, "c.cfg", f"market.n_assets = 3000\ninference.dt = {dt}\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 4
+    assert "dense price paths" in capsys.readouterr().err
+    assert {p.name for p in out.glob("*")} == {"config_echo.txt"}
+
+
+@pytest.mark.parametrize("sigma", ["1e-150", "1e-154", "1e-155", "1e-160", "1e-200"])
+@pytest.mark.parametrize("cmd", ["curves", "estimate"])
+def test_tiny_signal_to_noise_writes_no_nan(tmp_path, capsys, sigma, cmd):
+    # below about 1e-152 the analytic log weights of both fold sides
+    # overflowed to -inf and curves wrote NaN; estimate has no signal to
+    # read at any of these values and reports its failure (exit 3)
+    cfg = _write(tmp_path, "c.cfg", f"market.n_assets = 3000\ninference.sigma_lD = {sigma}\n"
+                                    "estimation.n_boot = 20\n")
+    out = tmp_path / "o"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([cmd, "--config", cfg, "--out-dir", str(out)])
+    if code == 2:
+        assert capsys.readouterr().err.startswith("config error: line 2: sigma_l")
+        assert {p.name for p in out.glob("*")} <= {"config_echo.txt"}
+        return
+    assert code == (0 if cmd == "curves" else 3)
+    for path in out.glob("*.csv"):
+        assert "nan" not in path.read_text().lower(), path.name
+    if cmd == "curves":
+        assert sigma == "1e-150"
 
 
 def test_unresolvable_estimate_exits_three(tmp_path, capsys):

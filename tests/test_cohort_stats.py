@@ -109,7 +109,7 @@ def _assert_close(a, b, tol=1e-12):
 def _check_against_reference(panel, sort):
     ref = reference_stats(panel, sort)
     got = table_stats(sort, cohort_table(sort), panel.config.pricing.S_delta)
-    measured = measure_expost_excess(panel, sort)
+    measured = measure_expost_excess(sort, cohort_table(sort), panel.config.pricing.S_delta)
     assert set(got) == set(ref) == set(measured) == set(KINDS[sort.conditioning])
     for kind, (rp, se, n) in ref.items():
         for stats in (got[kind], (measured[kind].rp, measured[kind].se, measured[kind].n)):
@@ -161,7 +161,7 @@ def test_unanimous_cell_has_zero_se_and_is_not_usable():
     panel = _toy_panel(Pi, np.ones(n), sign)
     for conditioning, kind in (("pi_level", "momentum_plus"), ("volatility", "volatility")):
         sort = sort_cohorts(panel, 1.0, conditioning=conditioning)
-        curve = measure_expost_excess(panel, sort)[kind]
+        curve = measure_expost_excess(sort, cohort_table(sort), panel.config.pricing.S_delta)[kind]
         filled = np.nonzero(curve.n > 0)[0]
         assert np.all(curve.se[filled] == 0.0), kind
         assert not _usable_mask(curve, 10)[filled].any(), kind

@@ -27,9 +27,9 @@ from rnemarket.estimation import (
     write_roundtrip_csv,
 )
 from rnemarket.inference import InputError
-from rnemarket.market import cohort_table, make_config, simulate_market, sort_cohorts
+from rnemarket.market import cohort_table, make_config, sort_cohorts
 
-from conftest import ACCEPT_SEED
+from conftest import ACCEPT_SEED, whole_panel
 
 
 def _curve(v, rp, se=None, n=1000.0):
@@ -292,7 +292,7 @@ def test_roundtrip_sorts_its_blocks_into_the_whole_panels_cohorts(monkeypatch):
 
     monkeypatch.setattr(_TableBootstrap, "__init__", spy)
     roundtrip(cfg, 5, t=2.4, n_boot=1)
-    panel = simulate_market(cfg, 5)
+    panel = whole_panel(cfg, 5)
     full = sort_cohorts(panel, 2.4, conditioning="volatility")
     assert seen["sort"].code.dtype == full.code.dtype
     assert np.array_equal(seen["sort"].code, full.code)

@@ -13,16 +13,17 @@ from rnemarket.inference import InferenceParams, InputError
 from rnemarket.market import (
     MarketPanel,
     ResourceLimitError,
+    cohort_table,
     expost_decomposition,
     make_config,
     measure_expost_excess,
-    simulate_market,
+    simulate_blocks,
     sort_cohorts,
     write_cohorts_csv,
     write_panel_csv,
 )
 
-from conftest import ACCEPT_SEED
+from conftest import ACCEPT_SEED, whole_panel
 from momentum_bins import bin_averaged_momentum
 
 
@@ -63,7 +64,7 @@ def test_assets_are_independent(small_panel):
 
 def test_reference_measure_beliefs_are_driftless():
     cfg = make_config(n_assets=20_000, b_measure="reference")
-    p = simulate_market(cfg, ACCEPT_SEED)
+    p = whole_panel(cfg, ACCEPT_SEED)
     for j in range(len(p.times)):
         x = p.pi[:, j]
         z = abs(np.mean(x) - cfg.truth.pi1_0) / (np.std(x, ddof=1) / math.sqrt(len(x)))
@@ -72,7 +73,7 @@ def test_reference_measure_beliefs_are_driftless():
 
 def test_priced_measure_prices_are_driftless():
     cfg = make_config(n_assets=20_000, b_measure="rne")
-    p = simulate_market(cfg, ACCEPT_SEED)
+    p = whole_panel(cfg, ACCEPT_SEED)
     for s in (1, -1):
         sel = p.sign == s
         prior = cfg.Pi1_0(s)
@@ -93,7 +94,7 @@ def test_priced_levels_follow_the_schedule_law():
     sigma_l = inf.sigma_l_total(t)
     assert abs(sigma_l**2 * t - V) <= 1e-12
     cfg = make_config(n_assets=40_000, inference=inf, record_times=(t,), sign_prob_plus=1.0)
-    x = logit(simulate_market(cfg, ACCEPT_SEED).Pi[:, 0])
+    x = logit(whole_panel(cfg, ACCEPT_SEED).Pi[:, 0])
     params = AnomalyParams.from_primitives(cfg.truth.p1_0, cfg.truth.rho, cfg.pricing.K,
                                            sigma_l, t)
 
@@ -130,7 +131,8 @@ def test_volatility_sort_folds_high_and_low_sides_together():
     assert bin_index[0] == bin_index[1]
     assert bin_index[2] == bin_index[3]
     assert list(side) == [0, 1, 0, 1, 0]
-    curve = measure_expost_excess(panel, sort)["volatility"]
+    S_delta = panel.config.pricing.S_delta
+    curve = measure_expost_excess(sort, cohort_table(sort), S_delta)["volatility"]
     assert curve.n.sum() == 5  # empty bins kept, occupied ones counted
     assert np.count_nonzero(curve.n) == 3
 
@@ -139,7 +141,7 @@ def test_pi_level_sort_splits_by_direction():
     panel = _toy_panel([0.12, 0.88, 0.31, 0.69], sign=[1, -1, 1, -1])
     sort = sort_cohorts(panel, 1.0, conditioning="pi_level")
     assert len(sort.edges) == panel.config.n_bins + 1
-    measured = measure_expost_excess(panel, sort)
+    measured = measure_expost_excess(sort, cohort_table(sort), panel.config.pricing.S_delta)
     assert measured["momentum_plus"].n.sum() == 2
     assert measured["momentum_minus"].n.sum() == 2
     with pytest.raises(InputError):
@@ -150,13 +152,13 @@ def test_pi_level_sort_splits_by_direction():
 
 def test_a_one_epoch_panel_answers_for_its_own_epoch_only():
     cfg = make_config(n_assets=200)
-    panel = simulate_market(cfg, 3, epochs=[1])
-    full = simulate_market(cfg, 3)
+    panel = whole_panel(cfg, 3, epochs=[1])
+    full = whole_panel(cfg, 3)
     t = cfg.record_times[1]
     assert np.array_equal(sort_cohorts(panel, t).code, sort_cohorts(full, t).code)
-    assert expost_decomposition(panel, t) == expost_decomposition(full, t)
+    assert expost_decomposition([panel], t) == expost_decomposition([full], t)
     other = cfg.record_times[2]  # recorded by the config, not kept by the panel
-    for lookup in (sort_cohorts, expost_decomposition):
+    for lookup in (sort_cohorts, lambda p, t: expost_decomposition([p], t)):
         with pytest.raises(InputError, match="is not a recorded epoch") as err:
             lookup(panel, other)
         assert err.value.fields == ("t",)
@@ -168,7 +170,7 @@ def test_bad_epochs_are_rejected_before_simulating(epochs):
     cfg = make_config(n_assets=200, max_asset_steps=1)
     assert len(cfg.record_times) == 4
     with pytest.raises(InputError, match="epochs") as err:
-        simulate_market(cfg, 3, epochs=epochs)
+        simulate_blocks(cfg, 3, epochs=epochs)
     assert err.value.fields == ("epochs",)
 
 
@@ -180,7 +182,7 @@ def test_momentum_cohorts_match_prediction(small_panel):
         cfg.inference.sigma_at(0.0)[1], t, cfg.pricing.S_delta,
     )
     sort = sort_cohorts(small_panel, t, conditioning="pi_level")
-    measured = measure_expost_excess(small_panel, sort)
+    measured = measure_expost_excess(sort, cohort_table(sort), cfg.pricing.S_delta)
     for kind, sign in (("momentum_plus", 1), ("momentum_minus", -1)):
         c = measured[kind]
         _, rp_pred, _ = bin_averaged_momentum(sort.edges, sign, pars)
@@ -192,14 +194,15 @@ def test_momentum_cohorts_match_prediction(small_panel):
 
 def test_volatility_cohorts_match_prediction_when_unbiased():
     cfg = make_config(n_assets=20_000, rho=1.0)
-    panel = simulate_market(cfg, ACCEPT_SEED)
+    panel = whole_panel(cfg, ACCEPT_SEED)
     t = 2.4
     pars = AnomalyParams.from_primitives(
         cfg.truth.p1_0, 1.0, cfg.pricing.K,
         cfg.inference.sigma_at(0.0)[1], t, cfg.pricing.S_delta,
     )
     sort = sort_cohorts(panel, t, conditioning="volatility")
-    measured = measure_expost_excess(panel, sort)["volatility"]
+    measured = measure_expost_excess(sort, cohort_table(sort), cfg.pricing.S_delta)[
+        "volatility"]
     ana = analytic_curve("volatility", pars)
     # aggregate the analytic curve onto the cohort bins, occupancy weighted
     which = np.clip(np.searchsorted(sort.edges, ana.v, side="right") - 1, 0,
@@ -214,7 +217,7 @@ def test_volatility_cohorts_match_prediction_when_unbiased():
 
 
 def test_decomposition_reconciles(small_panel):
-    out = expost_decomposition(small_panel, 2.4)
+    out = expost_decomposition([small_panel], 2.4)
     for scope, rec in out.items():
         gap = rec["total_drift"] - (rec["priced_part"] + rec["bias_part"] + rec["residual"])
         assert abs(gap) <= 1e-12, scope
@@ -227,17 +230,17 @@ def test_decomposition_reconciles(small_panel):
 
 
 def test_decomposition_legs_vanish_without_their_cause():
-    p_unbiased = simulate_market(make_config(n_assets=4000, rho=1.0), 5)
-    rec = expost_decomposition(p_unbiased, 2.4)["all"]
+    p_unbiased = whole_panel(make_config(n_assets=4000, rho=1.0), 5)
+    rec = expost_decomposition([p_unbiased], 2.4)["all"]
     assert rec["bias_part"] == pytest.approx(0.0, abs=1e-14)
-    p_unpriced = simulate_market(make_config(n_assets=4000, K=1.0), 5)
-    rec = expost_decomposition(p_unpriced, 2.4)["all"]
+    p_unpriced = whole_panel(make_config(n_assets=4000, K=1.0), 5)
+    rec = expost_decomposition([p_unpriced], 2.4)["all"]
     assert rec["priced_part"] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_panel_csv_round_trip(tmp_path):
     cfg = make_config(n_assets=5)
-    panel = simulate_market(cfg, 3)
+    panel = whole_panel(cfg, 3)
     path = tmp_path / "panel.csv"
     write_panel_csv(path, panel)
     with open(path, newline="") as fh:
@@ -255,8 +258,9 @@ def test_panel_csv_round_trip(tmp_path):
 
 def test_cohorts_csv_appends_epochs(tmp_path, small_panel):
     path = tmp_path / "cohorts.csv"
-    first = measure_expost_excess(small_panel, sort_cohorts(small_panel, 1.2))
-    second = measure_expost_excess(small_panel, sort_cohorts(small_panel, 2.4))
+    sorts = [sort_cohorts(small_panel, t) for t in (1.2, 2.4)]
+    S_delta = small_panel.config.pricing.S_delta
+    first, second = (measure_expost_excess(s, cohort_table(s), S_delta) for s in sorts)
     write_cohorts_csv(path, first, 1.2)
     write_cohorts_csv(path, second, 2.4, append=True)
     with open(path, newline="") as fh:
@@ -274,7 +278,7 @@ def test_cohorts_csv_appends_epochs(tmp_path, small_panel):
 def test_step_budget_is_enforced():
     cfg = make_config(n_assets=1000, max_asset_steps=100)
     with pytest.raises(ResourceLimitError):
-        simulate_market(cfg, 1)
+        simulate_blocks(cfg, 1)
 
 
 def test_config_validation():

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from rnemarket.inference import InferenceParams
-from rnemarket.market import make_config, simulate_market
+from rnemarket.market import make_config
 from rnemarket.pricing import simulate_price_path
+
+from conftest import whole_panel
 
 CONFIGS = {
     "default": {},
@@ -31,7 +33,7 @@ def _substream(seed, a):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_single_paths_reproduce_the_panel_rows(name, seed):
     cfg = make_config(n_assets=N_ASSETS, **CONFIGS[name])
-    panel = simulate_market(cfg, seed)
+    panel = whole_panel(cfg, seed)
     for a in range(N_ASSETS):
         b = int(panel.B[a])
         params = replace(cfg.pricing, sign_change=int(panel.sign[a]))

@@ -1,5 +1,6 @@
-"""simulate_market against the per-asset reference loop, bit for bit."""
+"""simulate_blocks against the per-asset reference loop, bit for bit."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -14,9 +15,10 @@ from rnemarket.market import (
     _b_prob,
     make_config,
     simulate_blocks,
-    simulate_market,
 )
 from rnemarket.pricing import canonical_price, rne_belief
+
+from conftest import whole_panel
 
 FIELDS = ("times", "B", "sign", "loglr", "pi", "Pi", "S")
 
@@ -115,7 +117,7 @@ def test_matches_reference_loop_bit_for_bit(name, seed, monkeypatch):
     for n in SIZES:
         cfg = make_config(n_assets=n, **CONFIGS[name])
         del redone[:]
-        got = simulate_market(cfg, seed)
+        got = whole_panel(cfg, seed)
         for f in FIELDS:
             want = getattr(ref, f) if f == "times" else getattr(ref, f)[:n]
             have = getattr(got, f)
@@ -128,13 +130,15 @@ def test_matches_reference_loop_bit_for_bit(name, seed, monkeypatch):
             assert 0 < n_redone < n * (1 - 0.98**k), (n_redone, k)
         # a panel of one epoch is that epoch's column of the full panel
         for j in range(len(cfg.record_times)):
-            one = simulate_market(cfg, seed, epochs=[j])
+            one = whole_panel(cfg, seed, epochs=[j])
             for f in FIELDS:
-                want = getattr(got, f)
+                want = getattr(ref, f)
                 if f == "times":
                     want = want[[j]]
                 elif want.ndim == 2:
-                    want = want[:, [j]]
+                    want = want[:n, [j]]
+                else:
+                    want = want[:n]
                 assert want.dtype == getattr(one, f).dtype, (f, n, j)
                 assert np.array_equal(getattr(one, f), want), (f, n, j)
 
@@ -190,7 +194,7 @@ def test_distinct_seeds_give_distinct_panels():
     # 2**63 + 1 and 2**64 - 1 used to alias through a float64 key
     seeds = (0, 1, 2**53 + 1, 2**63 - 1, 2**63 + 1, 2**64 - 1)
     cfg = make_config(n_assets=64)
-    panels = [simulate_market(cfg, s) for s in seeds]
+    panels = [whole_panel(cfg, s) for s in seeds]
     for i in range(len(seeds)):
         for j in range(i):
             assert not np.array_equal(panels[i].loglr, panels[j].loglr), (seeds[i], seeds[j])
@@ -200,34 +204,42 @@ def test_seed_outside_the_u64_range_is_rejected():
     cfg = make_config(n_assets=4)
     for seed in (-1, 2**64):
         with pytest.raises(InputError, match="seed"):
-            simulate_market(cfg, seed)
+            simulate_blocks(cfg, seed)
 
 
 def test_working_memory_is_bounded_by_the_block():
-    # the outputs are n * (2 + 4 * T * 8) bytes: B and sign as int8, and
-    # loglr, pi, Pi, S as T float columns
+    # a caller that keeps nothing of the blocks holds one block at a time,
+    # whatever n_assets is: 100,000 assets are 25 blocks
     cfg = make_config(n_assets=100_000)
-    for epochs, T in ((None, len(cfg.record_times)), ([2], 1)):
-        outputs = cfg.n_assets * (2 + 4 * T * 8)
+    for epochs in (None, [2]):
         tracemalloc.start()
         try:
-            simulate_market(cfg, 0, epochs=epochs)
+            for _ in simulate_blocks(cfg, 0, epochs=epochs):
+                pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= outputs + 4 * 2**20, (epochs, peak, outputs)
+        assert peak <= 4 * 2**20, (epochs, peak)
+
+
+@functools.cache
+def _z_stream_reference(seed):
+    # asset a's draws depend on (seed, a) alone: a prefix is a smaller panel's reference
+    return reference_simulate_market(make_config(n_assets=10_001, **CONFIGS["z_stream"]), seed)
 
 
 @pytest.mark.parametrize("epochs", [None, [2]], ids=["all", "one"])
 @pytest.mark.parametrize("n", [1_000, 2 * ASSET_BLOCK, 10_001])
 def test_blocks_concatenate_to_the_panel_bit_for_bit(n, epochs):
     cfg = make_config(n_assets=n, **CONFIGS["z_stream"])
-    panel = simulate_market(cfg, 7, epochs=epochs)
+    ref = _z_stream_reference(7)
+    cols = slice(None) if epochs is None else epochs
     blocks = list(simulate_blocks(cfg, 7, epochs=epochs))
     assert [b.first_id for b in blocks] == list(range(0, n, ASSET_BLOCK))
     assert sum(b.n_assets for b in blocks) == n
     for f in FIELDS:
-        want = getattr(panel, f)
+        want = getattr(ref, f)
+        want = want[cols] if f == "times" else want[:n, cols] if want.ndim == 2 else want[:n]
         got = (getattr(blocks[0], f) if f == "times"
                else np.concatenate([getattr(b, f) for b in blocks]))
         assert got.dtype == want.dtype, f

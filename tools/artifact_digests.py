@@ -18,7 +18,9 @@ at 2,000 grid points, whose files hold floats of both signs from about
 1.005:0:0.2, whose breakpoint lies before curves.t and off the dt grid:
 the analytic side reads the law of l_t built over [0, t), and the dense
 price paths' grid holds the breakpoint, and simulate and cohorts at 1,000
-and 8,192 assets, inside one 4,096-asset block and on a block edge. Prints
+and 8,192 assets, inside one 4,096-asset block and on a block edge, and
+validate under market.b_measure reference and rne, so that every line of
+validate_report.txt is pinned under each measure. Prints
 each subcommand's exit code, then one `sha256  run/file` line per
 artifact, so the diff of two checkouts' outputs names every artifact that
 changed. Exits 1 if any subcommand exits non-zero. Not part of the test
@@ -44,6 +46,7 @@ BASE = {
     "threads": 2,
 }
 RUNS = [(cmd, cmd, {}) for cmd in ("simulate", "curves", "cohorts", "estimate", "validate")]
+RUNS += [(f"validate-{m}", "validate", {"market.b_measure": m}) for m in ("reference", "rne")]
 RUNS.append(("estimate-1e4-seed7", "estimate", {"market.n_assets": 10_000, "seed": 7}))
 RUNS.append(("estimate-K1", "estimate", {"pricing.K": 1}))
 RUNS.append(("simulate-z-stream", "simulate", {
