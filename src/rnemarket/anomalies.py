@@ -99,6 +99,10 @@ class AnomalyParams:
         return float(expit(-self.H_p))
 
 
+# each curve kind's sign: a momentum curve's branch, and its peak's orientation
+_KIND_SIGN = {"momentum_plus": 1, "momentum_minus": -1, "volatility": 1}
+
+
 @dataclass
 class CohortCurve:
     """One cohort curve: levels v, mean excess rp, and occupancy.
@@ -115,7 +119,7 @@ class CohortCurve:
     se: np.ndarray | None = None
     mix: np.ndarray | None = None
 
-    VALID_KINDS = ("momentum_plus", "momentum_minus", "volatility")
+    VALID_KINDS = tuple(_KIND_SIGN)
 
     def __post_init__(self) -> None:
         if self.kind not in self.VALID_KINDS:
@@ -346,18 +350,16 @@ def analytic_curve(kind: str, params: AnomalyParams, grid=None) -> CohortCurve:
         w = np.exp(lw[0]) + np.exp(lw[1])
     else:
         rp = _curve_values(kind, params, grid)
-        w = occupancy_density(grid, 1 if kind == "momentum_plus" else -1, params)
+        w = occupancy_density(grid, _KIND_SIGN[kind], params)
     return CohortCurve(kind=kind, v=grid, rp=rp, n=w)
 
 
 def _curve_values(kind: str, params: AnomalyParams, grid: np.ndarray) -> np.ndarray:
-    if kind == "momentum_plus":
-        return momentum_excess(grid, 1, params.rho, params.K, params.S_delta)
-    if kind == "momentum_minus":
-        return momentum_excess(grid, -1, params.rho, params.K, params.S_delta)
+    if kind not in _KIND_SIGN:
+        raise InputError(f"unknown curve kind {kind!r}")
     if kind == "volatility":
         return vol_conditioned_excess(grid, params)
-    raise InputError(f"unknown curve kind {kind!r}")
+    return momentum_excess(grid, _KIND_SIGN[kind], params.rho, params.K, params.S_delta)
 
 
 def peak_report(kind: str, params: AnomalyParams, step: float = 1e-3) -> dict:
@@ -370,7 +372,7 @@ def peak_report(kind: str, params: AnomalyParams, step: float = 1e-3) -> dict:
     """
     curve = analytic_curve(kind, params, grid=default_grid(kind, step))
     grid = curve.v
-    orient = -1.0 if kind == "momentum_minus" else 1.0
+    orient = _KIND_SIGN[kind]
     vals = orient * curve.rp
     i = int(np.argmax(vals))
     lo = max(grid[0], grid[i] - 2 * step)
@@ -382,8 +384,7 @@ def peak_report(kind: str, params: AnomalyParams, step: float = 1e-3) -> dict:
     if kind == "volatility":
         v_formula, rp_formula = lowrisk_peak(params.rho, params.K, params.S_delta)
     else:
-        sign = 1 if kind == "momentum_plus" else -1
-        v_formula, rp_formula = momentum_peak(params.rho, params.K, params.S_delta, sign)
+        v_formula, rp_formula = momentum_peak(params.rho, params.K, params.S_delta, orient)
     return {
         "kind": kind,
         "v_max": v_grid,

@@ -117,12 +117,9 @@ class RunConfig:
             raise InputError("curves.K_list must be nonempty", "curves_K")
 
     def derived(self) -> dict:
-        truth = self.market.truth
-        pr = self.market.pricing
-        sigma_l = math.hypot(*self.market.inference.sigma_at(0.0))  # the pair live at 0
-        mil = Milestones.from_params(truth.p1_0, max(truth.rho, 1.0), pr.K, sigma_l)
+        mil = self.market.milestones(self.market.inference.sigma_l_total(0.0))
         return {
-            "pi1_0": truth.pi1_0,
+            "pi1_0": self.market.truth.pi1_0,
             "Pi1_0_plus": self.market.Pi1_0(1),
             "Pi1_0_minus": self.market.Pi1_0(-1),
             "t_p": mil.t_p,
@@ -190,10 +187,8 @@ _SCHEMA = {
     "seed": (int, "seed"),
     "threads": (int, "threads"),
 }
-# attribute path -> key, for naming the keys behind an InputError's fields;
-# pricing's prior is the truth's pi1_0, which these two keys set
+# attribute path -> key, for naming the keys behind an InputError's fields
 _KEY_AT = {path: key for key, (_, path) in _SCHEMA.items()}
-_KEY_AT["market.pricing.pi0"] = ("market.p1_0", "market.rho")
 
 _DERIVED_KEYS = ("pi1_0", "Pi1_0_plus", "Pi1_0_minus", "t_p", "t_K", "t_rho")
 
@@ -295,7 +290,7 @@ def parse_config(text: str, overrides=None) -> RunConfig:
 
     inference = build("market.inference", InferenceParams)
     truth = build("market.truth", TruthParams)
-    pricing = build("market.pricing", PricingParams, pi0=truth.pi1_0)
+    pricing = build("market.pricing", PricingParams)
     market = build("market", MarketConfig, truth=truth, pricing=pricing, inference=inference)
     rc = build("", RunConfig, market=market, sources=where)
     try:
@@ -371,15 +366,17 @@ def _cmd_simulate(rc: RunConfig, out: Path) -> int:
         write_panel_csv(out / "panel.csv", block, append=block.first_id > 0)
         if block.first_id == 0:
             signs, outcomes = block.sign[:n_paths], block.B[:n_paths]
-    detail = [
-        simulate_price_path(rc.market.inference, replace(rc.market.pricing, sign_change=int(s)),
-                            int(b), np.random.default_rng([rc.seed, a, 0xDE7A11]))
+    # each dense path is written and dropped before the next is simulated
+    detail = (
+        simulate_price_path(rc.market.inference, rc.market.pricing, int(b),
+                            np.random.default_rng([rc.seed, a, 0xDE7A11]),
+                            sign_change=int(s), pi0=rc.market.truth.pi1_0)
         for a, (s, b) in enumerate(zip(signs, outcomes))
-    ]
+    )
     write_price_paths_csv(out / "price_paths.csv", detail)
     print(f"wrote {out / 'panel.csv'} ({rc.market.n_assets} assets x "
           f"{len(rc.market.record_times)} epochs)")
-    print(f"wrote {out / 'price_paths.csv'} ({len(detail)} illustrative dense paths)")
+    print(f"wrote {out / 'price_paths.csv'} ({n_paths} illustrative dense paths)")
     return 0
 
 
@@ -490,31 +487,25 @@ def _conservation_check(rc: RunConfig) -> float:
     return float(np.max(np.abs(odds_pi / odds_Pi / K_pow - 1)))
 
 
+def _max_z(samples) -> float:
+    """The largest |mean - target| in standard errors over (x, target) samples, or 0."""
+    return max([0.0, *(abs(x.mean() - target) / (x.std(ddof=1) / math.sqrt(len(x)))
+                       for x, target in samples)])
+
+
 # The Monte Carlo checks keep only the columns they read of simulate_blocks'
 # blocks, and only while they run.
 def _reference_martingale_z(rc: RunConfig) -> float:
     cfg = replace(rc.market, n_assets=20_000, b_measure="reference")
     pi = np.concatenate([block.pi for block in simulate_blocks(cfg, rc.seed)])
-    pi0 = cfg.truth.pi1_0
-    z = 0.0
-    for j in range(pi.shape[1]):
-        x = pi[:, j]
-        z = max(z, abs(x.mean() - pi0) / (x.std(ddof=1) / math.sqrt(len(x))))
-    return z
+    return _max_z((pi[:, j], cfg.truth.pi1_0) for j in range(pi.shape[1]))
 
 
 def _priced_martingale_z(rc: RunConfig) -> float:
     cfg = replace(rc.market, n_assets=20_000, b_measure="rne")
     kept = [(block.sign, block.Pi) for block in simulate_blocks(cfg, rc.seed)]
     sign, Pi = (np.concatenate(x) for x in zip(*kept))
-    z = 0.0
-    for sgn in (1, -1):
-        sel = sign == sgn
-        target = cfg.Pi1_0(sgn)
-        for j in range(Pi.shape[1]):
-            x = Pi[sel, j]
-            z = max(z, abs(x.mean() - target) / (x.std(ddof=1) / math.sqrt(sel.sum())))
-    return z
+    return _max_z((Pi[sign == s, j], cfg.Pi1_0(s)) for s in (1, -1) for j in range(Pi.shape[1]))
 
 
 def _validate_checks(rc: RunConfig):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .anomalies import CohortCurve
-from .inference import InputError, Milestones, window_check, write_csv
+from .inference import InputError, window_check, write_csv
 from .market import (
     CohortSort,
     MarketConfig,
@@ -203,15 +203,18 @@ def recover_params(v_max: float, rp_max: float, S_delta: float) -> tuple[float, 
     return rho_hat, K_hat
 
 
-def _belief_groups(n_cat: int) -> np.ndarray:
-    """The volatility sort's (bin, side) groups, code >> 2, in belief order.
+def _belief_groups(table: np.ndarray) -> tuple:
+    """(groups, size, cum): the volatility sort's (bin, side) groups, code >> 2,
+    in belief order, their weights in the category table, and the running totals.
 
     The low side by ascending bin (Pi = folded level), then the high side by
     descending bin (Pi = 1 - level): every belief of a group is at most
     every belief of the groups after it.
     """
-    keys = np.arange(n_cat // 4)
-    return np.concatenate([keys[0::2], keys[1::2][::-1]])
+    keys = np.arange(table.size // 4)
+    groups = np.concatenate([keys[0::2], keys[1::2][::-1]])
+    size = table.reshape(-1, 4).sum(axis=1)[groups]
+    return groups, size, np.cumsum(size)
 
 
 def _group_scan(code: np.ndarray, g: int):
@@ -229,9 +232,7 @@ def _fold_median_level(Pi: np.ndarray, code: np.ndarray, table: np.ndarray) -> f
     partitioned. For even n the median is their mean (a + b)/2, as in
     np.median, which would copy all n beliefs and import numpy.ma.
     """
-    groups = _belief_groups(table.size)
-    size = table.reshape(-1, 4).sum(axis=1)[groups]
-    cum = np.cumsum(size)
+    groups, size, cum = _belief_groups(table)
 
     def nth(k: int) -> float:
         i = int(np.searchsorted(cum, k, side="right"))
@@ -306,9 +307,7 @@ def _pick_epoch(config: MarketConfig) -> tuple[float, bool]:
     in_win = []
     for t in config.record_times:
         sigma_l = config.inference.sigma_l_total(t)
-        if sigma_l > 0 and window_check(t, Milestones.from_params(
-            config.truth.p1_0, max(config.truth.rho, 1.0), config.pricing.K, sigma_l,
-        )):
+        if sigma_l > 0 and window_check(t, config.milestones(sigma_l)):
             in_win.append(t)
     if in_win:
         return in_win[-1], True
@@ -411,7 +410,6 @@ class _TableBootstrap:
         self.n_cat = m.size
         self.occupied = np.flatnonzero(m)
         self.p = m[self.occupied] / self.n
-        self.groups = _belief_groups(self.n_cat)
         self._members = {}
 
     def draw(self) -> np.ndarray:
@@ -439,14 +437,12 @@ class _TableBootstrap:
         integer weights of that group's members idx, whose categories
         hold counts and sit at positions pos.
         """
-        counts = table.reshape(-1, 4)
-        size = counts.sum(axis=1)[self.groups]
-        cum = np.cumsum(size)
+        groups, size, cum = _belief_groups(table)
         half = cum[-1] / 2.0
         i = int(np.searchsorted(cum, half))
-        g = int(self.groups[i])
+        g = int(groups[i])
         idx, pos = self.members(g)
-        w = weigh(counts[g], idx, pos)
+        w = weigh(table.reshape(-1, 4)[g], idx, pos)
         j = int(np.searchsorted(cum[i] - size[i] + np.cumsum(w), half))
         med = float(self.vals[idx[j]])
         return min(med, 1.0 - med)

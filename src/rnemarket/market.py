@@ -20,7 +20,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .anomalies import CohortCurve
-from .inference import InferenceParams, InputError, expit, logit, loglr_paths, write_csv
+from .inference import (
+    InferenceParams, InputError, Milestones, expit, logit, loglr_paths, write_csv,
+)
 from .pricing import PricingParams, price_paths, rne_belief
 
 __all__ = [
@@ -73,6 +75,9 @@ class TruthParams:
             raise InputError("p1_0 must lie in (0,1)", "p1_0")
         if self.rho <= 0:
             raise InputError("rho must be positive", "rho")
+        if not 0 < self.pi1_0 < 1:
+            raise InputError("the reference prior pi1_0 = expit(logit(p1_0) - log(rho)) "
+                             "rounds to 0 or 1", "p1_0", "rho")
 
     @property
     def pi1_0(self) -> float:
@@ -119,21 +124,12 @@ class MarketConfig:
             raise InputError("n_min must be nonnegative", "n_min")
         if not self.max_asset_steps > 0:
             raise InputError("max_asset_steps must be positive", "max_asset_steps")
-        if abs(logit(self.pricing.pi0) - logit(self.truth.pi1_0)) > 1e-12:
-            raise InputError(
-                "pricing.pi0 must equal the reference prior derived from the truth",
-                "pricing.pi0",
-            )
         try:
             self.pricing.check_consistent(self.inference)
         except InputError as e:
             raise InputError(
                 str(e), "pricing.rZ_delta", "pricing.sigma_Z", "inference.sigma_lZ"
             ) from e
-
-    @property
-    def pi1_0(self) -> float:
-        return self.truth.pi1_0
 
     def time_index(self, t: float) -> int:
         """Position of t among record_times, to 1e-12."""
@@ -142,18 +138,20 @@ class MarketConfig:
     def Pi1_0(self, sign_change: int) -> float:
         return float(rne_belief(self.truth.pi1_0, self.pricing.K, sign_change))
 
+    def milestones(self, sigma_l: float) -> Milestones:
+        """The milestones at signal-to-noise sigma_l, with rho < 1 read as 1."""
+        return Milestones.from_params(
+            self.truth.p1_0, max(self.truth.rho, 1.0), self.pricing.K, sigma_l
+        )
+
 
 def make_config(**kw) -> MarketConfig:
-    """Build a MarketConfig with the pricing prior derived from the truth.
-
-    Accepts MarketConfig fields plus flattened pricing overrides; pricing.pi0
-    is always recomputed as the reference prior, never taken from the caller.
-    """
+    """Build a MarketConfig from its fields plus flattened truth and pricing overrides."""
     truth = kw.pop("truth", None) or TruthParams(
         **{k: kw.pop(k) for k in ("p1_0", "rho") if k in kw}
     )
     pricing = kw.pop("pricing", None) or PricingParams()
-    pricing = replace(pricing, pi0=truth.pi1_0, **{
+    pricing = replace(pricing, **{
         k: kw.pop(k) for k in ("K", "S_delta", "bsure_premium_drift", "rZ_delta", "sigma_Z")
         if k in kw
     })
@@ -436,7 +434,8 @@ def simulate_blocks(config: MarketConfig, seed: int, epochs=None):
             plus = d[0] < config.sign_prob_plus
             b = d[1] < np.where(plus, b_prob[1], b_prob[-1])
             z = d[2:].T
-            paths = price_paths(pr, times, cols, loglr_paths(var_z, var_d, b, z), b, plus, z)
+            loglr = loglr_paths(var_z, var_d, b, z)
+            paths = price_paths(pr, config.truth.pi1_0, times, cols, loglr, b, plus, z)
             yield MarketPanel(config, seed, kept, b.astype(np.int8),
                               np.where(plus, 1, -1).astype(np.int8), *paths, first_id=lo)
 
@@ -457,7 +456,6 @@ class CohortSort:
     """
 
     conditioning: str
-    t: float
     edges: np.ndarray
     code: np.ndarray
 
@@ -480,7 +478,7 @@ def sort_cohorts(panel: MarketPanel, t: float, conditioning: str = "volatility")
     edges = np.linspace(0.0, top, n_bins + 1)
     bin_index = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, n_bins - 1)
     code = ((bin_index * 2 + high) * 2 + (panel.sign == 1)) * 2 + (panel.B == 1)
-    return CohortSort(conditioning, t, edges, code.astype(np.min_scalar_type(8 * n_bins - 1)))
+    return CohortSort(conditioning, edges, code.astype(np.min_scalar_type(8 * n_bins - 1)))
 
 
 def cohort_table(sort: CohortSort, weights=None) -> np.ndarray:
@@ -632,9 +630,9 @@ def write_cohorts_csv(path, measured: dict, t: float, append: bool = False) -> N
                 kind,
                 c.v,
                 c.rp,
-                math.nan if c.se is None else c.se,
+                c.se,
                 c.n.astype(np.int64),
-                math.nan if c.mix is None else c.mix,
+                c.mix,
             ],
             append=append or i > 0,
         )

@@ -49,14 +49,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PricingParams:
-    """Static pricing inputs for one asset class.
+    """The pricing constants of one asset class; a path's prior and sign are its own arguments.
 
     K: odds discount applied to the adverse branch; K=1 prices the change
         risk as diversifiable.
-    sign_change: +1 when the change raises log-value, -1 when it lowers it.
     S_delta: log-value gap between the two sure valuations, constant unless
         rZ_delta decays it.
-    pi0: inference prior of the change.
     bsure_premium_drift: premium earned per unit time while the risk is
         unresolved (paid back through the premium-to-go term).
     rZ_delta: decay rate of S_delta; couples to the Z-stream drift.
@@ -64,9 +62,7 @@ class PricingParams:
     """
 
     K: float = 1.5
-    sign_change: int = 1
     S_delta: float = 1.0
-    pi0: float = 0.5
     bsure_premium_drift: float = 0.0
     rZ_delta: float = 0.0
     sigma_Z: float = 0.0
@@ -76,14 +72,10 @@ class PricingParams:
     def __post_init__(self) -> None:
         if self.K < 1:
             raise InputError("K must be >= 1", "K")
-        if self.sign_change not in (1, -1):
-            raise InputError("sign_change must be +1 or -1", "sign_change")
         if self.S_delta <= 0:
             raise InputError("S_delta must be positive", "S_delta")
         if self.S_delta * self.S_delta == math.inf:
             raise InputError("S_delta must be below 1.34e154, where S_delta**2 overflows", "S_delta")
-        if not 0 < self.pi0 < 1:
-            raise InputError("pi0 must lie in (0,1)", "pi0")
         negative = [
             f for f in ("bsure_premium_drift", "rZ_delta", "sigma_Z") if getattr(self, f) < 0
         ]
@@ -199,17 +191,18 @@ def premium_decomposition(
     )
 
 
-def price_paths(params: PricingParams, times, cols, loglr, b, plus, z):
+def price_paths(params: PricingParams, pi0: float, times, cols, loglr, b, plus, z):
     """(loglr, pi, Pi, S) at times[cols] along rows of exact log-LR paths.
 
-    loglr holds one path per row on the grid `times` (see loglr_paths, whose
-    normals z the anchor shares); b and plus flag each row's outcome and
-    whether its change raises value (params.sign_change is not read). The
-    anchor y_minus moves by sigma_Z times the Z noise, plus rZ_delta while
-    the up branch is realized. Pi is the priced probability of the change.
+    pi0 is every row's inference prior of the change. loglr holds one path
+    per row on the grid `times` (see loglr_paths, whose normals z the anchor
+    shares); b and plus flag each row's outcome and whether its change
+    raises value. The anchor y_minus moves by sigma_Z times the Z noise,
+    plus rZ_delta while the up branch is realized. Pi is the priced
+    probability of the change.
     """
     loglr = loglr[:, cols]
-    pi = posterior_from_loglr(params.pi0 / (1 - params.pi0), loglr)
+    pi = posterior_from_loglr(pi0 / (1 - pi0), loglr)
     Pi = np.empty_like(pi)
     Pi[plus] = rne_belief(pi[plus], params.K, 1)
     Pi[~plus] = rne_belief(pi[~plus], params.K, -1)
@@ -249,26 +242,34 @@ def simulate_price_path(
     b: int,
     seed,
     record_times=None,
+    sign_change: int = 1,
+    pi0: float = 0.5,
 ) -> PricePath:
     """Simulate one priced path on a dense dt-grid (or given record times).
 
-    The draws are the D-stream normals of every interval, then the Z-stream
-    normals if params.draws_z. On the panel's record times, fed a panel
-    asset's substream after its two uniforms, the path reproduces that
+    sign_change is +1 when the change raises log-value, -1 when it lowers
+    it; pi0 is the inference prior of the change. The draws are the D-stream
+    normals of every interval, then the Z-stream normals if params.draws_z.
+    On the panel's record times, fed a panel asset's substream after its two
+    uniforms, with its sign and the truth's pi1_0, the path reproduces that
     asset's panel row. The grid holds the schedule breakpoints too (see
     InferenceParams.path_grid); the path reports the dense or record times.
     """
+    if sign_change not in (1, -1):
+        raise InputError("sign_change must be +1 or -1", "sign_change")
+    if not 0 < pi0 < 1:
+        raise InputError("pi0 must lie in (0,1)", "pi0")
     params.check_consistent(inf)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     times, cols = inf.path_grid(record_times, t_max=min(inf.t_max, params.t_max))
     var_z, var_d = inf.interval_variances(times)
     z = rng.standard_normal((1, (2 if params.draws_z(var_z) else 1) * len(var_d)))
-    b_row, plus = np.array([b == 1]), np.array([params.sign_change == 1])
-    rows = price_paths(params, times, cols, loglr_paths(var_z, var_d, b_row, z), b_row, plus, z)
+    b_row, plus = np.array([b == 1]), np.array([sign_change == 1])
+    rows = price_paths(params, pi0, times, cols, loglr_paths(var_z, var_d, b_row, z),
+                       b_row, plus, z)
     loglr, pi, Pi, S = (r[0] for r in rows)
-    return PricePath(
-        times[cols], loglr, pi, Pi, S, price_of_model_risk(Pi, params.K), b, params.sign_change
-    )
+    return PricePath(times[cols], loglr, pi, Pi, S, price_of_model_risk(Pi, params.K), b,
+                     sign_change)
 
 
 def diffusion_price_of_risk(Pi: float, pi: float, sigma_l: float, K: float, S_delta: float) -> dict:
@@ -315,8 +316,9 @@ def verify_canonical_ode(grid, candidate, h: float = 1e-4) -> float:
     return float(np.max(resid))
 
 
-def write_price_paths_csv(path, runs: list[PricePath]) -> None:
-    """Dump priced runs as rows (path_id, t, pi, Pi, S, k_pi, B, sign)."""
+def write_price_paths_csv(path, runs) -> None:
+    """Dump priced runs as rows (path_id, t, pi, Pi, S, k_pi, B, sign); runs may be a
+    generator of PricePath, so that each path is written and dropped before the next."""
     for i, run in enumerate(runs):
         write_csv(
             path,

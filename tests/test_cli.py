@@ -45,7 +45,7 @@ def test_cli_defaults_are_the_library_defaults():
 def test_reference_prior_is_derived_from_the_truth():
     rc = parse_config("market.p1_0 = 0.1\nmarket.rho = 9\n")
     assert rc.derived()["pi1_0"] == pytest.approx(1 / 82, rel=1e-14)
-    assert rc.market.pricing.pi0 == pytest.approx(1 / 82, rel=1e-14)
+    assert rc.market.truth.pi1_0 == pytest.approx(1 / 82, rel=1e-14)
 
 
 def test_out_of_range_values_are_config_errors():
@@ -481,17 +481,19 @@ def test_bad_config_exits_two(tmp_path, capsys):
 
 # values whose arithmetic once escaped the range checks: S_delta**2
 # overflowed, sigma_l**2/2 underflowed to 0, and a prior pi1_0 that rounds to
-# 1 named no line; and sizes past their bounds, rejected before anything is
-# allocated, where the grid and the bins each asked for gigabytes
+# 1 (or 0) named no line; and sizes past their bounds, rejected before
+# anything is allocated, where the grid and the bins each asked for gigabytes
 @pytest.mark.parametrize("text, named", [
     ("pricing.S_delta = 1e308\n", "line 2: S_delta"),
     ("inference.sigma_lD = 1e-300\n", "line 2: sigma_l"),
-    ("market.p1_0 = 0.1\nmarket.rho = 1e-300\n", "line 2, line 3: pi0"),
+    ("market.p1_0 = 0.1\nmarket.rho = 1e-300\n", "line 2, line 3: the reference prior pi1_0"),
+    ("market.p1_0 = 1e-300\nmarket.rho = 1e300\n", "line 2, line 3: the reference prior pi1_0"),
     (f"curves.grid_points = {MAX_GRID_POINTS + 1}\n", "line 2: curves.grid_points must be at most"),
     ("curves.grid_points = 1000000000\n", "line 2: curves.grid_points must be at most"),
     (f"market.n_bins = {MAX_BINS + 1}\n", "line 2: n_bins must be at most"),
     ("market.n_bins = 1000000000\n", "line 2: n_bins must be at most"),
-], ids=["S_delta", "sigma_lD", "rho", "grid_points", "grid_points-1e9", "n_bins", "n_bins-1e9"])
+], ids=["S_delta", "sigma_lD", "rho", "rho-p1_0", "grid_points", "grid_points-1e9", "n_bins",
+        "n_bins-1e9"])
 @pytest.mark.parametrize("cmd", ["estimate", "cohorts", "curves", "simulate"])
 def test_extreme_values_are_config_errors_on_their_lines(tmp_path, capsys, text, named, cmd):
     cfg = _write(tmp_path, "c.cfg", "market.n_assets = 3000\n" + text)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from rnemarket import estimation
-from rnemarket.estimation import _TableBootstrap, _usable_mask
+from rnemarket.estimation import _TableBootstrap, _belief_groups, _usable_mask
 from rnemarket.market import (
     MarketPanel,
     cohort_table,
@@ -263,8 +263,7 @@ def test_group_search_at_a_half_total_on_a_group_boundary():
     w = np.array([1, 1, 0, 1, 1, 0, 0])
     panel = _toy_panel(Pi, [1, 0, 1, 0, 1, 1, 0], [1, -1, 1, 1, -1, 1, 1], n_bins=8)
     sort = sort_cohorts(panel, 1.0)
-    boot = _TableBootstrap(sort, cohort_table(sort), panel.Pi[:, 0], rng=None)
-    cum = np.cumsum(cohort_table(sort, w).reshape(-1, 4).sum(axis=1)[boot.groups])
+    _, _, cum = _belief_groups(cohort_table(sort, w))
     assert cum[0] == cum[-1] / 2 == 2
     vals = panel.Pi[:, 0]
     expected = _fold_median_weighted(vals, np.argsort(vals), w)

@@ -177,8 +177,8 @@ def test_schedule_must_increase():
 
 def test_belief_path_is_deterministic_and_odds_consistent():
     params = InferenceParams(dt=0.01, t_max=3.0)
-    a = simulate_price_path(params, PricingParams(pi0=0.3), 1, seed=7)
-    b = simulate_price_path(params, PricingParams(pi0=0.3), 1, seed=7)
+    a = simulate_price_path(params, PricingParams(), 1, seed=7, pi0=0.3)
+    b = simulate_price_path(params, PricingParams(), 1, seed=7, pi0=0.3)
     assert np.array_equal(a.loglr, b.loglr)
     odds = 0.3 / 0.7
     implied = odds * np.exp(a.loglr)
@@ -188,7 +188,7 @@ def test_belief_path_is_deterministic_and_odds_consistent():
 def test_belief_path_record_times_mode():
     params = InferenceParams(t_max=10.0)
     run = simulate_price_path(
-        params, PricingParams(pi0=0.49), 0, seed=11, record_times=[0.6, 1.2, 2.4, 8.0]
+        params, PricingParams(), 0, seed=11, record_times=[0.6, 1.2, 2.4, 8.0], pi0=0.49
     )
     assert np.array_equal(run.t, [0.6, 1.2, 2.4, 8.0])
     assert run.b == 0
@@ -198,9 +198,9 @@ def test_belief_path_ensemble_matches_gaussian_law():
     # 4000 one-jump paths straight to t=2.4; mean and variance of the log-LR
     params = InferenceParams(t_max=10.0)
     rng = np.random.default_rng(5)
-    pricing = PricingParams(pi0=0.49)
+    pricing = PricingParams()
     ls = np.array(
-        [simulate_price_path(params, pricing, 1, seed=rng, record_times=[2.4]).loglr[0]
+        [simulate_price_path(params, pricing, 1, seed=rng, record_times=[2.4], pi0=0.49).loglr[0]
          for _ in range(4000)]
     )
     mu, sd = loglr_law(2.4, 1, SIGMA)

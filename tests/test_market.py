@@ -290,7 +290,3 @@ def test_config_validation():
         make_config(record_times=(2.4, 1.2))
     with pytest.raises(InputError):
         make_config(p1_0=1.2)
-    from rnemarket.market import MarketConfig, TruthParams
-    from rnemarket.pricing import PricingParams
-    with pytest.raises(InputError):
-        MarketConfig(truth=TruthParams(), pricing=PricingParams(pi0=0.3))

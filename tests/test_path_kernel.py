@@ -1,7 +1,5 @@
 """One path kernel: a single asset's price path reproduces its panel row bit for bit."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -36,9 +34,9 @@ def test_single_paths_reproduce_the_panel_rows(name, seed):
     panel = whole_panel(cfg, seed)
     for a in range(N_ASSETS):
         b = int(panel.B[a])
-        params = replace(cfg.pricing, sign_change=int(panel.sign[a]))
         priced = simulate_price_path(
-            cfg.inference, params, b, _substream(seed, a), record_times=cfg.record_times
+            cfg.inference, cfg.pricing, b, _substream(seed, a), record_times=cfg.record_times,
+            sign_change=int(panel.sign[a]), pi0=cfg.truth.pi1_0,
         )
         assert np.array_equal(priced.t, panel.times), a
         for field in ("loglr", "pi", "Pi", "S"):

@@ -91,9 +91,18 @@ def test_pricing_params_validation():
     with pytest.raises(InputError):
         PricingParams(S_delta=0.0)
     with pytest.raises(InputError):
-        PricingParams(pi0=0.0)
-    with pytest.raises(InputError):
         PricingParams(rZ_delta=0.2, t_max=10.0, S_delta=1.0)  # underlier gap closes
+
+
+@pytest.mark.parametrize("kw, field", [
+    ({"pi0": 0.0}, "pi0"), ({"pi0": 1.0}, "pi0"), ({"pi0": -0.5}, "pi0"),
+    ({"sign_change": 0}, "sign_change"), ({"sign_change": 2}, "sign_change"),
+])
+def test_price_path_rejects_a_prior_or_sign_out_of_range(kw, field):
+    # the prior and the sign are the path's own arguments, not pricing constants
+    with pytest.raises(InputError) as err:
+        simulate_price_path(InferenceParams(), PricingParams(), 1, seed=0, **kw)
+    assert err.value.fields == (field,)
 
 
 def test_consistency_check_ties_anchor_noise_to_inference():
@@ -134,7 +143,7 @@ def test_price_path_determinism_and_canonical_consistency():
     # S is the canonical assembly at every step
     S_expected = np.array([
         canonical_price(0.0, pr.S_delta, Pi_up, 0.0)
-        for Pi_up in (a.Pi if pr.sign_change == 1 else 1 - a.Pi)
+        for Pi_up in (a.Pi if a.sign_change == 1 else 1 - a.Pi)
     ])
     assert np.allclose(a.S, S_expected, atol=1e-12)
     # conserved odds along the whole path
