@@ -68,14 +68,20 @@ class AnomalyParams:
             raise InputError("sigma_l must be positive", "sigma_l")
         if self.t <= 0:
             raise InputError("t must be positive", "t")
+        # the momentum curves and peaks read rho * K**sign and its reciprocal
+        if not (1e-300 <= self.rho / self.K and self.rho * self.K <= 1e300):
+            raise InputError("rho * K and rho / K must lie in [1e-300, 1e300]", "rho", "K")
         # the densities read l_t's law at levels H_p + log rho +- log K + logit(v),
         # |logit(v)| < 745 for every float v in (0, 1): each squared z-score
         # stays below 1e308, so no two log weights are both -inf (their
         # difference NaN), when the law's scale is at least span / 1e154
         span = abs(self.H_p) + abs(math.log(self.rho)) + math.log(self.K) + 745.0
-        if not span + self.sigma_l**2 * self.t / 2 <= 1e154 * self.sigma_l * math.sqrt(self.t):
+        if not span + self.sigma_l * self.sigma_l * self.t / 2 <= (
+            1e154 * self.sigma_l * math.sqrt(self.t)
+        ):
             raise InputError(
-                "sigma_l*sqrt(t) is so small that the log-LR law's log-densities overflow",
+                "sigma_l*sqrt(t) is so small, or so large, that the log-LR law's log-densities "
+                "overflow",
                 "sigma_l",
             )
 

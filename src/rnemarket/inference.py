@@ -21,6 +21,10 @@ import numpy as np
 # Log-odds are clipped here before exponentiation; beliefs saturate smoothly
 # to the interval endpoints instead of overflowing.
 LOGLR_SATURATION = 700.0
+# The most that l's variance, the price anchor's variance or the premium-to-go
+# may accumulate over the horizon: far past saturation, and far enough inside
+# the float range that their sums and the analytic law's terms stay finite.
+MAX_ACCUMULATED = 1e300
 
 # Rows formatted per file write in write_csv: the formatted text and the
 # formatter's arrays held in memory take about 0.2 MB per column, whatever
@@ -367,6 +371,10 @@ class InferenceParams:
             if slz < 0 or sld < 0:
                 raise InputError("schedule signal-to-noise must be nonnegative", "schedule")
             last = t0
+        pairs = ((self.sigma_lZ, self.sigma_lD), *(seg[1:] for seg in self.schedule))
+        if not max(z * z + d * d for z, d in pairs) * self.t_max <= MAX_ACCUMULATED:
+            raise InputError(f"the log-LR variance sigma_l**2 * t_max must be at most "
+                             f"{MAX_ACCUMULATED:g}", "sigma_lZ", "sigma_lD", "schedule", "t_max")
 
     def sigma_at(self, t: float) -> tuple[float, float]:
         """Active (sigma_lZ, sigma_lD) at time t."""
@@ -398,9 +406,10 @@ class InferenceParams:
         dts = np.diff(times)
         return live[:, 0] * live[:, 0] * dts, live[:, 1] * live[:, 1] * dts
 
-    def dense_steps(self, t_max: float) -> int:
-        """Steps of the dt-grid up to the last one not past t_max."""
-        return math.floor(t_max / self.dt * (1 + 1e-12))  # 0.3 / 0.1 = 2.9999999999999996
+    def dense_steps(self, t_max: float) -> int | float:
+        """Steps of the dt-grid up to the last one not past t_max; inf past the float range."""
+        steps = t_max / self.dt * (1 + 1e-12)  # 0.3 / 0.1 = 2.9999999999999996
+        return math.floor(steps) if steps < math.inf else steps
 
     def path_grid(self, record_times=None, t_max=None):
         """(times, cols): a simulation grid and the indices of its reported times.

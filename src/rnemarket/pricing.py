@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import (
+    MAX_ACCUMULATED,
     InferenceParams,
     InputError,
     expit,
@@ -81,6 +82,13 @@ class PricingParams:
         ]
         if negative:
             raise InputError("premium drift, rZ_delta and sigma_Z must be nonnegative", *negative)
+        # the premium-to-go and the anchor's noise are terms of every price
+        if not self.bsure_premium_drift * self.t_max <= MAX_ACCUMULATED:
+            raise InputError(f"the premium-to-go bsure_premium_drift * t_max must be at most "
+                             f"{MAX_ACCUMULATED:g}", "bsure_premium_drift", "t_max")
+        if not self.sigma_Z * self.sigma_Z * self.t_max <= MAX_ACCUMULATED:
+            raise InputError(f"the anchor variance sigma_Z**2 * t_max must be at most "
+                             f"{MAX_ACCUMULATED:g}", "sigma_Z", "t_max")
         if self.rZ_delta * self.t_max >= self.S_delta:
             raise InputError(
                 "rZ_delta would exhaust S_delta before t_max", "rZ_delta", "t_max", "S_delta"
@@ -319,10 +327,13 @@ def verify_canonical_ode(grid, candidate, h: float = 1e-4) -> float:
 def write_price_paths_csv(path, runs) -> None:
     """Dump priced runs as rows (path_id, t, pi, Pi, S, k_pi, B, sign); runs may be a
     generator of PricePath, so that each path is written and dropped before the next."""
-    for i, run in enumerate(runs):
+    i = 0  # not enumerate: its result tuple would hold a path while the next is built
+    for run in runs:
         write_csv(
             path,
             ["path_id", "t", "pi", "Pi", "S", "k_pi", "B", "sign"],
             [i, run.t, run.pi, run.Pi, run.S, run.k_pi, run.b, run.sign_change],
             append=i > 0,
         )
+        i += 1
+        del run

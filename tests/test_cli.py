@@ -170,6 +170,12 @@ OUT_OF_RANGE = [
       ("inference.sigma_lZ", "0.3")], 3),
     ([("inference.dt", "2"), ("inference.t_max", "1")], 2),
     ([("inference.sigma_lD", "0"), ("inference.sigma_lZ", "0")], 2),
+    # variances and premiums past 1e300 over the horizon
+    ([("inference.sigma_lD", "1e154")], 1),
+    ([("inference.sigma_lZ", "1e150"), ("inference.t_max", "10")], 2),
+    ([("pricing.sigma_Z", "1e308")], 1),
+    ([("pricing.bsure_premium_drift", "1e308")], 1),
+    ([("pricing.bsure_premium_drift", "2e299"), ("pricing.t_max", "10")], 2),
 ]
 # the curve lattice's range errors, raised by the subcommands that build it
 CURVE_OUT_OF_RANGE = [
@@ -177,6 +183,8 @@ CURVE_OUT_OF_RANGE = [
     ([("curves.K_list", "0.5")], 1),
     ([("curves.t", "0")], 1),
     ([("curves.K_list", "1.5, 1.2, 1.5")], 1),
+    ([("curves.K_list", "1e308")], 1),
+    ([("curves.rho_list", "5e-324")], 1),
 ]
 
 
@@ -508,9 +516,10 @@ def test_sizes_at_their_bounds_parse():
     assert (rc.grid_points, rc.market.n_bins) == (MAX_GRID_POINTS, MAX_BINS)
 
 
-@pytest.mark.parametrize("dt", ["1e-7", "1e-300"])
+@pytest.mark.parametrize("dt", ["1e-7", "1e-300", "5e-324"])
 def test_dense_paths_past_the_step_budget_exit_four_before_writing(tmp_path, capsys, dt):
-    # 10 dense paths of 8e7 (or 8e300) steps each: the budget is 2e8
+    # 10 dense paths of 8e7 (or 8e300) steps each, or at 5e-324 of more
+    # steps than a float holds: the budget is 2e8
     cfg = _write(tmp_path, "c.cfg", f"market.n_assets = 3000\ninference.dt = {dt}\n")
     out = tmp_path / "o"
     assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 4
@@ -604,6 +613,26 @@ def test_simulate_and_cohorts_heap_does_not_grow_with_the_panel(tmp_path, cmd):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 2**16, peaks
+
+
+def test_simulate_holds_one_dense_path_at_a_time(tmp_path):
+    # 1 and 10 dense paths of 10**4 steps each: a path takes about 113 bytes
+    # per step while it is built and 48 once built, so holding every path
+    # until the file is written put the peak near 4x that of one path
+    market._ziggurat_tables()
+    inference._format_tables()
+    peaks = []
+    for n in (1, 10):
+        cfg = _write(tmp_path, f"{n}.cfg", f"market.n_assets = {n}\ninference.dt = 1e-4\n"
+                                           "inference.t_max = 1\nmarket.record_times = 0.5, 1\n")
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("grid_points", [19, 21])

@@ -199,10 +199,10 @@ def test_belief_path_ensemble_matches_gaussian_law():
     params = InferenceParams(t_max=10.0)
     rng = np.random.default_rng(5)
     pricing = PricingParams()
-    ls = np.array(
-        [simulate_price_path(params, pricing, 1, seed=rng, record_times=[2.4], pi0=0.49).loglr[0]
-         for _ in range(4000)]
-    )
+    ls = np.array([
+        simulate_price_path(params, pricing, 1, seed=rng, record_times=[2.4], pi0=0.49).loglr[0]
+        for _ in range(4000)
+    ])
     mu, sd = loglr_law(2.4, 1, SIGMA)
     assert abs(ls.mean() - mu) <= 3 * sd / math.sqrt(len(ls))
     assert abs(ls.std(ddof=1) - sd) <= 3 * sd / math.sqrt(2 * len(ls))
