@@ -6,8 +6,11 @@ config or the documented flags; no environment variable changes an
 artifact, and for a fixed (config, seed) the emitted CSVs are byte-identical.
 The thread budget (threads, --threads) steers nothing: every panel is
 simulated in one process, block by block (see market.simulate_blocks), and
-each subcommand keeps only what it reads of the blocks. OpenBLAS defaults to
-one thread, since nothing here gains from its pool.
+each subcommand keeps only what it reads of the blocks. curves computes
+every curve in one process and writes its lattice files in up to
+min(usable CPUs, lattice points) processes, forked children beside the
+parent; the files are byte-identical whatever the CPU count. OpenBLAS
+defaults to one thread, since nothing here gains from its pool.
 
 Exit codes: 0 success, 2 config error, 3 validation/estimation failure,
 4 resource guard.
@@ -19,6 +22,7 @@ import argparse
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import zip_longest
@@ -71,6 +75,9 @@ class ConfigError(ValueError):
 MAX_GRID_POINTS = 10**6
 # Dense illustrative price paths written by simulate.
 N_DENSE_PATHS = 10
+# A dense path's time grid is one float64 array of n_steps + 1 values, whose
+# size in bytes must fit an array index.
+MAX_DENSE_STEPS = sys.maxsize // 8
 
 
 @dataclass(frozen=True)
@@ -82,7 +89,9 @@ class RunConfig:
     (priors, milestone times) are always recomputed from primitives; the
     config may state them, in which case they are cross-checked to 1e-12.
     threads is a no-op kept for existing configs and command lines: it is
-    validated and echoed, but every panel simulation runs in one process.
+    validated and echoed, but every panel simulation runs in one process,
+    and curves writes its lattice files in up to min(usable CPUs, lattice
+    points) processes, with byte-identical files whatever the CPU count.
     sources maps each key parse_config read to its line or flag, so that a
     range error found later can name it.
     """
@@ -117,7 +126,21 @@ class RunConfig:
             raise InputError("curves.K_list must be nonempty", "curves_K")
 
     def derived(self) -> dict:
+        """The values the echo states beside the primitives.
+
+        The echo must parse back, so a value that is not finite is an
+        InputError naming the fields it comes from: a milestone time is a
+        hurdle over sigma_l**2/2, and either can overflow.
+        """
         mil = self.market.milestones(self.market.inference.sigma_l_total(0.0))
+        if math.isinf(mil.H_p):  # a p1_0 this close to 0 is admitted only through rho
+            raise InputError("p1_0 is so small that derived.t_p's hurdle "
+                             "log((1 - p1_0) / p1_0) overflows",
+                             "market.truth.p1_0", "market.truth.rho")
+        for name in ("t_p", "t_K", "t_rho"):
+            if not math.isfinite(getattr(mil, name)):
+                raise InputError(f"sigma_l is so small that derived.{name} = "
+                                 "hurdle / (sigma_l**2/2) overflows", "sigma_l")
         return {
             "pi1_0": self.market.truth.pi1_0,
             "Pi1_0_plus": self.market.Pi1_0(1),
@@ -192,7 +215,6 @@ _KEY_AT = {path: key for key, (_, path) in _SCHEMA.items()}
 
 _DERIVED_KEYS = ("pi1_0", "Pi1_0_plus", "Pi1_0_minus", "t_p", "t_K", "t_rho")
 
-
 def _finite(value) -> bool:
     """False if a parsed value, or any float inside a list or schedule, is NaN or infinite."""
     if isinstance(value, tuple):
@@ -234,10 +256,12 @@ def parse_config(text: str, overrides=None) -> RunConfig:
     Lines are ``key = value``; ``#`` starts a comment; unknown or duplicate
     keys and malformed, non-finite or out-of-range values are rejected with
     their line number, and an error that involves several keys names the
-    line of each one the document states. Stated ``derived.*`` values are
-    checked against recomputation to 1e-12. overrides maps a key to
-    (source, value), e.g. a command-line flag; it replaces the document's
-    value and goes through the same checks, whose errors name the source.
+    line of each one the document states; so does a derived value that is
+    not finite (see RunConfig.derived). Stated ``derived.*`` values are
+    checked against recomputation to 1e-12.
+    overrides maps a key to (source, value), e.g. a command-line flag; it
+    replaces the document's value and goes through the same checks, whose
+    errors name the source.
     """
     values = {}
     derived_stated = {}
@@ -361,6 +385,10 @@ def _cmd_simulate(rc: RunConfig, out: Path) -> int:
             f"{n_paths} dense price paths x {n_steps} steps exceeds "
             f"max_asset_steps={rc.market.max_asset_steps:g}"
         )
+    if n_steps >= MAX_DENSE_STEPS:  # whatever the budget
+        raise ResourceLimitError(
+            f"a dense price path of {n_steps:g} steps exceeds what an array can hold"
+        )
     # each block's rows go out as they come: the file is asset-major
     for block in blocks:
         write_panel_csv(out / "panel.csv", block, append=block.first_id > 0)
@@ -400,31 +428,94 @@ def _cmd_curves(rc: RunConfig, out: Path) -> int:
                  "volatility": text_17g(default_grid("volatility", step))}
     # every lattice point's range errors come before any curve file is written
     lattice = [(rho, K, _curve_params(rc, rho, K)) for rho in rc.curves_rho for K in rc.curves_K]
-    peak_rows = []
-    for rho, K, params in lattice:
-        fname = out / f"curve_rho{rho:g}_K{K:g}.csv"
-        for i, kind in enumerate(kinds):
-            rep = peak_report(kind, params, step=step)
-            curve = rep.pop("curve")
-            write_csv(
-                fname, ["kind", "v", "rp", "weight"],
-                [kind, grid_text[kind], curve.rp, curve.n],
-                append=i > 0,
-            )
-            del curve  # the next curve's arrays take this one's memory
-            peak_rows.append(
-                [rho, K, kind, rep["v_max"], rep["rp_max"], rep["v_formula"],
-                 rep["formula_value"], rep["abs_gap"], rep["v_abs_gap"]]
-            )
-        print(f"wrote {fname}")
-    write_csv(
-        out / "peaks.csv",
-        ["rho", "K", "kind", "v_max", "rp_max", "v_formula", "formula_value",
-         "abs_gap", "v_abs_gap"],
-        list(zip(*peak_rows)),
-    )
+    # the parent computes every curve, in lattice order. Of each slots + 1
+    # points, a forked child writes the first slots' files while the parent
+    # goes on, and the parent writes the last: a fixed share, so that every
+    # run makes the same calls in this process
+    slots = min(_usable_cpus(), len(lattice)) - 1
+    children, names, peak_rows = {}, [], []
+    try:
+        for i, (rho, K, params) in enumerate(lattice):
+            names.append(out / f"curve_rho{rho:g}_K{K:g}.csv")
+            columns = []
+            for kind in kinds:
+                rep = peak_report(kind, params, step=step)
+                curve = rep.pop("curve")  # its levels are written as grid_text
+                columns.append([kind, grid_text[kind], curve.rp, curve.n])
+                peak_rows.append(
+                    [rho, K, kind, rep["v_max"], rep["rp_max"], rep["v_formula"],
+                     rep["formula_value"], rep["abs_gap"], rep["v_abs_gap"]]
+                )
+            del curve
+            if i % (slots + 1) < slots:
+                if len(children) == slots:
+                    _reap(children, [next(iter(children))])  # the oldest
+                children[_forked(_write_curve_file, names[-1], columns)] = names[-1]
+            else:
+                _write_curve_file(names[-1], columns)
+            del columns  # the next point's arrays take this one's memory
+        write_csv(
+            out / "peaks.csv",
+            ["rho", "K", "kind", "v_max", "rp_max", "v_formula", "formula_value",
+             "abs_gap", "v_abs_gap"],
+            list(zip(*peak_rows)),
+        )
+    finally:
+        _reap(children, list(children))
+    for name in names:
+        print(f"wrote {name}")
     print(f"wrote {out / 'peaks.csv'}")
     return 0
+
+
+def _write_curve_file(path: Path, columns: list) -> None:
+    """One lattice point's curve file: the rows of each kind's columns in turn."""
+    for i, cols in enumerate(columns):
+        write_csv(path, ["kind", "v", "rp", "weight"], cols, append=i > 0)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where it should not fork.
+
+    A fork copies only the calling thread, so with another Python thread
+    running (whose locks the child would inherit held) it counts as 1 too.
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0)) if threading.active_count() == 1 else 1
+
+
+def _forked(write, *args) -> int:
+    """The pid of a forked child that calls write(*args) and leaves with os._exit.
+
+    The child exits 0 if write returned and 1, after printing the traceback,
+    if it raised; it runs no exit handler and flushes no buffer of the parent.
+    """
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            write(*args)
+            code = 0
+        except BaseException:  # the child's top level: report, then exit below
+            sys.excepthook(*sys.exc_info())
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+    return pid
+
+
+def _reap(children: dict, pids: list) -> None:
+    """Wait for each child in pids and drop it from children (pid -> the file
+    it writes); then raise if any of them exited non-zero."""
+    failed = []
+    for pid in pids:
+        status = os.waitpid(pid, 0)[1]
+        name = children.pop(pid)
+        if status:
+            failed.append(f"{name} (exit {os.waitstatus_to_exitcode(status)})")
+    if failed:
+        raise RuntimeError("the writer of " + ", ".join(failed) + " failed")
 
 
 def _cmd_cohorts(rc: RunConfig, out: Path) -> int:
@@ -658,7 +749,9 @@ def main(argv=None) -> int:
     ap.add_argument("--out-dir", default="out", metavar="PATH")
     ap.add_argument("--threads", type=int, metavar="N",
                     help="accepted and echoed, but no effect: the panel "
-                         "simulation runs in one process")
+                         "simulation runs in one process, and curves writes "
+                         "its lattice files in up to min(usable CPUs, lattice "
+                         "points) processes, byte-identical whatever the count")
     ap.add_argument("--grid-points", type=int, metavar="N",
                     help="override analytic grid resolution")
     args = ap.parse_args(argv)

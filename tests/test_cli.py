@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rnemarket import inference, market
+from rnemarket import cli, inference, market
 from rnemarket.cli import (
     MAX_GRID_POINTS,
     ConfigError,
@@ -394,6 +394,65 @@ def test_curves_tabulates_the_analytic_family(tmp_path):
     assert float(flat[4]) == pytest.approx(0.1, abs=1e-6)
 
 
+LATTICE = "curves.rho_list = 3, 9, 27\ncurves.K_list = 1.2, 1.5, 1.9\ncurves.grid_points = 200\n"
+
+
+def _curves_on(monkeypatch, cpus, cfg, out):
+    """curves as if the process could use cpus CPUs: (exit code, stdout, forks)."""
+    forks, fork, stdout = [], os.fork, io.StringIO()
+    with monkeypatch.context() as m, contextlib.redirect_stdout(stdout):
+        m.setattr(cli, "_usable_cpus", lambda: cpus)
+        m.setattr(os, "fork", lambda: forks.append(1) or fork())
+        code = main(["curves", "--config", cfg, "--out-dir", str(out)])
+    return code, stdout.getvalue().replace(str(out), "OUT"), len(forks)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_curves_writes_the_same_bytes_in_forked_writers(tmp_path, monkeypatch):
+    cfg = _write(tmp_path, "c.cfg", LATTICE)
+    runs = {}
+    for cpus in (1, 2, 16):
+        runs[cpus] = _curves_on(monkeypatch, cpus, cfg, tmp_path / f"cpus{cpus}")
+        _no_child_left()
+    # one CPU writes every file in process; with two, the children write
+    # points 0, 2, 4, 6 and 8; with 16, the children write the first 8
+    assert (runs[1][2], runs[2][2], runs[16][2]) == (0, 5, 8)
+    assert runs[1][:2] == runs[2][:2] == runs[16][:2]
+    assert runs[1][1].count("wrote") == 10
+    names = sorted(p.name for p in (tmp_path / "cpus1").iterdir())
+    assert len(names) == 11
+    for cpus in (2, 16):
+        assert sorted(p.name for p in (tmp_path / f"cpus{cpus}").iterdir()) == names
+        for name in names:
+            a, b = tmp_path / "cpus1" / name, tmp_path / f"cpus{cpus}" / name
+            assert a.read_bytes() == b.read_bytes(), (cpus, name)
+
+
+def test_a_failing_writer_fails_curves_and_leaves_no_child(tmp_path, monkeypatch, capfd):
+    cfg = _write(tmp_path, "c.cfg", LATTICE)
+    write_csv = cli.write_csv
+
+    def failing(path, *args, **kwargs):
+        if Path(path).name == "curve_rho3_K1.2.csv":
+            raise OSError("no space left on device")
+        return write_csv(path, *args, **kwargs)
+
+    # with 9 usable CPUs the first 8 points' files are the children's
+    monkeypatch.setattr(cli, "write_csv", failing)
+    with pytest.raises(RuntimeError, match=r"the writer of .*curve_rho3_K1\.2\.csv \(exit 1\)"):
+        _curves_on(monkeypatch, 9, cfg, tmp_path / "forked")
+    _no_child_left()
+    assert "no space left on device" in capfd.readouterr().err
+    # written in the one process, the error is the writer's own
+    with pytest.raises(OSError, match="no space left on device"):
+        _curves_on(monkeypatch, 1, cfg, tmp_path / "serial")
+    _no_child_left()
+
+
 def test_grid_points_flag_controls_resolution(tmp_path):
     cfg = _write(tmp_path, "c.cfg", "")
     coarse, fine = tmp_path / "coarse", tmp_path / "fine"
@@ -488,20 +547,24 @@ def test_bad_config_exits_two(tmp_path, capsys):
 
 
 # values whose arithmetic once escaped the range checks: S_delta**2
-# overflowed, sigma_l**2/2 underflowed to 0, and a prior pi1_0 that rounds to
-# 1 (or 0) named no line; and sizes past their bounds, rejected before
-# anything is allocated, where the grid and the bins each asked for gigabytes
+# overflowed, sigma_l**2/2 underflowed to 0, a prior pi1_0 that rounds to
+# 1 (or 0) named no line, and a prior p1_0 near 0 that rho admits gave an
+# infinite t_p in an echo that did not parse back; and sizes past their
+# bounds, rejected before anything is allocated, where the grid and the bins
+# each asked for gigabytes
 @pytest.mark.parametrize("text, named", [
     ("pricing.S_delta = 1e308\n", "line 2: S_delta"),
     ("inference.sigma_lD = 1e-300\n", "line 2: sigma_l"),
     ("market.p1_0 = 0.1\nmarket.rho = 1e-300\n", "line 2, line 3: the reference prior pi1_0"),
     ("market.p1_0 = 1e-300\nmarket.rho = 1e300\n", "line 2, line 3: the reference prior pi1_0"),
+    ("market.p1_0 = 5e-324\nmarket.rho = 1e-300\n",
+     "line 2, line 3: p1_0 is so small that derived.t_p's hurdle"),
     (f"curves.grid_points = {MAX_GRID_POINTS + 1}\n", "line 2: curves.grid_points must be at most"),
     ("curves.grid_points = 1000000000\n", "line 2: curves.grid_points must be at most"),
     (f"market.n_bins = {MAX_BINS + 1}\n", "line 2: n_bins must be at most"),
     ("market.n_bins = 1000000000\n", "line 2: n_bins must be at most"),
-], ids=["S_delta", "sigma_lD", "rho", "rho-p1_0", "grid_points", "grid_points-1e9", "n_bins",
-        "n_bins-1e9"])
+], ids=["S_delta", "sigma_lD", "rho", "rho-p1_0", "t_p", "grid_points", "grid_points-1e9",
+        "n_bins", "n_bins-1e9"])
 @pytest.mark.parametrize("cmd", ["estimate", "cohorts", "curves", "simulate"])
 def test_extreme_values_are_config_errors_on_their_lines(tmp_path, capsys, text, named, cmd):
     cfg = _write(tmp_path, "c.cfg", "market.n_assets = 3000\n" + text)
@@ -524,6 +587,16 @@ def test_dense_paths_past_the_step_budget_exit_four_before_writing(tmp_path, cap
     out = tmp_path / "o"
     assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 4
     assert "dense price paths" in capsys.readouterr().err
+    assert {p.name for p in out.glob("*")} == {"config_echo.txt"}
+
+
+def test_a_dense_path_no_array_can_hold_exits_four_whatever_the_budget(tmp_path, capsys):
+    # 1e301 steps per path; 10 paths are within the raised budget
+    cfg = _write(tmp_path, "c.cfg", "market.n_assets = 3000\ninference.dt = 1e-300\n"
+                                    "market.max_asset_steps = 1e308\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 4
+    assert "exceeds what an array can hold" in capsys.readouterr().err
     assert {p.name for p in out.glob("*")} == {"config_echo.txt"}
 
 

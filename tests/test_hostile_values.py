@@ -10,10 +10,16 @@ config_echo.txt. An exit of 0 writes no nan or inf outside the files
 whose nan marks an empty cohort or a missing interval (cohorts.csv and
 estimate.csv). The suite turns a RuntimeWarning into an error, so a value
 whose arithmetic overflows fails here too.
+
+Every pair of keys (threads aside: it steers nothing) goes through a
+smaller table of values at parse time only: each parse accepts or raises a
+ConfigError on one of the two lines, and every accepted config's echo
+parses back to the same echo.
 """
 
 import contextlib
 import io
+import itertools
 import re
 
 import pytest
@@ -89,3 +95,22 @@ def test_every_value_parses_or_is_an_error_on_its_line(tmp_path, key):
                     bad = (NON_FINITE.search(body) if name.endswith(".txt")
                            else b"nan" in body or b"inf" in body)
                     assert not bad, (value, cmd, name)
+
+
+PAIR_VALUES = ("-1", "0", "1e-300", "5e-324", "1e154", "1e200", "1e308", "0.5", "2", "1e-8")
+
+
+def test_every_pair_of_keys_parses_or_is_an_error_on_its_lines():
+    keys = sorted(k for k in _SCHEMA if k != "threads")
+    echoes = set()
+    for a, b in itertools.combinations(keys, 2):
+        for va, vb in itertools.product(PAIR_VALUES, repeat=2):
+            text = f"{a} = {va}\n{b} = {vb}\n"
+            try:
+                echo = echo_config(parse_config(text))
+            except ConfigError as e:
+                assert re.match(r"line [12]\b", str(e)), (text, str(e))
+                continue
+            if echo not in echoes:
+                echoes.add(echo)
+                assert echo_config(parse_config(echo)) == echo, text
