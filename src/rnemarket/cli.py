@@ -6,11 +6,11 @@ config or the documented flags; no environment variable changes an
 artifact, and for a fixed (config, seed) the emitted CSVs are byte-identical.
 The thread budget (threads, --threads) steers nothing: every panel is
 simulated in one process, block by block (see market.simulate_blocks), and
-each subcommand keeps only what it reads of the blocks. curves computes
-every curve in one process and writes its lattice files in up to
-min(usable CPUs, lattice points) processes, forked children beside the
-parent; the files are byte-identical whatever the CPU count. OpenBLAS
-defaults to one thread, since nothing here gains from its pool.
+each subcommand keeps only what it reads of the blocks. Each of curves'
+procs = min(usable CPUs, lattice points) processes, forked children beside
+the parent, computes and writes every procs-th lattice point; the parent
+writes peaks.csv. The files are byte-identical whatever the CPU count.
+OpenBLAS defaults to one thread, since nothing here gains from its pool.
 
 Exit codes: 0 success, 2 config error, 3 validation/estimation failure,
 4 resource guard.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import mmap
 import os
 import sys
 import threading
@@ -90,8 +91,8 @@ class RunConfig:
     config may state them, in which case they are cross-checked to 1e-12.
     threads is a no-op kept for existing configs and command lines: it is
     validated and echoed, but every panel simulation runs in one process,
-    and curves writes its lattice files in up to min(usable CPUs, lattice
-    points) processes, with byte-identical files whatever the CPU count.
+    and curves splits its lattice among min(usable CPUs, lattice points)
+    processes, with byte-identical files whatever the CPU count.
     sources maps each key parse_config read to its line or flag, so that a
     range error found later can name it.
     """
@@ -420,7 +421,6 @@ def _cmd_curves(rc: RunConfig, out: Path) -> int:
                                "file names", rc.sources, (key,))
             named[text] = v
     step = 1.0 / rc.grid_points
-    kinds = ("momentum_plus", "momentum_minus", "volatility")
     # every curve of a kind lies on default_grid(kind, step), and the two
     # momentum kinds share theirs: its text is made once and written as is
     momentum = text_17g(default_grid("momentum_plus", step))
@@ -428,50 +428,51 @@ def _cmd_curves(rc: RunConfig, out: Path) -> int:
                  "volatility": text_17g(default_grid("volatility", step))}
     # every lattice point's range errors come before any curve file is written
     lattice = [(rho, K, _curve_params(rc, rho, K)) for rho in rc.curves_rho for K in rc.curves_K]
-    # the parent computes every curve, in lattice order. Of each slots + 1
-    # points, a forked child writes the first slots' files while the parent
-    # goes on, and the parent writes the last: a fixed share, so that every
-    # run makes the same calls in this process
-    slots = min(_usable_cpus(), len(lattice)) - 1
-    children, names, peak_rows = {}, [], []
-    try:
-        for i, (rho, K, params) in enumerate(lattice):
-            names.append(out / f"curve_rho{rho:g}_K{K:g}.csv")
-            columns = []
-            for kind in kinds:
+    names = [out / f"curve_rho{rho:g}_K{K:g}.csv" for rho, K, _ in lattice]
+    # each point's peak values per kind, in memory that forked children share
+    peaks = np.frombuffer(mmap.mmap(-1, 8 * 18 * len(lattice))).reshape(-1, 3, 6)
+    procs = min(_usable_cpus(), len(lattice))
+
+    # points k, k + procs, ..., one at a time: a fixed share, so every run
+    # makes the same calls in each process
+    def share(k: int) -> None:
+        for (_, _, params), path, row in zip(lattice[k::procs], names[k::procs], peaks[k::procs]):
+            columns = []  # the previous point's arrays are dropped here
+            for kind, peak in zip(_KINDS, row):
                 rep = peak_report(kind, params, step=step)
                 curve = rep.pop("curve")  # its levels are written as grid_text
                 columns.append([kind, grid_text[kind], curve.rp, curve.n])
-                peak_rows.append(
-                    [rho, K, kind, rep["v_max"], rep["rp_max"], rep["v_formula"],
-                     rep["formula_value"], rep["abs_gap"], rep["v_abs_gap"]]
-                )
+                peak[:] = [rep[f] for f in _PEAK_FIELDS]
             del curve
-            if i % (slots + 1) < slots:
-                if len(children) == slots:
-                    _reap(children, [next(iter(children))])  # the oldest
-                children[_forked(_write_curve_file, names[-1], columns)] = names[-1]
-            else:
-                _write_curve_file(names[-1], columns)
-            del columns  # the next point's arrays take this one's memory
-        write_csv(
-            out / "peaks.csv",
-            ["rho", "K", "kind", "v_max", "rp_max", "v_formula", "formula_value",
-             "abs_gap", "v_abs_gap"],
-            list(zip(*peak_rows)),
-        )
+            # the three writes back to back run faster than one after each curve
+            for j, cols in enumerate(columns):
+                write_csv(path, ["kind", "v", "rp", "weight"], cols, append=j > 0)
+
+    # process k (the parent is 0) runs share(k); the parent runs after its
+    # own each share it could fork no child for
+    children, own = {}, [0]
+    try:
+        for k in range(1, procs):
+            try:
+                children[_forked(share, k)] = ", ".join(map(str, names[k::procs]))
+            except OSError:  # EAGAIN under a process limit, ENOMEM
+                own.append(k)
+        for k in own:
+            share(k)
     finally:
-        _reap(children, list(children))
+        _reap(children)
+    rho, K = (np.repeat([point[j] for point in lattice], 3) for j in (0, 1))
+    write_csv(out / "peaks.csv", ["rho", "K", "kind", *_PEAK_FIELDS],
+              [rho, K, np.tile(_KINDS, len(lattice)), *peaks.reshape(-1, 6).T])
     for name in names:
         print(f"wrote {name}")
     print(f"wrote {out / 'peaks.csv'}")
     return 0
 
 
-def _write_curve_file(path: Path, columns: list) -> None:
-    """One lattice point's curve file: the rows of each kind's columns in turn."""
-    for i, cols in enumerate(columns):
-        write_csv(path, ["kind", "v", "rp", "weight"], cols, append=i > 0)
+_KINDS = ("momentum_plus", "momentum_minus", "volatility")
+# the peak_report values of peaks.csv, in its column order
+_PEAK_FIELDS = ("v_max", "rp_max", "v_formula", "formula_value", "abs_gap", "v_abs_gap")
 
 
 def _usable_cpus() -> int:
@@ -485,17 +486,17 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if threading.active_count() == 1 else 1
 
 
-def _forked(write, *args) -> int:
-    """The pid of a forked child that calls write(*args) and leaves with os._exit.
+def _forked(work, *args) -> int:
+    """The pid of a forked child that calls work(*args) and leaves with os._exit.
 
-    The child exits 0 if write returned and 1, after printing the traceback,
+    The child exits 0 if work returned and 1, after printing the traceback,
     if it raised; it runs no exit handler and flushes no buffer of the parent.
     """
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            write(*args)
+            work(*args)
             code = 0
         except BaseException:  # the child's top level: report, then exit below
             sys.excepthook(*sys.exc_info())
@@ -505,17 +506,16 @@ def _forked(write, *args) -> int:
     return pid
 
 
-def _reap(children: dict, pids: list) -> None:
-    """Wait for each child in pids and drop it from children (pid -> the file
-    it writes); then raise if any of them exited non-zero."""
+def _reap(children: dict) -> None:
+    """Wait for and drop every child (pid -> its files); raise if any exited non-zero."""
     failed = []
-    for pid in pids:
+    while children:
+        pid, names = children.popitem()
         status = os.waitpid(pid, 0)[1]
-        name = children.pop(pid)
         if status:
-            failed.append(f"{name} (exit {os.waitstatus_to_exitcode(status)})")
+            failed.append(f"{names} (exit {os.waitstatus_to_exitcode(status)})")
     if failed:
-        raise RuntimeError("the writer of " + ", ".join(failed) + " failed")
+        raise RuntimeError("the writer of " + "; ".join(failed) + " failed")
 
 
 def _cmd_cohorts(rc: RunConfig, out: Path) -> int:
@@ -748,10 +748,10 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, metavar="U64", help="override config seed")
     ap.add_argument("--out-dir", default="out", metavar="PATH")
     ap.add_argument("--threads", type=int, metavar="N",
-                    help="accepted and echoed, but no effect: the panel "
-                         "simulation runs in one process, and curves writes "
-                         "its lattice files in up to min(usable CPUs, lattice "
-                         "points) processes, byte-identical whatever the count")
+                    help="accepted and echoed, but no effect: the panel simulation "
+                         "runs in one process; each of curves' procs = min(usable CPUs, "
+                         "lattice points) processes computes and writes every procs-th "
+                         "lattice point, the parent peaks.csv, the same bytes whatever procs")
     ap.add_argument("--grid-points", type=int, metavar="N",
                     help="override analytic grid resolution")
     args = ap.parse_args(argv)

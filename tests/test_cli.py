@@ -412,38 +412,60 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _same_files(a: Path, b: Path) -> None:
+    names = sorted(p.name for p in a.iterdir())
+    assert sorted(p.name for p in b.iterdir()) == names
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), (b, name)
+
+
 def test_curves_writes_the_same_bytes_in_forked_writers(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "c.cfg", LATTICE)
     runs = {}
-    for cpus in (1, 2, 16):
+    for cpus in (1, 2, 3, 16):
         runs[cpus] = _curves_on(monkeypatch, cpus, cfg, tmp_path / f"cpus{cpus}")
         _no_child_left()
-    # one CPU writes every file in process; with two, the children write
-    # points 0, 2, 4, 6 and 8; with 16, the children write the first 8
-    assert (runs[1][2], runs[2][2], runs[16][2]) == (0, 5, 8)
-    assert runs[1][:2] == runs[2][:2] == runs[16][:2]
+    # one CPU computes and writes every point in process; with procs
+    # processes the parent takes points 0, procs, ... and each child its own
+    # share: 2 CPUs split the 9 points 5/4, 3 CPUs 3/3/3, 16 CPUs one each
+    assert [runs[cpus][2] for cpus in (1, 2, 3, 16)] == [0, 1, 2, 8]
+    assert runs[1][:2] == runs[2][:2] == runs[3][:2] == runs[16][:2]
     assert runs[1][1].count("wrote") == 10
-    names = sorted(p.name for p in (tmp_path / "cpus1").iterdir())
-    assert len(names) == 11
-    for cpus in (2, 16):
-        assert sorted(p.name for p in (tmp_path / f"cpus{cpus}").iterdir()) == names
-        for name in names:
-            a, b = tmp_path / "cpus1" / name, tmp_path / f"cpus{cpus}" / name
-            assert a.read_bytes() == b.read_bytes(), (cpus, name)
+    assert len(list((tmp_path / "cpus1").iterdir())) == 11
+    for cpus in (2, 3, 16):
+        _same_files(tmp_path / "cpus1", tmp_path / f"cpus{cpus}")
+
+
+def test_the_parent_computes_only_its_share_of_the_curves(tmp_path, monkeypatch):
+    cfg = _write(tmp_path, "c.cfg", LATTICE)
+    report, calls = cli.peak_report, []
+    monkeypatch.setattr(cli, "peak_report", lambda *a, **k: calls.append(1) or report(*a, **k))
+    # the children's calls are counted in their own memory: on 2 CPUs the
+    # parent computes points 0, 2, 4, 6 and 8, three curves each, and no
+    # curve is computed twice
+    for cpus, expected in ((2, 15), (1, 27)):
+        calls.clear()
+        assert _curves_on(monkeypatch, cpus, cfg, tmp_path / f"cpus{cpus}")[0] == 0
+        assert len(calls) == expected
+    _no_child_left()
+
+
+def _failing_on(monkeypatch, name: str) -> None:
+    write_csv = cli.write_csv
+
+    def failing(path, *args, **kwargs):
+        if Path(path).name == name:
+            raise OSError("no space left on device")
+        return write_csv(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "write_csv", failing)
 
 
 def test_a_failing_writer_fails_curves_and_leaves_no_child(tmp_path, monkeypatch, capfd):
     cfg = _write(tmp_path, "c.cfg", LATTICE)
-    write_csv = cli.write_csv
-
-    def failing(path, *args, **kwargs):
-        if Path(path).name == "curve_rho3_K1.2.csv":
-            raise OSError("no space left on device")
-        return write_csv(path, *args, **kwargs)
-
-    # with 9 usable CPUs the first 8 points' files are the children's
-    monkeypatch.setattr(cli, "write_csv", failing)
-    with pytest.raises(RuntimeError, match=r"the writer of .*curve_rho3_K1\.2\.csv \(exit 1\)"):
+    # with 9 usable CPUs point 1 is the first child's
+    _failing_on(monkeypatch, "curve_rho3_K1.5.csv")
+    with pytest.raises(RuntimeError, match=r"the writer of .*curve_rho3_K1\.5\.csv \(exit 1\)"):
         _curves_on(monkeypatch, 9, cfg, tmp_path / "forked")
     _no_child_left()
     assert "no space left on device" in capfd.readouterr().err
@@ -451,6 +473,35 @@ def test_a_failing_writer_fails_curves_and_leaves_no_child(tmp_path, monkeypatch
     with pytest.raises(OSError, match="no space left on device"):
         _curves_on(monkeypatch, 1, cfg, tmp_path / "serial")
     _no_child_left()
+
+
+def test_a_failure_in_the_parents_share_still_reaps_every_child(tmp_path, monkeypatch):
+    cfg = _write(tmp_path, "c.cfg", LATTICE)
+    assert _curves_on(monkeypatch, 1, cfg, tmp_path / "serial")[0] == 0
+    # with 3 usable CPUs point 0 is the parent's, and the children take
+    # points 1, 4, 7 and 2, 5, 8
+    _failing_on(monkeypatch, "curve_rho3_K1.2.csv")
+    with pytest.raises(OSError, match="no space left on device"):
+        _curves_on(monkeypatch, 3, cfg, tmp_path / "forked")
+    _no_child_left()
+    # reaped, the children had written every file of their shares
+    for name in sorted(p.name for p in (tmp_path / "forked").glob("curve_*.csv")):
+        assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+    assert len(list((tmp_path / "forked").glob("curve_*.csv"))) == 6
+
+
+def test_curves_runs_the_shares_no_child_could_be_forked_for(tmp_path, monkeypatch):
+    cfg = _write(tmp_path, "c.cfg", LATTICE)
+    serial = _curves_on(monkeypatch, 1, cfg, tmp_path / "serial")
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    # every fork fails, as under a process limit: the parent runs each share
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _curves_on(monkeypatch, 4, cfg, tmp_path / "forked") == serial[:2] + (3,)
+    _no_child_left()
+    _same_files(tmp_path / "serial", tmp_path / "forked")
 
 
 def test_grid_points_flag_controls_resolution(tmp_path):

@@ -9,7 +9,10 @@ value's line, and an exit of 2 or 4 leaves no artifact but
 config_echo.txt. An exit of 0 writes no nan or inf outside the files
 whose nan marks an empty cohort or a missing interval (cohorts.csv and
 estimate.csv). The suite turns a RuntimeWarning into an error, so a value
-whose arithmetic overflows fails here too.
+whose arithmetic overflows fails here too. Each accepted value of a key
+that reaches every point of a curves lattice (LATTICE_INPUTS) also runs
+curves on the lattice curves.rho_list = 3, 9 twice, split between two
+processes and in one: both give the same exit code, stderr and files.
 
 Every pair of keys (threads aside: it steers nothing) goes through a
 smaller table of values at parse time only: each parse accepts or raises a
@@ -21,9 +24,11 @@ import contextlib
 import io
 import itertools
 import re
+import shutil
 
 import pytest
 
+from rnemarket import cli
 from rnemarket.cli import _SCHEMA, ConfigError, echo_config, main, parse_config
 
 HOSTILE = ("nan", "inf", "-inf", "", "text", "-1", "0", "1e-300", "5e-324", "1e154", "1e200",
@@ -34,6 +39,8 @@ PRICE_ONLY = ("pricing.y_minus0", "pricing.bsure_premium_drift", "pricing.rZ_del
 # the keys the analytic curves read besides the curves.* keys
 CURVE_INPUTS = ("market.p1_0", "pricing.S_delta", "inference.sigma_lZ", "inference.sigma_lD",
                 "inference.schedule")
+# the keys whose values reach every point of a curves lattice
+LATTICE_INPUTS = CURVE_INPUTS + ("curves.t",)
 # the artifacts whose nan marks an empty cohort or an estimate without resamples
 NAN_ALLOWED = ("cohorts.csv", "estimate.csv")
 # a non-finite float as .17g writes it; config_echo.txt's comment says "informational"
@@ -43,7 +50,7 @@ NON_FINITE = re.compile(rb"\b(nan|inf)\b")
 RUN = set()
 
 
-def _readers(key: str) -> tuple:
+def readers(key: str) -> tuple:
     """The subcommands whose run reads key (validate aside: it fixes its own sizes)."""
     if key.startswith("curves."):
         return ("curves",)
@@ -58,8 +65,54 @@ def _readers(key: str) -> tuple:
     return ("simulate", "cohorts", "estimate") + (("curves",) if key in CURVE_INPUTS else ())
 
 
+def check_run(cmd: str, cfg, out, label: str, lines: str = "1") -> tuple:
+    """Run cmd on the config file cfg into out and check the exit-code contract.
+
+    lines is a pattern of the line numbers a config error may name first.
+    Returns the exit code and the text written to stderr; a failed check
+    raises an AssertionError that starts with label.
+    """
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([cmd, "--config", str(cfg), "--out-dir", str(out)])
+    except Exception as e:  # a traceback at the command line
+        raise AssertionError(f"{label}: {cmd} raised {e!r}") from e
+    written = {p.name for p in out.glob("*")}
+    assert code in (0, 2, 3, 4), (label, cmd, code)
+    if code == 2:
+        message = err.getvalue()
+        assert re.match(rf"config error: line {lines}\b", message), (label, cmd, message)
+    if code in (2, 4):
+        assert written <= {"config_echo.txt"}, (label, cmd, written)
+    if code == 0:
+        for name in sorted(written - set(NAN_ALLOWED)):
+            body = (out / name).read_bytes()
+            # a CSV holds no words: a plain search is 100 times faster
+            bad = (NON_FINITE.search(body) if name.endswith(".txt")
+                   else b"nan" in body or b"inf" in body)
+            assert not bad, (label, cmd, name)
+    return code, err.getvalue()
+
+
+def _same_on_one_and_two_cpus(tmp_path, monkeypatch, text: str, label: str) -> None:
+    """curves on a two-point lattice, forked and in one process: the same
+    exit code, stderr and files."""
+    cfg = tmp_path / "lattice.cfg"
+    cfg.write_text(text + "curves.rho_list = 3, 9\n")
+    runs = []
+    for cpus in (2, 1):
+        out = tmp_path / f"lattice-{cpus}"
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_usable_cpus", lambda: cpus)
+            code, err = check_run("curves", cfg, out, label)
+        runs.append((code, err, {p.name: p.read_bytes() for p in out.glob("*")}))
+        shutil.rmtree(out)
+    assert runs[0] == runs[1], label
+
+
 @pytest.mark.parametrize("key", sorted(_SCHEMA))
-def test_every_value_parses_or_is_an_error_on_its_line(tmp_path, key):
+def test_every_value_parses_or_is_an_error_on_its_line(tmp_path, monkeypatch, key):
     for i, value in enumerate(HOSTILE):
         stated = {key: value, **{k: v for k, v in BASE.items() if k != key}}
         text = "".join(f"{k} = {v}\n" for k, v in stated.items())
@@ -70,31 +123,14 @@ def test_every_value_parses_or_is_an_error_on_its_line(tmp_path, key):
             continue
         cfg = tmp_path / f"{i}.cfg"
         cfg.write_text(text)
-        for cmd in _readers(key):
-            if (echo, cmd) in RUN:
-                continue
-            RUN.add((echo, cmd))
-            out = tmp_path / f"{i}-{cmd}"
-            err = io.StringIO()
-            try:
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                    code = main([cmd, "--config", str(cfg), "--out-dir", str(out)])
-            except Exception as e:  # a traceback at the command line
-                pytest.fail(f"{key} = {value}: {cmd} raised {e!r}")
-            written = {p.name for p in out.glob("*")}
-            assert code in (0, 2, 3, 4), (value, cmd, code)
-            if code == 2:
-                message = err.getvalue()
-                assert message.startswith("config error: line 1"), (value, cmd, message)
-            if code in (2, 4):
-                assert written <= {"config_echo.txt"}, (value, cmd, written)
-            if code == 0:
-                for name in sorted(written - set(NAN_ALLOWED)):
-                    body = (out / name).read_bytes()
-                    # a CSV holds no words: a plain search is 100 times faster
-                    bad = (NON_FINITE.search(body) if name.endswith(".txt")
-                           else b"nan" in body or b"inf" in body)
-                    assert not bad, (value, cmd, name)
+        for cmd in readers(key):
+            if (echo, cmd) not in RUN:
+                RUN.add((echo, cmd))
+                check_run(cmd, cfg, tmp_path / f"{i}-{cmd}", f"{key} = {value}")
+        # BASE's lattice is one point, which no child computes
+        if key in LATTICE_INPUTS and (echo, "lattice") not in RUN:
+            RUN.add((echo, "lattice"))
+            _same_on_one_and_two_cpus(tmp_path, monkeypatch, text, f"{key} = {value}")
 
 
 PAIR_VALUES = ("-1", "0", "1e-300", "5e-324", "1e154", "1e200", "1e308", "0.5", "2", "1e-8")
