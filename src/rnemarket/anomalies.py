@@ -346,6 +346,8 @@ def analytic_curve(kind: str, params: AnomalyParams, grid=None) -> CohortCurve:
     The n column carries occupancy weights: the per-sign level density for
     momentum curves, the folded unconditional density for volatility.
     """
+    if kind not in _KIND_SIGN:
+        raise InputError(f"unknown curve kind {kind!r}")
     if grid is None:
         grid = default_grid(kind)
     grid = np.asarray(grid, float)
@@ -355,17 +357,9 @@ def analytic_curve(kind: str, params: AnomalyParams, grid=None) -> CohortCurve:
             lw = _log_folded_weights(grid, params)
         w = np.exp(lw[0]) + np.exp(lw[1])
     else:
-        rp = _curve_values(kind, params, grid)
+        rp = momentum_excess(grid, _KIND_SIGN[kind], params.rho, params.K, params.S_delta)
         w = occupancy_density(grid, _KIND_SIGN[kind], params)
     return CohortCurve(kind=kind, v=grid, rp=rp, n=w)
-
-
-def _curve_values(kind: str, params: AnomalyParams, grid: np.ndarray) -> np.ndarray:
-    if kind not in _KIND_SIGN:
-        raise InputError(f"unknown curve kind {kind!r}")
-    if kind == "volatility":
-        return vol_conditioned_excess(grid, params)
-    return momentum_excess(grid, _KIND_SIGN[kind], params.rho, params.K, params.S_delta)
 
 
 def peak_report(kind: str, params: AnomalyParams, step: float = 1e-3) -> dict:
@@ -384,7 +378,7 @@ def peak_report(kind: str, params: AnomalyParams, step: float = 1e-3) -> dict:
     lo = max(grid[0], grid[i] - 2 * step)
     hi = min(grid[-1], grid[i] + 2 * step)
     fine = np.arange(lo, hi + step / 20, step / 10)
-    fvals = orient * _curve_values(kind, params, fine)
+    fvals = orient * analytic_curve(kind, params, fine).rp
     j = int(np.argmax(fvals))
     v_grid, rp_grid = float(fine[j]), float(orient * fvals[j])
     if kind == "volatility":

@@ -6,10 +6,9 @@ config or the documented flags; no environment variable changes an
 artifact, and for a fixed (config, seed) the emitted CSVs are byte-identical.
 The thread budget (threads, --threads) steers nothing: every panel is
 simulated in one process, block by block (see market.simulate_blocks), and
-each subcommand keeps only what it reads of the blocks. Each of curves'
-procs = min(usable CPUs, lattice points) processes, forked children beside
-the parent, computes and writes every procs-th lattice point; the parent
-writes peaks.csv. The files are byte-identical whatever the CPU count.
+each subcommand keeps only what it reads of the blocks. curves splits its
+lattice among forked processes (see _cmd_curves), with byte-identical files
+whatever the CPU count.
 OpenBLAS defaults to one thread, since nothing here gains from its pool.
 
 Exit codes: 0 success, 2 config error, 3 validation/estimation failure,
@@ -90,9 +89,7 @@ class RunConfig:
     (priors, milestone times) are always recomputed from primitives; the
     config may state them, in which case they are cross-checked to 1e-12.
     threads is a no-op kept for existing configs and command lines: it is
-    validated and echoed, but every panel simulation runs in one process,
-    and curves splits its lattice among min(usable CPUs, lattice points)
-    processes, with byte-identical files whatever the CPU count.
+    validated and echoed, and steers nothing.
     sources maps each key parse_config read to its line or flag, so that a
     range error found later can name it.
     """
@@ -748,10 +745,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, metavar="U64", help="override config seed")
     ap.add_argument("--out-dir", default="out", metavar="PATH")
     ap.add_argument("--threads", type=int, metavar="N",
-                    help="accepted and echoed, but no effect: the panel simulation "
-                         "runs in one process; each of curves' procs = min(usable CPUs, "
-                         "lattice points) processes computes and writes every procs-th "
-                         "lattice point, the parent peaks.csv, the same bytes whatever procs")
+                    help="accepted, validated (at least 1) and echoed; steers nothing")
     ap.add_argument("--grid-points", type=int, metavar="N",
                     help="override analytic grid resolution")
     args = ap.parse_args(argv)

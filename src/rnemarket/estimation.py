@@ -10,14 +10,13 @@ full simulate-sort-measure-recover round trip with bootstrap intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .anomalies import CohortCurve
 from .inference import InputError, window_check, write_csv
 from .market import (
-    CohortSort,
     MarketConfig,
     cohort_table,
     measure_expost_excess,
@@ -147,17 +146,15 @@ def find_peak(curve: CohortCurve, n_min: int = 50):
 
     flat, fstats = _flatness_gate(y, se)
     stats.update(fstats)
+    i = int(np.argmax(y - se))
     if flat:
-        k = int(np.argmax(y - se))
-        stats["lcb_v"] = float(v[k])
-        stats["lcb_rp"] = float(y[k])
-        stats["lcb_se"] = float(se[k])
+        stats["lcb_v"] = float(v[i])
+        stats["lcb_rp"] = float(y[i])
+        stats["lcb_se"] = float(se[i])
         raise ShapeError("flat curve", stats)
 
     diffs = np.diff(y)
     monotone = bool(np.all(diffs > 0) or np.all(diffs < 0))
-
-    i = int(np.argmax(y - se))
     stats["argmax_v"] = float(v[i])
 
     rivals = _rival_peaks(v, y, se, i)
@@ -217,36 +214,64 @@ def _belief_groups(table: np.ndarray) -> tuple:
     return groups, size, np.cumsum(size)
 
 
-def _group_scan(code: np.ndarray, g: int):
-    """(start, mask) per _SCAN codes from start: mask marks the members of group g."""
-    for lo in range(0, len(code), _SCAN):
-        yield lo, code[lo : lo + _SCAN] >> 2 == g
+class _BeliefIndex:
+    """The volatility sort's assets by (bin, side) group, each group in belief order.
 
-
-def _fold_median_level(Pi: np.ndarray, code: np.ndarray, table: np.ndarray) -> float:
-    """Fallback level for featureless curves: fold of np.median(Pi), bit for bit.
-
-    code and table are the volatility sort's. The order statistics n//2 - 1
-    and n//2 lie in the groups that the table's cumulative group counts
-    find, in belief order; only those groups' beliefs are gathered and
-    partitioned. For even n the median is their mean (a + b)/2, as in
-    np.median, which would copy all n beliefs and import numpy.ma.
+    code is the panel-wide category code and beliefs each asset's Pi at the
+    sort's epoch. A group's members are gathered _SCAN codes at a time, so
+    no n-sized temporary is built, and only for the groups a search reaches.
     """
-    groups, size, cum = _belief_groups(table)
 
-    def nth(k: int) -> float:
-        i = int(np.searchsorted(cum, k, side="right"))
-        vals, at = np.empty(size[i]), 0
-        for lo, mask in _group_scan(code, int(groups[i])):
-            part = Pi[lo : lo + _SCAN][mask]
-            vals[at : at + len(part)] = part
-            at += len(part)
-        j = k - int(cum[i] - size[i])
-        vals.partition(j)
-        return vals[j]
+    def __init__(self, code: np.ndarray, beliefs: np.ndarray):
+        self.code = code
+        self.beliefs = beliefs
+        self._members = {}
 
-    n = len(Pi)
-    med = float(nth(n // 2) if n % 2 else (nth(n // 2 - 1) + nth(n // 2)) / 2)
+    def members(self, g: int) -> np.ndarray:
+        """Group g's assets by ascending belief, ties in asset order."""
+        if g not in self._members:
+            code = self.code
+            idx = np.concatenate([
+                np.flatnonzero(code[lo : lo + _SCAN] >> 2 == g) + lo
+                for lo in range(0, len(code), _SCAN)
+            ])
+            self._members[g] = idx[np.argsort(self.beliefs[idx], kind="stable")]
+        return self._members[g]
+
+    def search(self, table, c: float, weigh) -> float:
+        """The belief at the first position, in belief order, whose cumulative weight reaches c.
+
+        The asset weights sum to the category table's. The table's
+        cumulative group weights find the group holding that position;
+        weigh(counts, idx) gives the integer weights of that group's
+        members idx, whose categories hold counts.
+        """
+        groups, size, cum = _belief_groups(table)
+        i = int(np.searchsorted(cum, c))
+        g = int(groups[i])
+        idx = self.members(g)
+        w = weigh(table.reshape(-1, 4)[g], idx)
+        j = int(np.searchsorted(cum[i] - size[i] + np.cumsum(w), c))
+        return float(self.beliefs[idx[j]])
+
+
+def _unit_weights(counts, idx) -> np.ndarray:
+    return np.ones(len(idx), np.int64)
+
+
+def _fold_median_level(index: _BeliefIndex, table: np.ndarray) -> float:
+    """Fallback level for featureless curves: fold of np.median of the beliefs, bit for bit.
+
+    table is the index's unit-weight category table. With unit weights the
+    first positions whose cumulative weight reaches n/2 and n/2 + 1 are
+    np.median's two middles: element n//2 for odd n, and for even n the
+    mean (a + b)/2 of elements n//2 - 1 and n//2. np.median would copy all
+    n beliefs and import numpy.ma.
+    """
+    n = int(table.sum())
+    med = index.search(table, n / 2, _unit_weights)
+    if n % 2 == 0:
+        med = (med + index.search(table, n / 2 + 1, _unit_weights)) / 2
     return min(med, 1.0 - med)
 
 
@@ -347,11 +372,11 @@ def roundtrip(
         rows = slice(block.first_id, block.first_id + block.n_assets)
         Pi[rows], code[rows] = block.Pi[:, 0], sort.code
         table = table + cohort_table(sort)
-    sort = replace(sort, code=code)
+    index = _BeliefIndex(code, Pi)
     S_delta = config.pricing.S_delta
     curve = measure_expost_excess(sort, table, S_delta)["volatility"]
     v_hat, rp_hat, rho_hat, K_hat, stats, path = _estimate(
-        curve, config.n_min, S_delta, lambda: _fold_median_level(Pi, code, table), lenient=False
+        curve, config.n_min, S_delta, lambda: _fold_median_level(index, table), lenient=False
     )
     flags = ["no_in_window_epoch"] if in_win is False else []
     if path != "regular":
@@ -369,7 +394,7 @@ def roundtrip(
     }
 
     if n_boot > 0:
-        boot = _TableBootstrap(sort, table, Pi, np.random.default_rng([seed, 0xB007]))
+        boot = _TableBootstrap(index, table, np.random.default_rng([seed, 0xB007]))
         draws, paths = [], dict.fromkeys(BOOT_PATHS, 0)
         for _ in range(n_boot):
             k = boot.draw()
@@ -397,20 +422,18 @@ class _TableBootstrap:
     Tibshirani 1993, ch. 6), so a resample costs O(categories), not O(n).
     Only the empty categories are left out of the draw, so the remainder
     of its sequential binomials always lands on an occupied category.
-    table is the sort's unit-weight cohort_table, the point estimate's own;
-    vals are the beliefs the fold-median fallback reads.
+    table is index's unit-weight category table, the point estimate's own;
+    the fold-median fallback searches index.
     """
 
-    def __init__(self, sort: CohortSort, table: np.ndarray, vals: np.ndarray, rng):
-        self.code = sort.code
-        self.vals = vals
+    def __init__(self, index: _BeliefIndex, table: np.ndarray, rng):
+        self.index = index
         self.rng = rng
-        self.n = len(vals)
         m = table.ravel()
+        self.n = int(m.sum())
         self.n_cat = m.size
         self.occupied = np.flatnonzero(m)
         self.p = m[self.occupied] / self.n
-        self._members = {}
 
     def draw(self) -> np.ndarray:
         """One resample's category table, shaped like cohort_table."""
@@ -418,50 +441,26 @@ class _TableBootstrap:
         k[self.occupied] = self.rng.multinomial(self.n, self.p)
         return k.reshape(-1, 2, 2, 2)
 
-    def members(self, g: int):
-        """Group g's assets by ascending belief, and each category's positions among them."""
-        if g not in self._members:
-            idx = np.concatenate([np.flatnonzero(m) + lo for lo, m in _group_scan(self.code, g)])
-            idx = idx[np.argsort(self.vals[idx], kind="stable")]
-            cat = self.code[idx] & 3
-            self._members[g] = idx, [np.flatnonzero(cat == c) for c in range(4)]
-        return self._members[g]
-
-    def median(self, table, weigh) -> float:
-        """Fold of the weighted median belief of a resample with category table.
-
-        The median is the belief at the first position, in belief order,
-        whose cumulative weight reaches half the total, the rule of the
-        asset-level weighted median. The table's cumulative group weights
-        find the group holding it; weigh(counts, idx, pos) gives the
-        integer weights of that group's members idx, whose categories
-        hold counts and sit at positions pos.
-        """
-        groups, size, cum = _belief_groups(table)
-        half = cum[-1] / 2.0
-        i = int(np.searchsorted(cum, half))
-        g = int(groups[i])
-        idx, pos = self.members(g)
-        w = weigh(table.reshape(-1, 4)[g], idx, pos)
-        j = int(np.searchsorted(cum[i] - size[i] + np.cumsum(w), half))
-        med = float(self.vals[idx[j]])
-        return min(med, 1.0 - med)
-
     def fold_median(self, table) -> float:
-        """median of a table from draw, its members drawn given the table.
+        """Fold of the weighted median belief of a table from draw.
 
-        Given its count k_c, a category's m_c members share the k_c draws as
+        The median is the first position whose cumulative weight reaches
+        half the total, the rule of the asset-level weighted median. Given
+        its count k_c, a category's m_c members share the k_c draws as
         Multinomial(k_c, uniform), independently across categories: the
         conditional law of the asset-level resample, so the median's law is
         exact. Only the median's group is drawn.
         """
-        return self.median(table, self._draw_members)
+        med = self.index.search(table, table.sum() / 2.0, self._draw_members)
+        return min(med, 1.0 - med)
 
-    def _draw_members(self, counts, idx, pos) -> np.ndarray:
+    def _draw_members(self, counts, idx) -> np.ndarray:
         # k_c uniform picks among m_c members: Multinomial(k_c, 1/m_c) counts
+        cat = self.index.code[idx] & 3
         w = np.zeros(len(idx), np.int64)
-        for k, p in zip(counts, pos):
+        for c, k in enumerate(counts):
             if k:
+                p = np.flatnonzero(cat == c)
                 w[p] = np.bincount(self.rng.integers(len(p), size=k), minlength=len(p))
         return w
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from rnemarket import estimation
-from rnemarket.estimation import _TableBootstrap, _belief_groups, _usable_mask
+from rnemarket.estimation import _BeliefIndex, _TableBootstrap, _belief_groups, _usable_mask
 from rnemarket.market import (
     MarketPanel,
     cohort_table,
@@ -227,8 +227,10 @@ def test_table_stats_of_an_integer_table_equal_the_weighted_stats(rows, conditio
 
 
 def _table_median(panel, sort, w):
-    boot = _TableBootstrap(sort, cohort_table(sort), panel.Pi[:, 0], rng=None)
-    return boot.median(cohort_table(sort, w), lambda counts, idx, pos: w[idx])
+    table = cohort_table(sort, w)
+    index = _BeliefIndex(sort.code, panel.Pi[:, 0])
+    med = index.search(table, table.sum() / 2.0, lambda counts, idx: w[idx])
+    return min(med, 1.0 - med)
 
 
 @settings(max_examples=150, deadline=None)
@@ -287,7 +289,8 @@ def test_fold_median_level_is_numpy_median_bit_for_bit(monkeypatch):
         sort = sort_cohorts(panel, 1.0)
         assert sort.code.dtype == (np.uint8 if n_bins <= 65 else np.uint16)
         med = float(np.median(Pi))
-        got = estimation._fold_median_level(panel.Pi[:, 0], sort.code, cohort_table(sort))
+        index = _BeliefIndex(sort.code, panel.Pi[:, 0])
+        got = estimation._fold_median_level(index, cohort_table(sort))
         assert got == min(med, 1.0 - med), (n, n_bins, got, med)
 
 
@@ -316,7 +319,9 @@ def test_table_draws_follow_the_asset_level_law():
     order = np.argsort(vals)
     reps = 20_000
     asset_rng = np.random.default_rng(7)
-    boot = _TableBootstrap(sort, cohort_table(sort), vals, np.random.default_rng(8))
+    boot = _TableBootstrap(
+        _BeliefIndex(sort.code, vals), cohort_table(sort), np.random.default_rng(8)
+    )
     asset_tables, asset_medians, tables, medians = [], [], [], []
     for _ in range(reps):
         w = np.bincount(asset_rng.integers(n, size=n), minlength=n)

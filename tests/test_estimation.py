@@ -230,6 +230,17 @@ def test_roundtrip_degenerate_unbiased_unpriced_market():
     assert "no_in_window_epoch" in res.diagnostics["flags"]
 
 
+@pytest.mark.parametrize("n_assets", [20_000, 20_001])
+def test_unpriced_roundtrip_locates_the_peak_at_the_fold_of_numpy_median(n_assets):
+    # even n reads the mean of two order statistics, odd n one
+    cfg = make_config(n_assets=n_assets, K=1.0)
+    res = roundtrip(cfg, ACCEPT_SEED, n_boot=0)
+    assert "no_significant_peak" in res.diagnostics["flags"]
+    t = res.diagnostics["t"]
+    m = float(np.median(whole_panel(cfg, ACCEPT_SEED).Pi[:, cfg.time_index(t)]))
+    assert res.v_max_hat == min(m, 1.0 - m)
+
+
 def test_roundtrip_flat_topped_boundary_peak():
     cfg = make_config(n_assets=20_000, rho=1.0, K=1.5)
     res = roundtrip(cfg, ACCEPT_SEED, t=1.2, n_boot=0)
@@ -286,19 +297,19 @@ def test_roundtrip_sorts_its_blocks_into_the_whole_panels_cohorts(monkeypatch):
     seen = {}
     init = _TableBootstrap.__init__
 
-    def spy(self, sort, table, vals, rng):
-        seen.update(sort=sort, table=table, vals=vals)
-        init(self, sort, table, vals, rng)
+    def spy(self, index, table, rng):
+        seen.update(index=index, table=table)
+        init(self, index, table, rng)
 
     monkeypatch.setattr(_TableBootstrap, "__init__", spy)
-    roundtrip(cfg, 5, t=2.4, n_boot=1)
+    res = roundtrip(cfg, 5, t=2.4, n_boot=1)
     panel = whole_panel(cfg, 5)
     full = sort_cohorts(panel, 2.4, conditioning="volatility")
-    assert seen["sort"].code.dtype == full.code.dtype
-    assert np.array_equal(seen["sort"].code, full.code)
-    assert np.array_equal(seen["sort"].edges, full.edges)
+    assert seen["index"].code.dtype == full.code.dtype
+    assert np.array_equal(seen["index"].code, full.code)
+    assert np.array_equal(res.diagnostics["curve"].v, 0.5 * (full.edges[:-1] + full.edges[1:]))
     assert np.array_equal(seen["table"], cohort_table(full))
-    assert np.array_equal(seen["vals"], panel.Pi[:, cfg.time_index(2.4)])
+    assert np.array_equal(seen["index"].beliefs, panel.Pi[:, cfg.time_index(2.4)])
 
 
 def test_percentiles_are_numpy_percentile_bit_for_bit():
