@@ -299,13 +299,12 @@ def vol_conditioned_excess(v, params: AnomalyParams):
 
 def _vol_curve(v, params: AnomalyParams) -> tuple:
     """vol_conditioned_excess at v, and the folded log weights at the levels
-    it read (v clipped to 1/2, and 1 - v), or None at K = 1, where it reads none."""
+    it read (v clipped to 1/2, and 1 - v). At K = 1 both arms are +0.0, and
+    so is the curve: AnomalyParams' span check keeps w_lo a number."""
     v = np.asarray(v, float)
     if np.any((v <= 0) | (v > 0.5 + 1e-12)):
         raise InputError("volatility levels live on (0, 1/2]")
     v = np.minimum(v, 0.5)
-    if params.K == 1.0:
-        return np.zeros_like(v), None
     lw_lo, lw_hi, logit_lo, logit_hi = _log_folded_weights(v, params)
     w_lo = expit(lw_lo - lw_hi)
     rp = w_lo * _balanced_arm(logit_lo, params) + (1 - w_lo) * _balanced_arm(logit_hi, params)
@@ -353,7 +352,7 @@ def analytic_curve(kind: str, params: AnomalyParams, grid=None) -> CohortCurve:
     grid = np.asarray(grid, float)
     if kind == "volatility":
         rp, lw = _vol_curve(grid, params)
-        if lw is None or np.any(grid > 0.5):  # the weights are read at the grid as given
+        if np.any(grid > 0.5):  # the weights are read at the grid as given
             lw = _log_folded_weights(grid, params)
         w = np.exp(lw[0]) + np.exp(lw[1])
     else:

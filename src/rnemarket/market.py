@@ -7,8 +7,9 @@ analytic module predicts. Reproducibility is exact: every asset draws from
 its own counter-based substream keyed by (seed, asset_id), so the panel is
 bit-identical on every run of one (config, seed). The substream is numpy's
 Philox generator with numpy's uniforms and normals; a numpy kernel computes
-them for a block of assets at once, and only an asset whose normals leave
-numpy's ziggurat fast path is drawn by numpy itself.
+them for a block of assets at once, with the ziggurat's tables read from
+numpy by one-word probes, and the kernel redraws by numpy itself only an
+asset whose normals leave numpy's ziggurat fast path.
 """
 
 from __future__ import annotations
@@ -261,37 +262,14 @@ def _philox_words(seed: int, keys, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fast_path(bitgen, rng, rabs, levels) -> np.ndarray:
-    """numpy's normal of the word (rabs[i], sign +, levels[i]) for each i; NaN off the fast path.
+def _philox_state(key, buffer, buffer_pos) -> dict:
+    """numpy's Philox state at counter 0 under key, with words buffer[buffer_pos:] still to read.
 
-    Philox's settable buffer feeds up to 4 chosen words at a time to
-    standard_normal. A normal that took exactly one word took numpy's
-    ziggurat fast path: a rejection draws at least one more word, which
-    moves the buffer position past the words fed or the counter off 0.
+    The one place this package writes numpy's Philox state: a fresh stream
+    is buffer_pos 4, and chosen words go in buffer from buffer_pos on.
     """
-    words = [(int(r) << 9) | int(level) for r, level in zip(rabs, levels)]
-    x = np.full(len(words), np.nan)
-
-    def feed(lo: int, hi: int) -> None:
-        bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
-            "buffer": tuple(words[lo:hi]) + (0,) * (4 - (hi - lo)),
-            "buffer_pos": 0,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        got = rng.standard_normal(hi - lo)
-        state = bitgen.state
-        if state["buffer_pos"] == hi - lo and not state["state"]["counter"].any():
-            x[lo:hi] = got
-        elif hi - lo > 1:  # find the words that left the fast path
-            for i in range(lo, hi):
-                feed(i, i + 1)
-
-    for lo in range(0, len(words), 4):
-        feed(lo, min(lo + 4, len(words)))
-    return x
+    return {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+            "buffer": buffer, "buffer_pos": buffer_pos, "has_uint32": 0, "uinteger": 0}
 
 
 @functools.cache
@@ -300,37 +278,45 @@ def _ziggurat_tables() -> tuple:
 
     numpy's ziggurat (Marsaglia & Tsang 2000) reads one word w as a level
     (bits 0-7), a sign (bit 8) and rabs (bits 9-60), and returns
-    x = +-rabs * wi[level] when rabs < ki[level]. Philox's settable buffer
-    feeds chosen words to standard_normal, so: wi[level] is x / 2**51 at
-    rabs = 2**51, exactly. A bound k is proved <= ki[level] where numpy
-    returns (k - 1) * wi[level] for rabs = k - 1 on its fast path. The
-    first guess is k = floor(2**52 wi[level-1] / wi[level]) (level 0 takes
-    level 255's), one probe per level; a level whose guess fails or is
-    missing is bisected for ki over rabs in [0, 2**52). A level off the
-    fast path at rabs = 2**51 (today level 1, which has no fast path) gets
-    bound 0, so its words always take numpy's own draw. Both tables have 512 entries indexed by
-    w & 0x1ff; wi carries the sign. The arrays are read-only: every caller
-    in the process shares them.
+    x = +-rabs * wi[level] when rabs < ki[level]. A probe feeds one chosen
+    word through Philox's settable buffer to standard_normal; a normal
+    that took exactly that word took the fast path, since a rejection reads
+    at least one more word, which moves the buffer position past 1 or the
+    counter off 0. So wi[level] is x / 2**51 at rabs = 2**51, exactly, and
+    a bound k is proved <= ki[level] where numpy returns (k - 1) * wi[level]
+    for rabs = k - 1. Each fast level is bisected once for the largest
+    such k: over (guess - 1, guess] when the probe proves numpy's
+    construction guess floor(2**52 wi[level-1] / wi[level]) (level 0 takes
+    level 255's), over (0, 2**52] otherwise. A level off the fast path at
+    rabs = 2**51 (today level 1, which has no fast path) gets bound 0, so
+    its words always take numpy's own draw: a bound of 0 is always correct,
+    only slower. Both tables have 512 entries indexed by w & 0x1ff; wi
+    carries the sign. The arrays are read-only: every caller in the process
+    shares them.
     """
-    bitgen = np.random.Philox()
-    rng = np.random.Generator(bitgen)
-    levels = np.arange(256)
-    wi = _fast_path(bitgen, rng, [2**51] * 256, levels) / 2.0**51
+    rng = np.random.Generator(np.random.Philox())
 
-    def fast(rabs, at):
-        rabs = np.asarray(rabs, np.uint64)
-        return _fast_path(bitgen, rng, rabs, at) == rabs * wi[at]
+    def probe(rabs: int, level: int) -> float:
+        # numpy's normal of the word (rabs, sign +, level); NaN off the fast path
+        rng.bit_generator.state = _philox_state((0, 0), ((rabs << 9) | level, 0, 0, 0), 0)
+        x = rng.standard_normal()
+        state = rng.bit_generator.state
+        return x if state["buffer_pos"] == 1 and not state["state"]["counter"].any() else math.nan
 
-    guess = np.floor(2.0**52 * np.roll(wi, 1) / wi)
-    kbound = np.where(guess >= 1, guess, 0).astype(np.uint64)  # NaN fails the test
-    probed = levels[kbound > 0]
-    kbound[probed[~fast(kbound[probed] - np.uint64(1), probed)]] = 0
-    for level in levels[(kbound == 0) & (wi > 0)]:
-        lo, hi = 0, 2**52  # ki in (lo, hi] once lo is accepted
+    wi = np.array([probe(2**51, level) for level in range(256)]) / 2.0**51
+
+    def fast(rabs: int, level: int) -> bool:
+        return probe(rabs, level) == rabs * wi[level]  # NaN fails
+
+    kbound = np.zeros(256, np.uint64)
+    for level in np.flatnonzero(wi > 0).tolist():
+        guess = math.floor(2.0**52 * wi[level - 1] / wi[level]) if wi[level - 1] > 0 else 0
+        # the bound is hi once a probe proves lo fast: the guess's, a mid's or the last one
+        lo, hi = (guess - 1, guess) if guess >= 1 and fast(guess - 1, level) else (0, 2**52)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if fast([mid], [level])[0] else (lo, mid)
-        kbound[level] = hi if fast([lo], [level])[0] else 0
+            lo, hi = (mid, hi) if fast(mid, level) else (lo, mid)
+        kbound[level] = hi if lo or fast(0, level) else 0
     wi = np.where(kbound > 0, wi, 0.0)
     tables = np.concatenate([wi, -wi]), np.concatenate([kbound, kbound])
     for t in tables:
@@ -339,14 +325,15 @@ def _ziggurat_tables() -> tuple:
 
 
 def _block_draws(seed: int, lo: int, words: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Draws of assets lo, lo+1, ... into the columns of draws; returns the columns to redo.
+    """Draws of assets lo, lo+1, ... into the columns of draws; returns the columns it redrew.
 
     draws has a row per draw of the substream order (see simulate_blocks),
     words 4 * ceil(rows / 4) rows of the same width. The two uniforms are
     numpy's (w >> 11) * 2**-53 of the first two words, and each later word
     gives numpy's normal wherever its ziggurat fast path (_ziggurat_tables)
-    takes it. A column with any word off that path is returned: the stream
-    of such an asset shifts, so only numpy's own draw gives it.
+    takes it. A column with any word off that path is redrawn: the stream
+    of such an asset shifts, so one Philox generator, set to the asset's
+    fresh stream, draws its column by numpy itself.
     """
     wi, kbound = _ziggurat_tables()
     _philox_words(seed, np.arange(lo, lo + words.shape[1], dtype=np.uint64), words)
@@ -355,7 +342,19 @@ def _block_draws(seed: int, lo: int, words: np.ndarray, draws: np.ndarray) -> np
     signed_level = (w[2:] & np.uint64(0x1FF)).view(np.int64)
     rabs = (w[2:] >> np.uint64(9)) & np.uint64(2**52 - 1)
     np.multiply(rabs, wi[signed_level], out=draws[2:])
-    return np.flatnonzero((rabs >= kbound[signed_level]).any(axis=0))
+    redo = np.flatnonzero((rabs >= kbound[signed_level]).any(axis=0))
+    bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
+    row = np.empty(len(draws))
+    key = [seed, 0]  # Python ints convert to the C key words exactly
+    fresh = _philox_state(key, (0, 0, 0, 0), 4)  # holds key itself: key[1] re-keys it
+    for i in redo.tolist():
+        key[1] = lo + i
+        bitgen.state = fresh
+        rng.random(out=row[:2])
+        rng.standard_normal(out=row[2:])
+        draws[:, i] = row
+    return redo
 
 
 def simulate_blocks(config: MarketConfig, seed: int, epochs=None):
@@ -367,14 +366,14 @@ def simulate_blocks(config: MarketConfig, seed: int, epochs=None):
     Philox keyed by the exact 64-bit pair (seed, a), so seed must lie in
     [0, 2**64). Per asset, the substream order is: sign uniform, outcome
     uniform, the D-stream normals for every interval, then the Z-stream
-    normals if pricing.draws_z. The draws of a block come at once from a
-    numpy kernel that computes their Philox words and turns each later word
-    into numpy's ziggurat normal on its one-word fast path, with tables read
-    once per process from numpy itself (_ziggurat_tables). An asset with
-    any word off that path (a ziggurat rejection or the tail, about 6% of
-    assets at the default config) takes numpy's own draw instead: one bit
-    generator is reseated to its key and draws its row. Either way each
-    draw is numpy's, bit for bit. The shared path kernel (loglr_paths,
+    normals if pricing.draws_z. The draws of a block come at once from
+    _block_draws, a numpy kernel that computes their Philox words and turns
+    each later word into numpy's ziggurat normal on its one-word fast path,
+    with tables read once per process from numpy itself, by one-word probes
+    (_ziggurat_tables). _block_draws redraws an asset with any word off
+    that path (a ziggurat rejection or the tail, about 6% of assets at the
+    default config) by numpy itself. Either way each draw is numpy's, bit
+    for bit. The shared path kernel (loglr_paths,
     price_paths) then evaluates the block's paths, beliefs and prices
     together. Block k holds assets k * ASSET_BLOCK onwards (its first_id)
     in arrays of its own, so a caller that keeps only what it reads holds
@@ -411,26 +410,12 @@ def simulate_blocks(config: MarketConfig, seed: int, epochs=None):
     n_draws = 2 + n_int * (2 if pr.draws_z(var_z) else 1)
 
     def blocks():
-        # Python ints convert to the C key words exactly
-        key = [seed, 0]
-        zeros = (0, 0, 0, 0)
-        fresh = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-                 "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        bitgen = np.random.Philox()
-        rng = np.random.Generator(bitgen)
         width = min(n, ASSET_BLOCK)
         words = np.empty((-(-n_draws // 4) * 4, width), np.uint64)
         draws = np.empty((n_draws, width))
-        row = np.empty(n_draws)
-        uniforms, normals = row[:2], row[2:]
         for lo in range(0, n, ASSET_BLOCK):
             d = draws[:, : min(lo + ASSET_BLOCK, n) - lo]
-            for i in _block_draws(seed, lo, words[:, : d.shape[1]], d):
-                key[1] = lo + int(i)
-                bitgen.state = fresh
-                rng.random(out=uniforms)
-                rng.standard_normal(out=normals)
-                d[:, i] = row
+            _block_draws(seed, lo, words[:, : d.shape[1]], d)
             plus = d[0] < config.sign_prob_plus
             b = d[1] < np.where(plus, b_prob[1], b_prob[-1])
             z = d[2:].T

@@ -180,7 +180,8 @@ def test_vol_conditioned_excess_shape():
 def test_vol_curve_vanishes_when_unpriced():
     pars = params_at(K=1.0)
     grid = np.linspace(0.01, 0.5, 50)
-    assert np.allclose(vol_conditioned_excess(grid, pars), 0.0, atol=1e-14)
+    rp = vol_conditioned_excess(grid, pars)
+    assert np.array_equal(rp, np.zeros_like(grid)) and not np.signbit(rp).any()
 
 
 def test_vol_curve_exact_and_symmetric_at_rho_one():

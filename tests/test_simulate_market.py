@@ -143,6 +143,19 @@ def test_matches_reference_loop_bit_for_bit(name, seed, monkeypatch):
                 assert np.array_equal(getattr(one, f), want), (f, n, j)
 
 
+@pytest.mark.parametrize("name", ("default", "z_stream"))
+def test_redraw_alone_matches_the_kernel(name, monkeypatch):
+    # with every bound 0 no word is on the fast path: numpy redraws every asset
+    cfg = make_config(n_assets=ASSET_BLOCK + 1, **CONFIGS[name])
+    want = whole_panel(cfg, 112)
+    wi, kbound = market._ziggurat_tables()
+    monkeypatch.setattr(market, "_ziggurat_tables", lambda: (wi, np.zeros_like(kbound)))
+    got = whole_panel(cfg, 112)
+    for f in FIELDS:
+        assert getattr(got, f).dtype == getattr(want, f).dtype, f
+        assert np.array_equal(getattr(got, f), getattr(want, f)), f
+
+
 @pytest.mark.parametrize("seed", (0, 112, 2**64 - 1))
 def test_philox_words_match_numpy(seed):
     ids = np.array([0, 2**32 - 1, 2**32, 2**63], np.uint64)
