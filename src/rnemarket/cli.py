@@ -5,10 +5,11 @@ cohorts, estimate, validate). Everything that affects output lives in the
 config or the documented flags; no environment variable changes an
 artifact, and for a fixed (config, seed) the emitted CSVs are byte-identical.
 The thread budget (threads, --threads) steers nothing: every panel is
-simulated in one process, block by block (see market.simulate_blocks), and
-each subcommand keeps only what it reads of the blocks. curves splits its
-lattice among forked processes (see _cmd_curves), with byte-identical files
-whatever the CPU count.
+simulated block by block (see market.simulate_blocks), and each subcommand
+keeps only what it reads of the blocks. curves and estimate split their
+lattice points and the panel's blocks into one fixed share per usable CPU,
+each run by its own forked process (see market._run_shares), with
+byte-identical files whatever the CPU count.
 OpenBLAS defaults to one thread, since nothing here gains from its pool.
 
 Exit codes: 0 success, 2 config error, 3 validation/estimation failure,
@@ -22,7 +23,6 @@ import math
 import mmap
 import os
 import sys
-import threading
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import zip_longest
@@ -63,7 +63,7 @@ from .pricing import (
     verify_canonical_ode,
     write_price_paths_csv,
 )
-from . import anomalies
+from . import anomalies, market
 
 
 class ConfigError(ValueError):
@@ -89,7 +89,8 @@ class RunConfig:
     (priors, milestone times) are always recomputed from primitives; the
     config may state them, in which case they are cross-checked to 1e-12.
     threads is a no-op kept for existing configs and command lines: it is
-    validated and echoed, and steers nothing.
+    validated and echoed, and steers nothing (curves and estimate take
+    their process count from the CPUs the process may use).
     sources maps each key parse_config read to its line or flag, so that a
     range error found later can name it.
     """
@@ -313,8 +314,9 @@ def parse_config(text: str, overrides=None) -> RunConfig:
     inference = build("market.inference", InferenceParams)
     truth = build("market.truth", TruthParams)
     pricing = build("market.pricing", PricingParams)
-    market = build("market", MarketConfig, truth=truth, pricing=pricing, inference=inference)
-    rc = build("", RunConfig, market=market, sources=where)
+    market_config = build("market", MarketConfig, truth=truth, pricing=pricing,
+                          inference=inference)
+    rc = build("", RunConfig, market=market_config, sources=where)
     try:
         derived = rc.derived()
     except InputError as e:
@@ -428,7 +430,7 @@ def _cmd_curves(rc: RunConfig, out: Path) -> int:
     names = [out / f"curve_rho{rho:g}_K{K:g}.csv" for rho, K, _ in lattice]
     # each point's peak values per kind, in memory that forked children share
     peaks = np.frombuffer(mmap.mmap(-1, 8 * 18 * len(lattice))).reshape(-1, 3, 6)
-    procs = min(_usable_cpus(), len(lattice))
+    procs = min(market._usable_cpus(), len(lattice))
 
     # points k, k + procs, ..., one at a time: a fixed share, so every run
     # makes the same calls in each process
@@ -445,19 +447,7 @@ def _cmd_curves(rc: RunConfig, out: Path) -> int:
             for j, cols in enumerate(columns):
                 write_csv(path, ["kind", "v", "rp", "weight"], cols, append=j > 0)
 
-    # process k (the parent is 0) runs share(k); the parent runs after its
-    # own each share it could fork no child for
-    children, own = {}, [0]
-    try:
-        for k in range(1, procs):
-            try:
-                children[_forked(share, k)] = ", ".join(map(str, names[k::procs]))
-            except OSError:  # EAGAIN under a process limit, ENOMEM
-                own.append(k)
-        for k in own:
-            share(k)
-    finally:
-        _reap(children)
+    market._run_shares(procs, share, lambda k: ", ".join(map(str, names[k::procs])))
     rho, K = (np.repeat([point[j] for point in lattice], 3) for j in (0, 1))
     write_csv(out / "peaks.csv", ["rho", "K", "kind", *_PEAK_FIELDS],
               [rho, K, np.tile(_KINDS, len(lattice)), *peaks.reshape(-1, 6).T])
@@ -470,49 +460,6 @@ def _cmd_curves(rc: RunConfig, out: Path) -> int:
 _KINDS = ("momentum_plus", "momentum_minus", "volatility")
 # the peak_report values of peaks.csv, in its column order
 _PEAK_FIELDS = ("v_max", "rp_max", "v_formula", "formula_value", "abs_gap", "v_abs_gap")
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, or 1 where it should not fork.
-
-    A fork copies only the calling thread, so with another Python thread
-    running (whose locks the child would inherit held) it counts as 1 too.
-    """
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0)) if threading.active_count() == 1 else 1
-
-
-def _forked(work, *args) -> int:
-    """The pid of a forked child that calls work(*args) and leaves with os._exit.
-
-    The child exits 0 if work returned and 1, after printing the traceback,
-    if it raised; it runs no exit handler and flushes no buffer of the parent.
-    """
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            work(*args)
-            code = 0
-        except BaseException:  # the child's top level: report, then exit below
-            sys.excepthook(*sys.exc_info())
-            sys.stderr.flush()
-        finally:
-            os._exit(code)
-    return pid
-
-
-def _reap(children: dict) -> None:
-    """Wait for and drop every child (pid -> its files); raise if any exited non-zero."""
-    failed = []
-    while children:
-        pid, names = children.popitem()
-        status = os.waitpid(pid, 0)[1]
-        if status:
-            failed.append(f"{names} (exit {os.waitstatus_to_exitcode(status)})")
-    if failed:
-        raise RuntimeError("the writer of " + "; ".join(failed) + " failed")
 
 
 def _cmd_cohorts(rc: RunConfig, out: Path) -> int:
@@ -745,7 +692,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, metavar="U64", help="override config seed")
     ap.add_argument("--out-dir", default="out", metavar="PATH")
     ap.add_argument("--threads", type=int, metavar="N",
-                    help="accepted, validated (at least 1) and echoed; steers nothing")
+                    help="accepted, validated (at least 1) and echoed; steers nothing: "
+                         "curves and estimate run one process per usable CPU")
     ap.add_argument("--grid-points", type=int, metavar="N",
                     help="override analytic grid resolution")
     args = ap.parse_args(argv)

@@ -10,13 +10,16 @@ full simulate-sort-measure-recover round trip with bootstrap intervals.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import market
 from .anomalies import CohortCurve
 from .inference import InputError, window_check, write_csv
 from .market import (
+    ASSET_BLOCK,
     MarketConfig,
     cohort_table,
     measure_expost_excess,
@@ -350,7 +353,14 @@ def roundtrip(
     Of the panel, simulated block by block, each asset's belief at t and
     category code are kept (the bin edges depend on n_bins alone, so the
     blocks' codes are the panel's): 9 bytes per asset while the code fits
-    in one byte (n_bins up to 65). The table is the sum of the blocks'.
+    in one byte (n_bins up to 65). The blocks are simulated in procs =
+    min(usable CPUs, blocks) fixed shares, blocks k, k + procs, ... in
+    process k: the parent is process 0 and forks each other once
+    (market._run_shares). Each process writes its assets' beliefs and codes
+    and its share's category table into one anonymous memory mapping; the
+    table is the sum of the shares' tables, integer counts, so the result
+    is the same whatever the CPU count. A share that fails in a child is a
+    RuntimeError naming it.
     The point estimate and each bootstrap resample (a table drawn from it by
     _TableBootstrap) go through measure_expost_excess and _estimate alike; a
     fallback path is a flag on the point estimate and a count in
@@ -364,14 +374,33 @@ def roundtrip(
             f"n_bins must be at least {2 * FIT_WIDTH} for the peak fit", "n_bins"
         )
     t, in_win = _pick_epoch(config) if t is None else (t, None)
-    Pi, code, table = np.empty(config.n_assets), None, 0
-    for block in simulate_blocks(config, seed, epochs=[config.time_index(t)]):
-        sort = sort_cohorts(block, t, conditioning="volatility")
-        if code is None:
-            code = np.empty(config.n_assets, sort.code.dtype)
-        rows = slice(block.first_id, block.first_id + block.n_assets)
-        Pi[rows], code[rows] = block.Pi[:, 0], sort.code
-        table = table + cohort_table(sort)
+    n, n_cat = config.n_assets, 8 * (config.n_bins // 2)
+    n_blocks = -(-n // ASSET_BLOCK)
+    procs = min(market._usable_cpus(), n_blocks)
+    # every share's InputError and ResourceLimitError comes here, before any fork
+    shares = [simulate_blocks(config, seed, [config.time_index(t)], (k, procs))
+              for k in range(procs)]
+    # the beliefs, the share tables and the codes (sort_cohorts' dtype), in
+    # one mapping that forked children share
+    code_type = np.min_scalar_type(n_cat - 1)
+    mapped = mmap.mmap(-1, n * (8 + code_type.itemsize) + 8 * procs * n_cat)
+    Pi = np.frombuffer(mapped, float, n)
+    tables = np.frombuffer(mapped, np.int64, procs * n_cat, 8 * n).reshape(procs, n_cat)
+    code = np.frombuffer(mapped, code_type, n, 8 * (n + procs * n_cat))
+    sorts = []
+
+    def share(k: int) -> None:
+        for block in shares[k]:
+            sort = sort_cohorts(block, t, conditioning="volatility")
+            rows = slice(block.first_id, block.first_id + block.n_assets)
+            Pi[rows], code[rows] = block.Pi[:, 0], sort.code
+            tables[k] += cohort_table(sort).ravel()
+        sorts.append(sort)  # the bin edges depend on n_bins alone
+
+    market._ziggurat_tables()  # built once, before any fork
+    market._run_shares(procs, share, lambda k: f"share {k} of the panel's {n_blocks} blocks")
+    # integer counts: the panel's table whatever the shares
+    sort, table = sorts[0], tables.sum(axis=0).reshape(-1, 2, 2, 2)
     index = _BeliefIndex(code, Pi)
     S_delta = config.pricing.S_delta
     curve = measure_expost_excess(sort, table, S_delta)["volatility"]

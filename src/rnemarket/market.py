@@ -9,13 +9,18 @@ bit-identical on every run of one (config, seed). The substream is numpy's
 Philox generator with numpy's uniforms and normals; a numpy kernel computes
 them for a block of assets at once, with the ziggurat's tables read from
 numpy by one-word probes, and the kernel redraws by numpy itself only an
-asset whose normals leave numpy's ziggurat fast path.
+asset whose normals leave numpy's ziggurat fast path. The package's one
+fork model is here too: _run_shares runs fixed shares of a job, such as
+the panel's blocks, in one forked process per usable CPU.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -343,7 +348,7 @@ def _block_draws(seed: int, lo: int, words: np.ndarray, draws: np.ndarray) -> np
     rabs = (w[2:] >> np.uint64(9)) & np.uint64(2**52 - 1)
     np.multiply(rabs, wi[signed_level], out=draws[2:])
     redo = np.flatnonzero((rabs >= kbound[signed_level]).any(axis=0))
-    bitgen = np.random.Philox()
+    bitgen = np.random.Philox(key=lo)  # a key reads no OS entropy; each asset sets the state
     rng = np.random.Generator(bitgen)
     row = np.empty(len(draws))
     key = [seed, 0]  # Python ints convert to the C key words exactly
@@ -357,7 +362,7 @@ def _block_draws(seed: int, lo: int, words: np.ndarray, draws: np.ndarray) -> np
     return redo
 
 
-def simulate_blocks(config: MarketConfig, seed: int, epochs=None):
+def simulate_blocks(config: MarketConfig, seed: int, epochs=None, share=(0, 1)):
     """The simulated panel, in MarketPanel blocks of ASSET_BLOCK assets.
 
     The panel is N independent assets with exact Gaussian log-LR jumps
@@ -382,11 +387,19 @@ def simulate_blocks(config: MarketConfig, seed: int, epochs=None):
     epochs lists indices into config.record_times: the blocks keep those
     epochs' columns only (every epoch when None), each bit-identical to that
     column of the blocks of every epoch. Anything but a nonempty list of distinct
-    indices in [0, len(record_times)) is an InputError on epochs. Every
+    indices in [0, len(record_times)) is an InputError on epochs.
+
+    share = (k, procs) yields only blocks k, k + procs, ..., each the same
+    as that block of the whole sequence: the procs shares partition the
+    blocks, so procs processes may each simulate one (see _run_shares).
+    Anything but integers 0 <= k < procs is an InputError on share. Every
     InputError and ResourceLimitError comes from this call, before any block.
     """
     if not 0 <= seed < 2**64:
         raise InputError("seed must lie in [0, 2**64)")
+    k, procs = share
+    if not all(isinstance(x, int) for x in share) or not 0 <= k < procs:
+        raise InputError("share must be (k, procs) with integers 0 <= k < procs", "share")
     n_rec = len(config.record_times)
     epochs = np.arange(n_rec) if epochs is None else np.asarray(epochs)
     flat = epochs.ndim == 1 and epochs.dtype.kind in "iu"
@@ -413,7 +426,7 @@ def simulate_blocks(config: MarketConfig, seed: int, epochs=None):
         width = min(n, ASSET_BLOCK)
         words = np.empty((-(-n_draws // 4) * 4, width), np.uint64)
         draws = np.empty((n_draws, width))
-        for lo in range(0, n, ASSET_BLOCK):
+        for lo in range(k * ASSET_BLOCK, n, procs * ASSET_BLOCK):
             d = draws[:, : min(lo + ASSET_BLOCK, n) - lo]
             _block_draws(seed, lo, words[:, : d.shape[1]], d)
             plus = d[0] < config.sign_prob_plus
@@ -425,6 +438,62 @@ def simulate_blocks(config: MarketConfig, seed: int, epochs=None):
                               np.where(plus, 1, -1).astype(np.int8), *paths, first_id=lo)
 
     return blocks()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where it should not fork.
+
+    A fork copies only the calling thread, so with another Python thread
+    running (whose locks the child would inherit held) it counts as 1 too.
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0)) if threading.active_count() == 1 else 1
+
+
+def _run_shares(procs: int, share, label) -> None:
+    """share(k) for every k < procs, share 0 in this process and each other in a child.
+
+    Each child is forked once, runs one share and leaves with os._exit: 0
+    if the share returned, 1 after printing the traceback if it raised, with
+    no exit handler run and no buffer of this process flushed. This process
+    runs share 0 and then, in order, each share it could fork no child for
+    (a process limit, no memory). A caller picks procs = min(_usable_cpus(),
+    items) and gives share k a fixed part of its items, so every run makes
+    the same calls in each process whatever the CPU count; what a child
+    computes reaches this process only through memory the caller mapped
+    before the call. Every child is reaped before this returns, also when
+    share 0 raises; a child that fails is a RuntimeError naming label(k).
+    """
+    children, own = {}, [0]
+    try:
+        for k in range(1, procs):
+            try:
+                pid = os.fork()
+            except OSError:  # EAGAIN under a process limit, ENOMEM
+                own.append(k)
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    share(k)
+                    code = 0
+                except BaseException:  # the child's top level: report, then exit below
+                    sys.excepthook(*sys.exc_info())
+                    sys.stderr.flush()
+                finally:
+                    os._exit(code)
+            children[pid] = label(k)
+        for k in own:
+            share(k)
+    finally:
+        failed = []
+        for pid, name in children.items():
+            status = os.waitpid(pid, 0)[1]
+            if status:
+                failed.append(f"{name} (exit {os.waitstatus_to_exitcode(status)})")
+        if failed:
+            raise RuntimeError("the writer of " + "; ".join(failed) + " failed")
 
 
 @dataclass

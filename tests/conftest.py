@@ -1,5 +1,6 @@
 """Shared fixtures: one large cached panel drives the expensive checks."""
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,12 @@ import pytest
 from rnemarket.market import make_config, simulate_blocks
 
 PANEL_FIELDS = ("B", "sign", "loglr", "pi", "Pi", "S")
+
+
+def no_child_left():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def whole_panel(config, seed, epochs=None):

@@ -25,6 +25,8 @@ from rnemarket.cli import (
 )
 from rnemarket.market import ASSET_BLOCK, MAX_BINS, make_config
 
+from conftest import no_child_left
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -397,19 +399,18 @@ def test_curves_tabulates_the_analytic_family(tmp_path):
 LATTICE = "curves.rho_list = 3, 9, 27\ncurves.K_list = 1.2, 1.5, 1.9\ncurves.grid_points = 200\n"
 
 
-def _curves_on(monkeypatch, cpus, cfg, out):
-    """curves as if the process could use cpus CPUs: (exit code, stdout, forks)."""
+def _command_on(monkeypatch, cpus, command, cfg, out):
+    """command as if the process could use cpus CPUs: (exit code, stdout, forks)."""
     forks, fork, stdout = [], os.fork, io.StringIO()
     with monkeypatch.context() as m, contextlib.redirect_stdout(stdout):
-        m.setattr(cli, "_usable_cpus", lambda: cpus)
+        m.setattr(market, "_usable_cpus", lambda: cpus)
         m.setattr(os, "fork", lambda: forks.append(1) or fork())
-        code = main(["curves", "--config", cfg, "--out-dir", str(out)])
+        code = main([command, "--config", cfg, "--out-dir", str(out)])
     return code, stdout.getvalue().replace(str(out), "OUT"), len(forks)
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def _curves_on(monkeypatch, cpus, cfg, out):
+    return _command_on(monkeypatch, cpus, "curves", cfg, out)
 
 
 def _same_files(a: Path, b: Path) -> None:
@@ -424,7 +425,7 @@ def test_curves_writes_the_same_bytes_in_forked_writers(tmp_path, monkeypatch):
     runs = {}
     for cpus in (1, 2, 3, 16):
         runs[cpus] = _curves_on(monkeypatch, cpus, cfg, tmp_path / f"cpus{cpus}")
-        _no_child_left()
+        no_child_left()
     # one CPU computes and writes every point in process; with procs
     # processes the parent takes points 0, procs, ... and each child its own
     # share: 2 CPUs split the 9 points 5/4, 3 CPUs 3/3/3, 16 CPUs one each
@@ -447,7 +448,7 @@ def test_the_parent_computes_only_its_share_of_the_curves(tmp_path, monkeypatch)
         calls.clear()
         assert _curves_on(monkeypatch, cpus, cfg, tmp_path / f"cpus{cpus}")[0] == 0
         assert len(calls) == expected
-    _no_child_left()
+    no_child_left()
 
 
 def _failing_on(monkeypatch, name: str) -> None:
@@ -467,12 +468,12 @@ def test_a_failing_writer_fails_curves_and_leaves_no_child(tmp_path, monkeypatch
     _failing_on(monkeypatch, "curve_rho3_K1.5.csv")
     with pytest.raises(RuntimeError, match=r"the writer of .*curve_rho3_K1\.5\.csv \(exit 1\)"):
         _curves_on(monkeypatch, 9, cfg, tmp_path / "forked")
-    _no_child_left()
+    no_child_left()
     assert "no space left on device" in capfd.readouterr().err
     # written in the one process, the error is the writer's own
     with pytest.raises(OSError, match="no space left on device"):
         _curves_on(monkeypatch, 1, cfg, tmp_path / "serial")
-    _no_child_left()
+    no_child_left()
 
 
 def test_a_failure_in_the_parents_share_still_reaps_every_child(tmp_path, monkeypatch):
@@ -483,7 +484,7 @@ def test_a_failure_in_the_parents_share_still_reaps_every_child(tmp_path, monkey
     _failing_on(monkeypatch, "curve_rho3_K1.2.csv")
     with pytest.raises(OSError, match="no space left on device"):
         _curves_on(monkeypatch, 3, cfg, tmp_path / "forked")
-    _no_child_left()
+    no_child_left()
     # reaped, the children had written every file of their shares
     for name in sorted(p.name for p in (tmp_path / "forked").glob("curve_*.csv")):
         assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
@@ -500,8 +501,25 @@ def test_curves_runs_the_shares_no_child_could_be_forked_for(tmp_path, monkeypat
     # every fork fails, as under a process limit: the parent runs each share
     monkeypatch.setattr(os, "fork", no_fork)
     assert _curves_on(monkeypatch, 4, cfg, tmp_path / "forked") == serial[:2] + (3,)
-    _no_child_left()
+    no_child_left()
     _same_files(tmp_path / "serial", tmp_path / "forked")
+
+
+@pytest.mark.parametrize("n", [10_001, 20_001])
+def test_estimate_writes_the_same_bytes_on_any_cpu_count(tmp_path, monkeypatch, n):
+    # 10,001 assets are 3 blocks and 20,001 are 5: estimate simulates them
+    # in min(CPUs, blocks) processes, the parent and a child forked per
+    # further share
+    cfg = _write(tmp_path, "e.cfg", f"market.n_assets = {n}\nestimation.n_boot = 20\n")
+    runs = {cpus: _command_on(monkeypatch, cpus, "estimate", cfg, tmp_path / f"cpus{cpus}")
+            for cpus in (1, 2, 3, 16)}
+    no_child_left()
+    blocks = -(-n // ASSET_BLOCK)
+    assert [runs[cpus][2] for cpus in runs] == [min(cpus, blocks) - 1 for cpus in runs]
+    assert runs[1][0] == 0
+    assert runs[1][:2] == runs[2][:2] == runs[3][:2] == runs[16][:2]
+    for cpus in (2, 3, 16):
+        _same_files(tmp_path / "cpus1", tmp_path / f"cpus{cpus}")
 
 
 def test_grid_points_flag_controls_resolution(tmp_path):

@@ -2,6 +2,8 @@
 
 import csv
 import math
+import mmap
+import os
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rnemarket import market
+from rnemarket import estimation, market
 from rnemarket.anomalies import AnomalyParams, CohortCurve, analytic_curve, lowrisk_peak
 from rnemarket.estimation import (
     FLATNESS_CONFIDENCE,
@@ -27,9 +29,9 @@ from rnemarket.estimation import (
     write_roundtrip_csv,
 )
 from rnemarket.inference import InputError
-from rnemarket.market import cohort_table, make_config, sort_cohorts
+from rnemarket.market import ASSET_BLOCK, cohort_table, make_config, sort_cohorts
 
-from conftest import ACCEPT_SEED, whole_panel
+from conftest import ACCEPT_SEED, no_child_left, whole_panel
 
 
 def _curve(v, rp, se=None, n=1000.0):
@@ -269,26 +271,117 @@ def test_errors_shrink_with_panel_size():
         assert big <= small, (name, big, small)
 
 
-def test_roundtrip_memory_grows_with_one_epoch_per_asset():
+def test_roundtrip_memory_grows_with_one_epoch_per_asset(monkeypatch):
     # of the panel the estimate keeps each asset's belief at its epoch and
-    # its one-byte category code, 9 bytes per asset; one byte per asset is
-    # slack. Holding the one-epoch panel would add 34 bytes per asset, and
-    # int64 codes 7. K = 1 takes the fold-median fallback, which reads the
-    # median through the table and gathers only its groups' beliefs
+    # its one-byte category code, 9 bytes per asset, in one memory mapping
+    # that forked children share, beside each process's table of the 200
+    # categories. tracemalloc sees no mapping, so its size is asserted, and
+    # the traced heap may grow by one byte per asset: 9 + 1 in all. Holding
+    # the one-epoch panel would add 34 bytes per asset, and int64 codes 7.
+    # K = 1 takes the fold-median fallback, which reads the median through
+    # the table and gathers only its groups' beliefs
     market._ziggurat_tables()  # built once per process: not part of either run
-    for K in (1.5, 1.0):
-        # a warm-up run: no first-call import enters either peak
-        roundtrip(make_config(K=K, n_assets=5_000), ACCEPT_SEED, n_boot=0)
-        peaks = []
-        for n in (50_000, 100_000):
-            tracemalloc.start()
-            try:
-                res = roundtrip(make_config(K=K, n_assets=n), ACCEPT_SEED, n_boot=0)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert ("no_significant_peak" in res.diagnostics["flags"]) == (K == 1.0)
-        assert (peaks[1] - peaks[0]) / 50_000 <= 9 + 1, (K, peaks)
+    sizes, mapping = [], mmap.mmap
+    monkeypatch.setattr(mmap, "mmap", lambda *a: sizes.append(a[1]) or mapping(*a))
+    for cpus in (1, 2):
+        monkeypatch.setattr(market, "_usable_cpus", lambda: cpus)
+        for K in (1.5, 1.0):
+            # a warm-up run: no first-call import enters either peak
+            roundtrip(make_config(K=K, n_assets=5_000), ACCEPT_SEED, n_boot=0)
+            peaks = []
+            for n in (50_000, 100_000):
+                tracemalloc.start()
+                try:
+                    res = roundtrip(make_config(K=K, n_assets=n), ACCEPT_SEED, n_boot=0)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                assert sizes[-1] == n * (8 + 1) + cpus * 200 * 8, (cpus, K, sizes)
+            assert ("no_significant_peak" in res.diagnostics["flags"]) == (K == 1.0)
+            heap = (peaks[1] - peaks[0]) / 50_000
+            assert heap <= 1, (cpus, K, peaks)
+            assert (sizes[-1] - sizes[-2]) / 50_000 + heap <= 9 + 1
+    no_child_left()
+
+
+def _outcome(res) -> tuple:
+    """Everything roundtrip returns, as bytes and exact reprs."""
+    d = dict(res.diagnostics)
+    curve = d.pop("curve")
+    return (repr((res.v_max_hat, res.rp_max_hat, res.rho_hat, res.K_hat, d)),
+            *(x.tobytes() for x in (curve.v, curve.rp, curve.se, curve.n, curve.mix)))
+
+
+def _roundtrip_on(monkeypatch, cpus, cfg, seed=ACCEPT_SEED):
+    """roundtrip as if the process could use cpus CPUs: (its result, forks tried)."""
+    forks, fork = [], os.fork
+    with monkeypatch.context() as m:
+        m.setattr(market, "_usable_cpus", lambda: cpus)
+        m.setattr(os, "fork", lambda: forks.append(1) or fork())
+        res = roundtrip(cfg, seed, n_boot=20)
+    return res, len(forks)
+
+
+@pytest.mark.parametrize("n, K", [(10_001, 1.5), (20_001, 1.0)])
+def test_roundtrip_gives_the_same_result_on_any_cpu_count(monkeypatch, n, K):
+    # 10,001 assets are 3 blocks and 20,001 are 5: procs = min(CPUs, blocks)
+    # processes, the parent and procs - 1 children forked once each; K = 1
+    # reads the fold median through the codes and beliefs the children wrote
+    cfg = make_config(n_assets=n, K=K)
+    runs = {cpus: _roundtrip_on(monkeypatch, cpus, cfg) for cpus in (1, 2, 3, 16)}
+    no_child_left()
+    blocks = -(-n // ASSET_BLOCK)
+    assert [runs[cpus][1] for cpus in runs] == [min(cpus, blocks) - 1 for cpus in runs]
+    assert all(_outcome(runs[cpus][0]) == _outcome(runs[1][0]) for cpus in (2, 3, 16))
+    assert ("no_significant_peak" in runs[1][0].diagnostics["flags"]) == (K == 1.0)
+
+
+def _failing_block(monkeypatch, first_id: int) -> None:
+    sort = estimation.sort_cohorts
+
+    def failing(block, *args, **kwargs):
+        if block.first_id == first_id:
+            raise OSError("no memory for this block")
+        return sort(block, *args, **kwargs)
+
+    monkeypatch.setattr(estimation, "sort_cohorts", failing)
+
+
+def test_a_failing_share_fails_roundtrip_and_leaves_no_child(monkeypatch, capfd):
+    # with 3 usable CPUs each of 10,001 assets' 3 blocks is one process's:
+    # block 2 is the second child's
+    cfg = make_config(n_assets=10_001)
+    _failing_block(monkeypatch, 2 * ASSET_BLOCK)
+    with pytest.raises(RuntimeError, match=r"share 2 of the panel's 3 blocks \(exit 1\) failed"):
+        _roundtrip_on(monkeypatch, 3, cfg)
+    no_child_left()
+    assert "no memory for this block" in capfd.readouterr().err
+    # simulated in the one process, the error is the block's own
+    with pytest.raises(OSError, match="no memory for this block"):
+        _roundtrip_on(monkeypatch, 1, cfg)
+    no_child_left()
+
+
+def test_a_failure_in_the_parents_share_still_reaps_every_roundtrip_child(monkeypatch):
+    # block 0 is always the parent's; the children run blocks 1 and 2 to the end
+    _failing_block(monkeypatch, 0)
+    with pytest.raises(OSError, match="no memory for this block"):
+        _roundtrip_on(monkeypatch, 3, make_config(n_assets=10_001))
+    no_child_left()
+
+
+def test_roundtrip_runs_the_shares_no_child_could_be_forked_for(monkeypatch):
+    cfg = make_config(n_assets=10_001)
+    serial = _outcome(_roundtrip_on(monkeypatch, 1, cfg)[0])
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    # every fork fails, as under a process limit: the parent runs each share
+    monkeypatch.setattr(os, "fork", no_fork)
+    res, forks = _roundtrip_on(monkeypatch, 3, cfg)
+    assert (_outcome(res), forks) == (serial, 2)
+    no_child_left()
 
 
 def test_roundtrip_sorts_its_blocks_into_the_whole_panels_cohorts(monkeypatch):

@@ -28,7 +28,7 @@ import shutil
 
 import pytest
 
-from rnemarket import cli
+from rnemarket import cli, market
 from rnemarket.cli import _SCHEMA, ConfigError, echo_config, main, parse_config
 
 HOSTILE = ("nan", "inf", "-inf", "", "text", "-1", "0", "1e-300", "5e-324", "1e154", "1e200",
@@ -104,7 +104,7 @@ def _same_on_one_and_two_cpus(tmp_path, monkeypatch, text: str, label: str) -> N
     for cpus in (2, 1):
         out = tmp_path / f"lattice-{cpus}"
         with monkeypatch.context() as m:
-            m.setattr(cli, "_usable_cpus", lambda: cpus)
+            m.setattr(market, "_usable_cpus", lambda: cpus)
             code, err = check_run("curves", cfg, out, label)
         runs.append((code, err, {p.name: p.read_bytes() for p in out.glob("*")}))
         shutil.rmtree(out)

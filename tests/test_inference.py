@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rnemarket import cli, inference
+from rnemarket import cli, inference, market
 from rnemarket.anomalies import default_grid
 from rnemarket.cli import main
 from rnemarket.inference import (
@@ -434,7 +434,7 @@ def test_format_17g_certifies_nearly_every_curve_value(tmp_path, monkeypatch):
     monkeypatch.setattr(inference, "_format_17g", count_floats)
     monkeypatch.setattr(inference, "_python_17g", count_python)
     # the counts are this process's: no forked child writes a lattice file
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(market, "_usable_cpus", lambda: 1)
     cfg = tmp_path / "c.cfg"
     cfg.write_text("curves.rho_list = 3, 9, 27\ncurves.K_list = 1.2, 1.5, 1.9\n"
                    "curves.grid_points = 2000\n")

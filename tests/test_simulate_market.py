@@ -261,6 +261,21 @@ def test_blocks_concatenate_to_the_panel_bit_for_bit(n, epochs):
             assert all(np.array_equal(b.times, want) for b in blocks)
 
 
+def test_shares_partition_the_blocks_bit_for_bit():
+    # 4 blocks, the last of 5 assets: procs shares of blocks k, k + procs, ...
+    cfg = make_config(n_assets=3 * ASSET_BLOCK + 5)
+    whole = {b.first_id: b for b in simulate_blocks(cfg, 3, epochs=[1])}
+    for procs in (1, 2, 3, 4, 5):
+        seen = []
+        for k in range(procs):
+            for b in simulate_blocks(cfg, 3, [1], (k, procs)):
+                assert b.first_id // ASSET_BLOCK % procs == k
+                for f in FIELDS:
+                    assert np.array_equal(getattr(b, f), getattr(whole[b.first_id], f)), f
+                seen.append(b.first_id)
+        assert sorted(seen) == list(whole), procs
+
+
 def test_block_errors_come_from_the_call_before_any_block():
     # no block is drawn: the generator is never advanced
     cfg = make_config(n_assets=1_000)
@@ -270,3 +285,12 @@ def test_block_errors_come_from_the_call_before_any_block():
         simulate_blocks(cfg, 1, epochs=[4])
     with pytest.raises(InputError, match="seed"):
         simulate_blocks(cfg, 2**64)
+    # a share that is not one of procs is an error too, and a share's call
+    # raises every error the whole sequence's call does
+    for share in ((2, 2), (-1, 2), (0, 0), (0.0, 1)):
+        with pytest.raises(InputError, match="share"):
+            simulate_blocks(cfg, 1, share=share)
+    with pytest.raises(ResourceLimitError):
+        simulate_blocks(make_config(n_assets=1_000, max_asset_steps=100), 1, share=(1, 2))
+    with pytest.raises(InputError, match="epochs"):
+        simulate_blocks(cfg, 1, [4], (1, 2))

@@ -15,7 +15,9 @@ market.n_assets set) once per seed and prints one Markdown table row:
 
 A digest of every seed's outcome and point estimate follows the table, so
 two sweeps over the same seeds show at a glance whether any point estimate
-moved. The sweep is not part of the test suite: at 1e5 assets one seed takes about a second.
+moved. The sweep is not part of the test suite: at 1e5 assets and 200
+resamples one seed takes about 0.1 s on two CPUs (roundtrip simulates the
+panel's blocks in one process per usable CPU) and 0.13 s on one.
 """
 
 from __future__ import annotations
