@@ -6,10 +6,10 @@ config or the documented flags; no environment variable changes an
 artifact, and for a fixed (config, seed) the emitted CSVs are byte-identical.
 The thread budget (threads, --threads) steers nothing: every panel is
 simulated block by block (see market.simulate_blocks), and each subcommand
-keeps only what it reads of the blocks. curves and estimate split their
-lattice points and the panel's blocks into one fixed share per usable CPU,
-each run by its own forked process (see market._run_shares), with
-byte-identical files whatever the CPU count.
+keeps only what it reads of the blocks (validate, through market's claims).
+curves and estimate split their lattice points and the panel's blocks into
+one fixed share per usable CPU, each run by its own forked process (see
+market._run_shares), with byte-identical files whatever the CPU count.
 OpenBLAS defaults to one thread, since nothing here gains from its pool.
 
 Exit codes: 0 success, 2 config error, 3 validation/estimation failure,
@@ -50,19 +50,15 @@ from .market import (
     cohort_table,
     expost_decomposition,
     measure_expost_excess,
+    odds_deviation,
+    priced_martingale_z,
+    reference_martingale_z,
     simulate_blocks,
     sort_cohorts,
     write_cohorts_csv,
     write_panel_csv,
 )
-from .pricing import (
-    implied_gain_to_loss,
-    premium_decomposition,
-    rne_belief,
-    simulate_price_path,
-    verify_canonical_ode,
-    write_price_paths_csv,
-)
+from .pricing import half_vol_gaps, ode_residuals, simulate_price_path, write_price_paths_csv
 from . import anomalies, market
 
 
@@ -513,59 +509,19 @@ def _cmd_estimate(rc: RunConfig, out: Path) -> int:
     return 0
 
 
-def _conservation_check(rc: RunConfig) -> float:
-    cfg = replace(rc.market, n_assets=1000)
-    (panel,) = simulate_blocks(cfg, rc.seed)  # 1,000 assets are one block
-    odds_pi = panel.pi / (1 - panel.pi)
-    odds_Pi = panel.Pi / (1 - panel.Pi)
-    K_pow = cfg.pricing.K ** panel.sign[:, None].astype(float)
-    return float(np.max(np.abs(odds_pi / odds_Pi / K_pow - 1)))
-
-
-def _max_z(samples) -> float:
-    """The largest |mean - target| in standard errors over (x, target) samples, or 0."""
-    return max([0.0, *(abs(x.mean() - target) / (x.std(ddof=1) / math.sqrt(len(x)))
-                       for x, target in samples)])
-
-
-# The Monte Carlo checks keep only the columns they read of simulate_blocks'
-# blocks, and only while they run.
-def _reference_martingale_z(rc: RunConfig) -> float:
-    cfg = replace(rc.market, n_assets=20_000, b_measure="reference")
-    pi = np.concatenate([block.pi for block in simulate_blocks(cfg, rc.seed)])
-    return _max_z((pi[:, j], cfg.truth.pi1_0) for j in range(pi.shape[1]))
-
-
-def _priced_martingale_z(rc: RunConfig) -> float:
-    cfg = replace(rc.market, n_assets=20_000, b_measure="rne")
-    kept = [(block.sign, block.Pi) for block in simulate_blocks(cfg, rc.seed)]
-    sign, Pi = (np.concatenate(x) for x in zip(*kept))
-    return _max_z((Pi[sign == s, j], cfg.Pi1_0(s)) for s in (1, -1) for j in range(Pi.shape[1]))
-
-
 def _validate_checks(rc: RunConfig):
     """The property suite behind the validate subcommand.
 
-    Yields (name, passed, detail); every check is fast enough to run on
-    every build.
+    Yields (name, passed, detail), fast enough for every build. The claims
+    the acceptance tests share read their statistics from pricing and market.
     """
-    dev = _conservation_check(rc)
+    dev = odds_deviation(replace(rc.market, n_assets=1000), rc.seed)
     yield "conserved priced-odds ratio (<=1e-12)", dev <= 1e-12, f"max rel dev {dev:.3g}"
 
-    worst = 0.0
-    for K in (1.0, 1.2, 1.5, 1.9):
-        A = rne_belief(0.5, K, 1)
-        dec = premium_decomposition(0.5, A, 1.0)
-        worst = max(
-            worst,
-            abs(dec.price_of_model_risk - (K - 1) / (K + 1)),
-            abs(implied_gain_to_loss(0.5, A) - K),
-        )
+    worst = max(half_vol_gaps((1.0, 1.2, 1.5, 1.9)))
     yield "peak-risk calibration at half-vol (<=1e-12)", worst <= 1e-12, f"max gap {worst:.3g}"
 
-    grid = np.linspace(0.05, 0.95, 19)
-    r_map = verify_canonical_ode(grid, lambda p: rne_belief(p, 1.5, 1))
-    r_bad = verify_canonical_ode(grid, lambda p: p * p)
+    r_map, _, r_bad = ode_residuals(np.linspace(0.05, 0.95, 19), 1.5)
     ok = r_map < 1e-6 and r_bad > 0.05
     yield "canonical pricing ODE", ok, f"map {r_map:.3g}, quadratic {r_bad:.3g}"
 
@@ -608,10 +564,11 @@ def _validate_checks(rc: RunConfig):
         f"{mix[0]:.3g} at v={vgrid[0]:g} down to {mix[-1]:.3g} at v={vgrid[-1]:g}"
     )
 
-    z_ref = _reference_martingale_z(rc)
+    mc = replace(rc.market, n_assets=20_000)
+    z_ref = reference_martingale_z(replace(mc, b_measure="reference"), rc.seed)
     yield "reference-measure belief martingale (3 SE)", z_ref <= 3.0, f"max |z| {z_ref:.2f}"
 
-    z_rne = _priced_martingale_z(rc)
+    z_rne = priced_martingale_z(replace(mc, b_measure="rne"), rc.seed)
     yield "priced-measure belief martingale (3 SE)", z_rne <= 3.0, f"max |z| {z_rne:.2f}"
 
     # the decomposition's residual has mean zero only when B is drawn from

@@ -44,6 +44,9 @@ __all__ = [
     "table_stats",
     "measure_expost_excess",
     "expost_decomposition",
+    "odds_deviation",
+    "reference_martingale_z",
+    "priced_martingale_z",
     "write_panel_csv",
     "write_cohorts_csv",
 ]
@@ -646,6 +649,38 @@ def expost_decomposition(blocks, t: float) -> dict:
             )
         out[scope] = rec
     return out
+
+
+# The paper's panel claims, as the statistics that validate and the acceptance
+# tests bound: each keeps only the columns it reads of the blocks, while it runs.
+def odds_deviation(config: MarketConfig, seed: int) -> float:
+    """The largest relative deviation of the odds ratio O(pi)/O(Pi) from K^sign
+    over the panel's assets and record times: zero up to rounding."""
+    def dev(b):
+        ratio = (b.pi / (1 - b.pi)) / (b.Pi / (1 - b.Pi))
+        return float(np.max(np.abs(ratio / config.pricing.K ** b.sign[:, None].astype(float) - 1)))
+    return max(map(dev, simulate_blocks(config, seed)))
+
+
+def _max_z(samples) -> float:
+    """The largest |mean - target| in standard errors over (x, target) samples, or 0."""
+    return max([0.0, *(abs(x.mean() - target) / (x.std(ddof=1) / math.sqrt(len(x)))
+                       for x, target in samples)])
+
+
+def reference_martingale_z(config: MarketConfig, seed: int) -> float:
+    """The largest |z| of the mean belief pi against the prior pi1_0 over the record
+    times; pi is a martingale, so within 3 SE, when config.b_measure is reference."""
+    pi = np.concatenate([block.pi for block in simulate_blocks(config, seed)])
+    return _max_z((pi[:, j], config.truth.pi1_0) for j in range(pi.shape[1]))
+
+
+def priced_martingale_z(config: MarketConfig, seed: int) -> float:
+    """The largest |z| of each sign group's mean priced belief Pi against Pi1_0(sign)
+    over the record times; Pi is a martingale per sign when config.b_measure is rne."""
+    kept = [(block.sign, block.Pi) for block in simulate_blocks(config, seed)]
+    sign, Pi = (np.concatenate(x) for x in zip(*kept))
+    return _max_z((Pi[sign == s, j], config.Pi1_0(s)) for s in (1, -1) for j in range(Pi.shape[1]))
 
 
 def write_panel_csv(path, panel: MarketPanel, append: bool = False) -> None:

@@ -44,6 +44,8 @@ __all__ = [
     "simulate_price_path",
     "diffusion_price_of_risk",
     "verify_canonical_ode",
+    "half_vol_gaps",
+    "ode_residuals",
     "write_price_paths_csv",
 ]
 
@@ -322,6 +324,22 @@ def verify_canonical_ode(grid, candidate, h: float = 1e-4) -> float:
     resid = np.abs(lhs - rhs)
     resid = np.where(np.isfinite(resid), resid, np.inf)
     return float(np.max(resid))
+
+
+def half_vol_gaps(Ks) -> tuple:
+    """(max |k - (K-1)/(K+1)|, max |gain-to-loss - K|) over the odds discounts Ks at
+    pi = 1/2, where the priced upper branch makes both exact."""
+    uppers = [(K, rne_belief(0.5, K, 1)) for K in Ks]
+    return (max(abs(premium_decomposition(0.5, A, 1.0).price_of_model_risk - (K - 1) / (K + 1))
+                for K, A in uppers),
+            max(abs(implied_gain_to_loss(0.5, A) - K) for K, A in uppers))
+
+
+def ode_residuals(grid, K: float) -> tuple:
+    """verify_canonical_ode's residuals on grid for the belief maps of K with sign +1
+    and -1, which solve the ODE, and for the quadratic p**2, which does not."""
+    return tuple(verify_canonical_ode(grid, candidate) for candidate in (
+        lambda p: rne_belief(p, K, 1), lambda p: rne_belief(p, K, -1), lambda p: p * p))
 
 
 def write_price_paths_csv(path, runs) -> None:

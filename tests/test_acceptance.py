@@ -21,16 +21,14 @@ from rnemarket.market import (
     cohort_table,
     make_config,
     measure_expost_excess,
+    odds_deviation,
+    priced_martingale_z,
+    reference_martingale_z,
     sort_cohorts,
 )
-from rnemarket.pricing import (
-    implied_gain_to_loss,
-    premium_decomposition,
-    rne_belief,
-    verify_canonical_ode,
-)
+from rnemarket.pricing import half_vol_gaps, ode_residuals
 
-from conftest import ACCEPT_SEED, CRITERION_LINES, whole_panel
+from conftest import ACCEPT_SEED, CRITERION_LINES
 from momentum_bins import bin_averaged_momentum
 
 
@@ -48,11 +46,7 @@ def _params(rho=9.0, K=1.5, t=2.4):
 def test_criterion_1_conserved_odds_on_a_dense_panel():
     t0 = time.perf_counter()
     times = tuple(np.linspace(0.008, 8.0, 1000))
-    cfg = make_config(n_assets=1000, record_times=times)
-    panel = whole_panel(cfg, ACCEPT_SEED)
-    ratio = (panel.pi / (1 - panel.pi)) / (panel.Pi / (1 - panel.Pi))
-    target = cfg.pricing.K ** panel.sign.astype(float)
-    dev = float(np.max(np.abs(ratio / target[:, None] - 1.0)))
+    dev = odds_deviation(make_config(n_assets=1000, record_times=times), ACCEPT_SEED)
     took = time.perf_counter() - t0
     check(
         1,
@@ -63,12 +57,7 @@ def test_criterion_1_conserved_odds_on_a_dense_panel():
 
 
 def test_criterion_2_half_vol_calibration_is_exact():
-    worst_k = worst_g = 0.0
-    for K in (1.0, 1.2, 1.5, 1.9):
-        upper = rne_belief(0.5, K, 1)
-        dec = premium_decomposition(0.5, upper, 1.0)
-        worst_k = max(worst_k, abs(dec.price_of_model_risk - (K - 1) / (K + 1)))
-        worst_g = max(worst_g, abs(implied_gain_to_loss(0.5, upper) - K))
+    worst_k, worst_g = half_vol_gaps((1.0, 1.2, 1.5, 1.9))
     check(
         2,
         worst_k <= 1e-12 and worst_g <= 1e-12,
@@ -78,10 +67,7 @@ def test_criterion_2_half_vol_calibration_is_exact():
 
 
 def test_criterion_3_pricing_map_solves_the_ode():
-    grid = np.linspace(0.05, 0.95, 19)
-    r_plus = verify_canonical_ode(grid, lambda p: rne_belief(p, 1.5, 1))
-    r_minus = verify_canonical_ode(grid, lambda p: rne_belief(p, 1.5, -1))
-    r_quad = verify_canonical_ode(grid, lambda p: p * p)
+    r_plus, r_minus, r_quad = ode_residuals(np.linspace(0.05, 0.95, 19), 1.5)
     check(
         3,
         max(r_plus, r_minus) < 1e-6 and r_quad > 0.05,
@@ -170,21 +156,10 @@ def test_criterion_7_parameters_recover_from_the_panel(big_config):
 
 
 def test_criterion_8_ensembles_follow_their_laws(big_panel):
-    worst_z = 0.0
-    cfg_ref = make_config(n_assets=20_000, b_measure="reference")
-    ref = whole_panel(cfg_ref, ACCEPT_SEED)
-    for j in range(len(ref.times)):
-        x = ref.pi[:, j]
-        se = np.std(x, ddof=1) / math.sqrt(len(x))
-        worst_z = max(worst_z, abs(np.mean(x) - cfg_ref.truth.pi1_0) / se)
-    cfg_rne = make_config(n_assets=20_000, b_measure="rne")
-    rne = whole_panel(cfg_rne, ACCEPT_SEED)
-    for s in (1, -1):
-        sel = rne.sign == s
-        for j in range(len(rne.times)):
-            x = rne.Pi[sel, j]
-            se = np.std(x, ddof=1) / math.sqrt(len(x))
-            worst_z = max(worst_z, abs(np.mean(x) - cfg_rne.Pi1_0(s)) / se)
+    worst_z = max(
+        reference_martingale_z(make_config(n_assets=20_000, b_measure="reference"), ACCEPT_SEED),
+        priced_martingale_z(make_config(n_assets=20_000, b_measure="rne"), ACCEPT_SEED),
+    )
 
     slz, sld = big_panel.config.inference.sigma_at(0.0)
     var_rate = slz**2 + sld**2

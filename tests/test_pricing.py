@@ -13,7 +13,9 @@ from rnemarket.pricing import (
     PricingParams,
     canonical_price,
     diffusion_price_of_risk,
+    half_vol_gaps,
     implied_gain_to_loss,
+    ode_residuals,
     premium_decomposition,
     price_of_model_risk,
     rne_belief,
@@ -57,11 +59,10 @@ def test_gain_to_loss_equals_K_everywhere(pi, K):
 def test_peak_risk_calibration_at_half():
     # the premium coefficient and the implied gain-to-loss at pi = 1/2,
     # where belief volatility sqrt(pi(1-pi)) tops out at 1/2
+    k_gap, gain_gap = half_vol_gaps(K_GRID)
+    assert k_gap <= 1e-12 and gain_gap <= 1e-12
     for K in K_GRID:
-        A = rne_belief(0.5, K, 1)
-        dec = premium_decomposition(0.5, A, 1.0)
-        assert dec.price_of_model_risk == pytest.approx((K - 1) / (K + 1), abs=1e-12)
-        assert implied_gain_to_loss(0.5, A) == pytest.approx(K, abs=1e-12)
+        dec = premium_decomposition(0.5, rne_belief(0.5, K, 1), 1.0)
         assert dec.model_part == pytest.approx((K - 1) / (2 * (K + 1)), abs=1e-12)
 
 
@@ -235,9 +236,8 @@ def test_capm_style_linearization_error_is_second_order():
 def test_canonical_ode_residuals():
     grid = np.linspace(0.05, 0.95, 19)
     for K in (1.2, 1.5, 1.9):
-        assert verify_canonical_ode(grid, lambda p, K=K: rne_belief(p, K, 1)) < 1e-6
-        assert verify_canonical_ode(grid, lambda p, K=K: rne_belief(p, K, -1)) < 1e-6
-    assert verify_canonical_ode(grid, lambda p: p * p) > 0.05
+        plus, minus, quadratic = ode_residuals(grid, K)
+        assert plus < 1e-6 and minus < 1e-6 and quadratic > 0.05
     with pytest.raises(InputError):
         verify_canonical_ode(np.array([0.00005, 0.5]), lambda p: p)
 
