@@ -43,9 +43,6 @@ FIT_WIDTH = 5
 # Paths a bootstrap resample's estimate can take: the quadratic peak fit, the
 # best lower-confidence-bound bin, the fold median belief.
 BOOT_PATHS = ("regular", "peak_shape_unresolved", "no_significant_peak")
-# Category codes compared per step when finding a group's members, so that
-# no n-sized temporary is built.
-_SCAN = 1 << 16
 
 
 class ShapeError(ValueError):
@@ -211,70 +208,35 @@ def _belief_groups(table: np.ndarray) -> tuple:
     descending bin (Pi = 1 - level): every belief of a group is at most
     every belief of the groups after it.
     """
-    keys = np.arange(table.size // 4)
-    groups = np.concatenate([keys[0::2], keys[1::2][::-1]])
+    ids = np.arange(table.size // 4)
+    groups = np.concatenate([ids[0::2], ids[1::2][::-1]])
     size = table.reshape(-1, 4).sum(axis=1)[groups]
     return groups, size, np.cumsum(size)
 
 
-class _BeliefIndex:
-    """The volatility sort's assets by (bin, side) group, each group in belief order.
+def _belief_keys(Pi: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """Each asset's sort key, its belief's bits << 2 | its category code & 3 (uint64).
 
-    code is the panel-wide category code and beliefs each asset's Pi at the
-    sort's epoch. A group's members are gathered _SCAN codes at a time, so
-    no n-sized temporary is built, and only for the groups a search reaches.
+    A belief in [0, 1] has bits below 2^62 that order as its value, and
+    its (bin, side) group, code >> 2, is a function of it: sorted keys are
+    the beliefs in numeric order, each group one run in _belief_groups' order.
     """
-
-    def __init__(self, code: np.ndarray, beliefs: np.ndarray):
-        self.code = code
-        self.beliefs = beliefs
-        self._members = {}
-
-    def members(self, g: int) -> np.ndarray:
-        """Group g's assets by ascending belief, ties in asset order."""
-        if g not in self._members:
-            code = self.code
-            idx = np.concatenate([
-                np.flatnonzero(code[lo : lo + _SCAN] >> 2 == g) + lo
-                for lo in range(0, len(code), _SCAN)
-            ])
-            self._members[g] = idx[np.argsort(self.beliefs[idx], kind="stable")]
-        return self._members[g]
-
-    def search(self, table, c: float, weigh) -> float:
-        """The belief at the first position, in belief order, whose cumulative weight reaches c.
-
-        The asset weights sum to the category table's. The table's
-        cumulative group weights find the group holding that position;
-        weigh(counts, idx) gives the integer weights of that group's
-        members idx, whose categories hold counts.
-        """
-        groups, size, cum = _belief_groups(table)
-        i = int(np.searchsorted(cum, c))
-        g = int(groups[i])
-        idx = self.members(g)
-        w = weigh(table.reshape(-1, 4)[g], idx)
-        j = int(np.searchsorted(cum[i] - size[i] + np.cumsum(w), c))
-        return float(self.beliefs[idx[j]])
+    return Pi.view(np.uint64) << 2 | code & 3
 
 
-def _unit_weights(counts, idx) -> np.ndarray:
-    return np.ones(len(idx), np.int64)
+def _beliefs(keys: np.ndarray) -> np.ndarray:
+    return (keys >> 2).view(float)
 
 
-def _fold_median_level(index: _BeliefIndex, table: np.ndarray) -> float:
+def _fold_median_level(keys: np.ndarray) -> float:
     """Fallback level for featureless curves: fold of np.median of the beliefs, bit for bit.
 
-    table is the index's unit-weight category table. With unit weights the
-    first positions whose cumulative weight reaches n/2 and n/2 + 1 are
-    np.median's two middles: element n//2 for odd n, and for even n the
-    mean (a + b)/2 of elements n//2 - 1 and n//2. np.median would copy all
+    keys are the panel's sorted keys. np.median takes the mean of its
+    middle one (odd n) or two (even n) sorted values; it would copy all
     n beliefs and import numpy.ma.
     """
-    n = int(table.sum())
-    med = index.search(table, n / 2, _unit_weights)
-    if n % 2 == 0:
-        med = (med + index.search(table, n / 2 + 1, _unit_weights)) / 2
+    n = len(keys)
+    med = float(np.mean(_beliefs(keys[(n - 1) // 2 : n // 2 + 1])))
     return min(med, 1.0 - med)
 
 
@@ -350,17 +312,17 @@ def roundtrip(
 ) -> EstimationResult:
     """Simulate epoch t, sort volatility cohorts, and read the peak as (K, rho).
 
-    Of the panel, simulated block by block, each asset's belief at t and
-    category code are kept (the bin edges depend on n_bins alone, so the
-    blocks' codes are the panel's): 9 bytes per asset while the code fits
-    in one byte (n_bins up to 65). The blocks are simulated in procs =
+    Of the panel, simulated block by block, each asset's key of its belief
+    at t and category code is kept (_belief_keys; the bin edges depend on
+    n_bins alone, so the blocks' codes are the panel's): 8 bytes per asset
+    whatever n_bins. The blocks are simulated in procs =
     min(usable CPUs, blocks) fixed shares, blocks k, k + procs, ... in
     process k: the parent is process 0 and forks each other once
-    (market._run_shares). Each process writes its assets' beliefs and codes
-    and its share's category table into one anonymous memory mapping; the
-    table is the sum of the shares' tables, integer counts, so the result
-    is the same whatever the CPU count. A share that fails in a child is a
-    RuntimeError naming it.
+    (market._run_shares). Each process writes its assets' keys and its
+    share's category table into one anonymous memory mapping; the table is
+    the sum of the shares' tables, integer counts, so the result is the
+    same whatever the CPU count, and the parent sorts the keys in place. A
+    share that fails in a child is a RuntimeError naming it.
     The point estimate and each bootstrap resample (a table drawn from it by
     _TableBootstrap) go through measure_expost_excess and _estimate alike; a
     fallback path is a flag on the point estimate and a count in
@@ -380,20 +342,17 @@ def roundtrip(
     # every share's InputError and ResourceLimitError comes here, before any fork
     shares = [simulate_blocks(config, seed, [config.time_index(t)], (k, procs))
               for k in range(procs)]
-    # the beliefs, the share tables and the codes (sort_cohorts' dtype), in
-    # one mapping that forked children share
-    code_type = np.min_scalar_type(n_cat - 1)
-    mapped = mmap.mmap(-1, n * (8 + code_type.itemsize) + 8 * procs * n_cat)
-    Pi = np.frombuffer(mapped, float, n)
+    # the keys and the share tables, in one mapping that forked children share
+    mapped = mmap.mmap(-1, 8 * n + 8 * procs * n_cat)
+    keys = np.frombuffer(mapped, np.uint64, n)
     tables = np.frombuffer(mapped, np.int64, procs * n_cat, 8 * n).reshape(procs, n_cat)
-    code = np.frombuffer(mapped, code_type, n, 8 * (n + procs * n_cat))
     sorts = []
 
     def share(k: int) -> None:
         for block in shares[k]:
             sort = sort_cohorts(block, t, conditioning="volatility")
             rows = slice(block.first_id, block.first_id + block.n_assets)
-            Pi[rows], code[rows] = block.Pi[:, 0], sort.code
+            keys[rows] = _belief_keys(block.Pi[:, 0], sort.code)
             tables[k] += cohort_table(sort).ravel()
         sorts.append(sort)  # the bin edges depend on n_bins alone
 
@@ -401,11 +360,11 @@ def roundtrip(
     market._run_shares(procs, share, lambda k: f"share {k} of the panel's {n_blocks} blocks")
     # integer counts: the panel's table whatever the shares
     sort, table = sorts[0], tables.sum(axis=0).reshape(-1, 2, 2, 2)
-    index = _BeliefIndex(code, Pi)
+    keys.sort()  # belief order: each (bin, side) group is one run of keys
     S_delta = config.pricing.S_delta
     curve = measure_expost_excess(sort, table, S_delta)["volatility"]
     v_hat, rp_hat, rho_hat, K_hat, stats, path = _estimate(
-        curve, config.n_min, S_delta, lambda: _fold_median_level(index, table), lenient=False
+        curve, config.n_min, S_delta, lambda: _fold_median_level(keys), lenient=False
     )
     flags = ["no_in_window_epoch"] if in_win is False else []
     if path != "regular":
@@ -423,7 +382,7 @@ def roundtrip(
     }
 
     if n_boot > 0:
-        boot = _TableBootstrap(index, table, np.random.default_rng([seed, 0xB007]))
+        boot = _TableBootstrap(keys, table, np.random.default_rng([seed, 0xB007]))
         draws, paths = [], dict.fromkeys(BOOT_PATHS, 0)
         for _ in range(n_boot):
             k = boot.draw()
@@ -451,13 +410,15 @@ class _TableBootstrap:
     Tibshirani 1993, ch. 6), so a resample costs O(categories), not O(n).
     Only the empty categories are left out of the draw, so the remainder
     of its sequential binomials always lands on an occupied category.
-    table is index's unit-weight category table, the point estimate's own;
-    the fold-median fallback searches index.
+    table is the unit-weight category table of the sorted keys, the point
+    estimate's own; its group sizes locate each group's run of keys.
     """
 
-    def __init__(self, index: _BeliefIndex, table: np.ndarray, rng):
-        self.index = index
+    def __init__(self, keys: np.ndarray, table: np.ndarray, rng):
+        self.keys = keys
         self.rng = rng
+        _, size, cum = _belief_groups(table)
+        self.runs = np.stack([cum - size, cum], axis=1)
         m = table.ravel()
         self.n = int(m.sum())
         self.n_cat = m.size
@@ -478,15 +439,22 @@ class _TableBootstrap:
         its count k_c, a category's m_c members share the k_c draws as
         Multinomial(k_c, uniform), independently across categories: the
         conditional law of the asset-level resample, so the median's law is
-        exact. Only the median's group is drawn.
+        exact. The table's cumulative group weights find the median's
+        group, and only its members are drawn.
         """
-        med = self.index.search(table, table.sum() / 2.0, self._draw_members)
+        groups, size, cum = _belief_groups(table)
+        half = table.sum() / 2.0
+        i = int(np.searchsorted(cum, half))
+        members = self.keys[slice(*self.runs[i])]
+        w = self._draw_members(table.reshape(-1, 4)[groups[i]], members)
+        j = int(np.searchsorted(cum[i] - size[i] + np.cumsum(w), half))
+        med = float(_beliefs(members[j : j + 1])[0])
         return min(med, 1.0 - med)
 
-    def _draw_members(self, counts, idx) -> np.ndarray:
+    def _draw_members(self, counts, members) -> np.ndarray:
         # k_c uniform picks among m_c members: Multinomial(k_c, 1/m_c) counts
-        cat = self.index.code[idx] & 3
-        w = np.zeros(len(idx), np.int64)
+        cat = members & 3
+        w = np.zeros(len(members), np.int64)
         for c, k in enumerate(counts):
             if k:
                 p = np.flatnonzero(cat == c)

@@ -58,11 +58,13 @@ __all__ = [
 ASSET_BLOCK = 4096
 # The most cohort bins: 8 categories per bin keep every code in two bytes.
 MAX_BINS = 8192
+# How far apart a time and the epoch it names may be.
+TIME_TOL = 1e-12
 
 
 def _time_index(times, t: float) -> int:
-    """Position of t among times, to 1e-12; an InputError on t where none matches."""
-    hits = np.nonzero(np.isclose(times, t, rtol=0, atol=1e-12))[0]
+    """Position of t among times, to TIME_TOL; an InputError on t where none matches."""
+    hits = np.nonzero(np.isclose(times, t, rtol=0, atol=TIME_TOL))[0]
     if len(hits) != 1:
         raise InputError(f"t={t} is not a recorded epoch", "t")
     return int(hits[0])
@@ -115,9 +117,10 @@ class MarketConfig:
         if len(self.record_times) == 0:
             raise InputError("record_times must be nonempty", "record_times")
         rt = tuple(float(t) for t in self.record_times)
-        if any(t <= 0 for t in rt) or any(b <= a for a, b in zip(rt, rt[1:])):
+        if any(t <= 0 for t in rt) or any(b - a <= TIME_TOL for a, b in zip(rt, rt[1:])):
             raise InputError(
-                "record_times must be positive and strictly increasing", "record_times"
+                f"record_times must be positive and increase by more than {TIME_TOL:g}",
+                "record_times",
             )
         short = [f"{part}.t_max" for part in ("inference", "pricing")
                  if rt[-1] > getattr(self, part).t_max]
@@ -141,7 +144,7 @@ class MarketConfig:
             ) from e
 
     def time_index(self, t: float) -> int:
-        """Position of t among record_times, to 1e-12."""
+        """Position of t among record_times, to TIME_TOL."""
         return _time_index(self.record_times, t)
 
     def Pi1_0(self, sign_change: int) -> float:

@@ -731,6 +731,18 @@ def test_estimation_t_off_the_record_times_is_a_config_error_before_simulating(
     )
 
 
+@pytest.mark.parametrize("cmd", ["cohorts", "estimate"])
+def test_near_duplicate_record_times_are_a_config_error_on_their_line(tmp_path, capsys, cmd):
+    # 2.4 and 2.4000000000001 are within the 1e-12 that a time names its epoch to
+    cfg = _write(tmp_path, "c.cfg", "estimation.n_boot = 0\n"
+                                    "market.record_times = 1.0, 2.4, 2.4000000000001\n")
+    out = tmp_path / "out"
+    assert main([cmd, "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: line 2: record_times must be positive and increase by more than 1e-12"
+    )
+
+
 def test_estimate_runs_when_no_record_time_has_signal(tmp_path):
     cfg = _write(tmp_path, "c.cfg", "inference.schedule = 0.5:0:0\ncurves.t = 0.3\n"
                                     "estimation.n_boot = 0\n")

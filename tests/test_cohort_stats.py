@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from rnemarket import estimation
-from rnemarket.estimation import _BeliefIndex, _TableBootstrap, _belief_groups, _usable_mask
+from rnemarket.estimation import _TableBootstrap, _belief_groups, _belief_keys, _usable_mask
 from rnemarket.market import (
     MarketPanel,
     cohort_table,
@@ -227,10 +227,19 @@ def test_table_stats_of_an_integer_table_equal_the_weighted_stats(rows, conditio
 
 
 def _table_median(panel, sort, w):
-    table = cohort_table(sort, w)
-    index = _BeliefIndex(sort.code, panel.Pi[:, 0])
-    med = index.search(table, table.sum() / 2.0, lambda counts, idx: w[idx])
-    return min(med, 1.0 - med)
+    """The bootstrap's group search, with the weights w in place of its member draws."""
+    keys = _belief_keys(panel.Pi[:, 0], sort.code)
+    order = np.argsort(keys, kind="stable")
+    boot = _TableBootstrap(keys[order], cohort_table(sort), None)
+
+    def weigh(counts, members):
+        # the group's run starts at the first key equal to its first member:
+        # equal keys are one belief, so one group
+        lo = np.searchsorted(boot.keys, members[0])
+        return w[order[lo : lo + len(members)]]
+
+    boot._draw_members = weigh
+    return boot.fold_median(cohort_table(sort, w))
 
 
 @settings(max_examples=150, deadline=None)
@@ -273,11 +282,9 @@ def test_group_search_at_a_half_total_on_a_group_boundary():
     assert _table_median(panel, sort, w) == expected
 
 
-def test_fold_median_level_is_numpy_median_bit_for_bit(monkeypatch):
+def test_fold_median_level_is_numpy_median_bit_for_bit():
     # odd and even n, ties, beliefs at 1/2 and on bin edges (both sides of
-    # the fold), one- and two-byte codes; a scan of 7 codes at a time makes
-    # each group's gather span several scans
-    monkeypatch.setattr(estimation, "_SCAN", 7)
+    # the fold), one- and two-byte codes
     rng = np.random.default_rng(22)
     for k in range(600):
         n_bins = (4, 6, 50, 66)[k % 4]
@@ -289,8 +296,7 @@ def test_fold_median_level_is_numpy_median_bit_for_bit(monkeypatch):
         sort = sort_cohorts(panel, 1.0)
         assert sort.code.dtype == (np.uint8 if n_bins <= 65 else np.uint16)
         med = float(np.median(Pi))
-        index = _BeliefIndex(sort.code, panel.Pi[:, 0])
-        got = estimation._fold_median_level(index, cohort_table(sort))
+        got = estimation._fold_median_level(np.sort(_belief_keys(panel.Pi[:, 0], sort.code)))
         assert got == min(med, 1.0 - med), (n, n_bins, got, med)
 
 
@@ -320,7 +326,7 @@ def test_table_draws_follow_the_asset_level_law():
     reps = 20_000
     asset_rng = np.random.default_rng(7)
     boot = _TableBootstrap(
-        _BeliefIndex(sort.code, vals), cohort_table(sort), np.random.default_rng(8)
+        np.sort(_belief_keys(vals, sort.code)), cohort_table(sort), np.random.default_rng(8)
     )
     asset_tables, asset_medians, tables, medians = [], [], [], []
     for _ in range(reps):

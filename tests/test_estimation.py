@@ -21,6 +21,7 @@ from rnemarket.estimation import (
     _estimate,
     _flatness_gate,
     _percentiles,
+    _belief_keys,
     _TableBootstrap,
     find_peak,
     format_report,
@@ -272,14 +273,14 @@ def test_errors_shrink_with_panel_size():
 
 
 def test_roundtrip_memory_grows_with_one_epoch_per_asset(monkeypatch):
-    # of the panel the estimate keeps each asset's belief at its epoch and
-    # its one-byte category code, 9 bytes per asset, in one memory mapping
-    # that forked children share, beside each process's table of the 200
-    # categories. tracemalloc sees no mapping, so its size is asserted, and
-    # the traced heap may grow by one byte per asset: 9 + 1 in all. Holding
-    # the one-epoch panel would add 34 bytes per asset, and int64 codes 7.
-    # K = 1 takes the fold-median fallback, which reads the median through
-    # the table and gathers only its groups' beliefs
+    # of the panel the estimate keeps one key per asset, its belief at its
+    # epoch and its category, 8 bytes, in one memory mapping that forked
+    # children share, beside each process's table of the 200 categories.
+    # tracemalloc sees no mapping, so its size is asserted, and the traced
+    # heap may grow by one byte per asset: 8 + 1 in all. Holding the
+    # one-epoch panel would add 34 bytes per asset.
+    # K = 1 takes the fold-median fallback, which reads the middle of the
+    # keys, sorted in place
     market._ziggurat_tables()  # built once per process: not part of either run
     sizes, mapping = [], mmap.mmap
     monkeypatch.setattr(mmap, "mmap", lambda *a: sizes.append(a[1]) or mapping(*a))
@@ -296,11 +297,11 @@ def test_roundtrip_memory_grows_with_one_epoch_per_asset(monkeypatch):
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
-                assert sizes[-1] == n * (8 + 1) + cpus * 200 * 8, (cpus, K, sizes)
+                assert sizes[-1] == n * 8 + cpus * 200 * 8, (cpus, K, sizes)
             assert ("no_significant_peak" in res.diagnostics["flags"]) == (K == 1.0)
             heap = (peaks[1] - peaks[0]) / 50_000
             assert heap <= 1, (cpus, K, peaks)
-            assert (sizes[-1] - sizes[-2]) / 50_000 + heap <= 9 + 1
+            assert (sizes[-1] - sizes[-2]) / 50_000 + heap <= 8 + 1
     no_child_left()
 
 
@@ -326,7 +327,7 @@ def _roundtrip_on(monkeypatch, cpus, cfg, seed=ACCEPT_SEED):
 def test_roundtrip_gives_the_same_result_on_any_cpu_count(monkeypatch, n, K):
     # 10,001 assets are 3 blocks and 20,001 are 5: procs = min(CPUs, blocks)
     # processes, the parent and procs - 1 children forked once each; K = 1
-    # reads the fold median through the codes and beliefs the children wrote
+    # reads the fold median through the keys the children wrote
     cfg = make_config(n_assets=n, K=K)
     runs = {cpus: _roundtrip_on(monkeypatch, cpus, cfg) for cpus in (1, 2, 3, 16)}
     no_child_left()
@@ -390,19 +391,18 @@ def test_roundtrip_sorts_its_blocks_into_the_whole_panels_cohorts(monkeypatch):
     seen = {}
     init = _TableBootstrap.__init__
 
-    def spy(self, index, table, rng):
-        seen.update(index=index, table=table)
-        init(self, index, table, rng)
+    def spy(self, keys, table, rng):
+        seen.update(keys=keys, table=table)
+        init(self, keys, table, rng)
 
     monkeypatch.setattr(_TableBootstrap, "__init__", spy)
     res = roundtrip(cfg, 5, t=2.4, n_boot=1)
     panel = whole_panel(cfg, 5)
     full = sort_cohorts(panel, 2.4, conditioning="volatility")
-    assert seen["index"].code.dtype == full.code.dtype
-    assert np.array_equal(seen["index"].code, full.code)
+    keys = _belief_keys(panel.Pi[:, cfg.time_index(2.4)], full.code)
+    assert np.array_equal(seen["keys"], np.sort(keys))
     assert np.array_equal(res.diagnostics["curve"].v, 0.5 * (full.edges[:-1] + full.edges[1:]))
     assert np.array_equal(seen["table"], cohort_table(full))
-    assert np.array_equal(seen["index"].beliefs, panel.Pi[:, cfg.time_index(2.4)])
 
 
 def test_percentiles_are_numpy_percentile_bit_for_bit():

@@ -298,5 +298,9 @@ def test_config_validation():
         make_config(record_times=(0.6, 12.0))  # beyond the horizon
     with pytest.raises(InputError):
         make_config(record_times=(2.4, 1.2))
+    # closer than the 1e-12 that a time is matched to its epoch within
+    with pytest.raises(InputError, match="increase by more than 1e-12") as exc:
+        make_config(record_times=(1.0, 2.4, 2.4000000000001))
+    assert exc.value.fields == ("record_times",)
     with pytest.raises(InputError):
         make_config(p1_0=1.2)

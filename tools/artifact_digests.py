@@ -8,9 +8,11 @@ n_boot 50, grid_points 200, threads 2), then estimate once more at 1e4
 assets and seed 7, where the estimate takes the best lower-confidence-bound
 bin and some resamples take the fold-median fallback, estimate at
 pricing.K 1, where the point estimate and 40 of the 50 resamples take
-the fold-median fallback (the point estimate's median read through the
-category table), and again at 20,001 assets, where that median is one
-order statistic rather than the mean of two, simulate once more
+the fold-median fallback (the point estimate's median read from the
+sorted belief keys), again at 20,001 assets, where that median is one
+order statistic rather than the mean of two, and again at market.n_bins
+80, whose 320 categories take two-byte codes and where the point estimate
+and 41 of the 50 resamples take the fallback, simulate once more
 with a Z-stream (pricing.sigma_Z 0.1, a two-entry inference.schedule),
 whose assets draw 2 + 2 * n_intervals numbers instead of 2 + n_intervals,
 curves on the benchmark's 3x3 lattice (rho 3, 9, 27 x K 1.2, 1.5, 1.9)
@@ -51,6 +53,7 @@ RUNS += [(f"validate-{m}", "validate", {"market.b_measure": m}) for m in ("refer
 RUNS.append(("estimate-1e4-seed7", "estimate", {"market.n_assets": 10_000, "seed": 7}))
 RUNS.append(("estimate-K1", "estimate", {"pricing.K": 1}))
 RUNS.append(("estimate-K1-odd", "estimate", {"pricing.K": 1, "market.n_assets": 20_001}))
+RUNS.append(("estimate-K1-bins80", "estimate", {"pricing.K": 1, "market.n_bins": 80}))
 RUNS.append(("simulate-z-stream", "simulate", {
     "pricing.sigma_Z": 0.1,
     "inference.schedule": "1.0:0.3:0.4, 3.0:0.5:0.2",
