@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 config error, 3 validation/estimation failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import mmap
 import os
@@ -416,11 +417,12 @@ def _cmd_curves(rc: RunConfig, out: Path) -> int:
                                "file names", rc.sources, (key,))
             named[text] = v
     step = 1.0 / rc.grid_points
-    # every curve of a kind lies on default_grid(kind, step), and the two
-    # momentum kinds share theirs: its text is made once and written as is
+    # every curve of a kind lies on default_grid(kind, step); the volatility
+    # grid is a prefix of the momentum kinds', bit for bit (np.arange fills
+    # step + i * step for both), so one text, made once, serves all three
     momentum = text_17g(default_grid("momentum_plus", step))
     grid_text = {"momentum_plus": momentum, "momentum_minus": momentum,
-                 "volatility": text_17g(default_grid("volatility", step))}
+                 "volatility": momentum[: len(default_grid("volatility", step))]}
     # every lattice point's range errors come before any curve file is written
     lattice = [(rho, K, _curve_params(rc, rho, K)) for rho in rc.curves_rho for K in rc.curves_K]
     names = [out / f"curve_rho{rho:g}_K{K:g}.csv" for rho, K, _ in lattice]
@@ -681,5 +683,15 @@ def main(argv=None) -> int:
         return 4
 
 
+def console_main() -> int:
+    """main() as the `rnemarket` script and `python -m rnemarket.cli` run it.
+
+    gc.freeze() puts the objects the imports left out of the collector's
+    reach (it stays on): no exit or forked-share collection walks them again.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

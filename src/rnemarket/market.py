@@ -117,9 +117,10 @@ class MarketConfig:
         if len(self.record_times) == 0:
             raise InputError("record_times must be nonempty", "record_times")
         rt = tuple(float(t) for t in self.record_times)
-        if any(t <= 0 for t in rt) or any(b - a <= TIME_TOL for a, b in zip(rt, rt[1:])):
+        # so a time is within TIME_TOL of one epoch at most
+        if any(t <= 0 for t in rt) or any(b - a <= 2 * TIME_TOL for a, b in zip(rt, rt[1:])):
             raise InputError(
-                f"record_times must be positive and increase by more than {TIME_TOL:g}",
+                f"record_times must be positive and increase by more than {2 * TIME_TOL:g}",
                 "record_times",
             )
         short = [f"{part}.t_max" for part in ("inference", "pricing")
@@ -290,10 +291,11 @@ def _ziggurat_tables() -> tuple:
     numpy's ziggurat (Marsaglia & Tsang 2000) reads one word w as a level
     (bits 0-7), a sign (bit 8) and rabs (bits 9-60), and returns
     x = +-rabs * wi[level] when rabs < ki[level]. A probe feeds one chosen
-    word through Philox's settable buffer to standard_normal; a normal
-    that took exactly that word took the fast path, since a rejection reads
-    at least one more word, which moves the buffer position past 1 or the
-    counter off 0. So wi[level] is x / 2**51 at rabs = 2**51, exactly, and
+    word through Philox's settable buffer to standard_normal, with the
+    sentinel word 1 after it and 0s after that; a normal that took exactly
+    that word took the fast path and leaves the sentinel as the next raw
+    word, since a rejection reads it too and leaves a 0 or a fresh Philox
+    word (never 1) next. So wi[level] is x / 2**51 at rabs = 2**51, exactly, and
     a bound k is proved <= ki[level] where numpy returns (k - 1) * wi[level]
     for rabs = k - 1. Each fast level is bisected once for the largest
     such k: over (guess - 1, guess] when the probe proves numpy's
@@ -309,10 +311,9 @@ def _ziggurat_tables() -> tuple:
 
     def probe(rabs: int, level: int) -> float:
         # numpy's normal of the word (rabs, sign +, level); NaN off the fast path
-        rng.bit_generator.state = _philox_state((0, 0), ((rabs << 9) | level, 0, 0, 0), 0)
+        rng.bit_generator.state = _philox_state((0, 0), ((rabs << 9) | level, 1, 0, 0), 0)
         x = rng.standard_normal()
-        state = rng.bit_generator.state
-        return x if state["buffer_pos"] == 1 and not state["state"]["counter"].any() else math.nan
+        return x if rng.bit_generator.random_raw() == 1 else math.nan
 
     wi = np.array([probe(2**51, level) for level in range(256)]) / 2.0**51
 

@@ -362,3 +362,12 @@ def test_default_grid_keeps_aranges_levels_inside_the_curve_domain():
             assert np.array_equal(grid, whole[: len(grid)]), (points, kind)
             assert grid[-1] <= top, (points, kind)
             assert np.isfinite(analytic_curve(kind, params, grid).n).all(), (points, kind)
+
+
+@pytest.mark.parametrize("points", [7, 19, 21, 27, 43, 333, 1_000, 20_000, 33_333])
+def test_volatility_grid_is_a_prefix_of_the_momentum_grid(points):
+    # curves writes the volatility levels as a slice of the momentum levels' text
+    step = 1.0 / points
+    vol, mom = default_grid("volatility", step), default_grid("momentum_plus", step)
+    assert len(vol) < len(mom)
+    assert np.array_equal(vol.view(np.uint64), mom[: len(vol)].view(np.uint64))

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import filecmp
+import gc
 import io
 import os
 import subprocess
@@ -139,6 +140,7 @@ OUT_OF_RANGE = [
     ([("market.record_times", "")], 1),
     ([("market.record_times", "0, 1")], 1),
     ([("market.record_times", "1.2, 0.6")], 1),
+    ([("market.record_times", "1, 1.0000000000015, 2.4")], 1),
     ([("market.n_bins", "1")], 1),
     ([("market.n_min", "-5")], 1),
     ([("market.max_asset_steps", "-1")], 1),
@@ -739,7 +741,18 @@ def test_near_duplicate_record_times_are_a_config_error_on_their_line(tmp_path, 
     out = tmp_path / "out"
     assert main([cmd, "--config", cfg, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err.startswith(
-        "config error: line 2: record_times must be positive and increase by more than 1e-12"
+        "config error: line 2: record_times must be positive and increase by more than 2e-12"
+    )
+
+
+def test_record_times_within_twice_the_tolerance_are_a_config_error(tmp_path, capsys):
+    # 1.5e-12 apart: estimation.t, 7.5e-13 from each, would name both epochs
+    cfg = _write(tmp_path, "c.cfg", "estimation.n_boot = 0\nestimation.t = 1.00000000000075\n"
+                                    "market.record_times = 1, 1.0000000000015, 2.4\n")
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: line 3: record_times must be positive and increase by more than 2e-12"
     )
 
 
@@ -905,3 +918,47 @@ def test_cli_import_defaults_openblas_to_one_thread(preset, want):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.splitlines()[-1] == f"['{want}'] {want}"
+
+
+# the warning classes CI runs the tools under, as errors
+WARNINGS_AS_ERRORS = [f"-Werror::{c}" for c in ("RuntimeWarning", "DeprecationWarning",
+                                                "FutureWarning")]
+
+
+def test_process_entry_writes_main_s_files_with_the_import_heap_frozen(tmp_path):
+    cfg = _write(tmp_path, "c.cfg", "curves.grid_points = 200\ncurves.rho_list = 1, 9\n")
+    args = ["curves", "--config", cfg, "--out-dir"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    # the entry as `python -m rnemarket.cli`, and once more with a hook that
+    # reads the collector's state at exit
+    hook = (
+        "import atexit, gc, runpy\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0, gc.isenabled()))\n"
+        "runpy.run_module('rnemarket.cli', run_name='__main__')\n"
+    )
+    runs = {"module": ["-m", "rnemarket.cli"], "hooked": ["-c", hook]}
+    last_line = {}
+    for name, entry in runs.items():
+        out = subprocess.run(
+            [sys.executable, *WARNINGS_AS_ERRORS, *entry, *args, str(tmp_path / name)],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        last_line[name] = out.stdout.splitlines()[-1]
+    assert last_line["hooked"] == "True True"  # frozen, with the collector on
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args + [str(tmp_path / "main")]) == 0
+    names = sorted(p.name for p in (tmp_path / "main").iterdir())
+    assert len(names) == 4  # two curve files, peaks.csv and the echo
+    for name in runs:
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == names
+        match, mismatch, errors = filecmp.cmpfiles(tmp_path / "main", tmp_path / name, names,
+                                                   shallow=False)
+        assert (mismatch, errors) == ([], []), name
+
+
+def test_main_leaves_the_collector_as_it_was(tmp_path):
+    before = gc.isenabled(), gc.get_freeze_count()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["curves", "--grid-points", "20", "--out-dir", str(tmp_path / "out")]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before

@@ -441,9 +441,9 @@ def test_format_17g_certifies_nearly_every_curve_value(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["curves", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
     # 9 files of rp and weight over 1,999 + 1,999 + 1,000 levels, the text of
-    # the momentum and volatility level grids made once, and 27 peak rows of
-    # 8 floats
-    assert counts["floats"] == 9 * 2 * (1_999 + 1_999 + 1_000) + 1_999 + 1_000 + 27 * 8
+    # the momentum level grid made once (the volatility levels are a prefix
+    # of it), and 27 peak rows of 8 floats
+    assert counts["floats"] == 9 * 2 * (1_999 + 1_999 + 1_000) + 1_999 + 27 * 8
     assert counts["python"] <= 1e-4 * counts["floats"], counts
 
 

@@ -299,8 +299,12 @@ def test_config_validation():
     with pytest.raises(InputError):
         make_config(record_times=(2.4, 1.2))
     # closer than the 1e-12 that a time is matched to its epoch within
-    with pytest.raises(InputError, match="increase by more than 1e-12") as exc:
+    with pytest.raises(InputError, match="increase by more than 2e-12") as exc:
         make_config(record_times=(1.0, 2.4, 2.4000000000001))
+    assert exc.value.fields == ("record_times",)
+    # 1.5e-12 apart: a time between the two would be within 1e-12 of both
+    with pytest.raises(InputError, match="increase by more than 2e-12") as exc:
+        make_config(record_times=(1.0, 1.0 + 1.5e-12, 2.4))
     assert exc.value.fields == ("record_times",)
     with pytest.raises(InputError):
         make_config(p1_0=1.2)

@@ -23,10 +23,14 @@ the analytic side reads the law of l_t built over [0, t), and the dense
 price paths' grid holds the breakpoint, and simulate and cohorts at 1,000
 and 8,192 assets, inside one 4,096-asset block and on a block edge, and
 validate under market.b_measure reference and rne, so that every line of
-validate_report.txt is pinned under each measure. Prints
+validate_report.txt is pinned under each measure, and estimate once more
+through the process entry, `python -m rnemarket.cli` under this
+interpreter's -W options, whose files must be the in-process estimate's
+bytes. Prints
 each subcommand's exit code, then one `sha256  run/file` line per
 artifact, so the diff of two checkouts' outputs names every artifact that
-changed. Exits 1 if any subcommand exits non-zero. Not part of the test
+changed. Exits 1 if any subcommand exits non-zero, or if the process
+entry's files differ from the in-process run's. Not part of the test
 suite.
 """
 
@@ -35,6 +39,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -67,23 +73,42 @@ RUNS += [(f"{cmd}-schedule", cmd, {"inference.schedule": "1.005:0:0.2"})
          for cmd in ("curves", "estimate", "simulate")]
 RUNS += [(f"{cmd}-{n}", cmd, {"market.n_assets": n})
          for n in (1_000, 8_192) for cmd in ("simulate", "cohorts")]
+# the run of RUNS' estimate through the process entry
+PROCESS_RUN = ("estimate-process", "estimate", {})
+
+
+def process_main(argv: list) -> int:
+    """main(argv)'s exit code, run as `python -m rnemarket.cli` with this interpreter's -W options."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, *(f"-W{w}" for w in sys.warnoptions), "-m", "rnemarket.cli", *argv],
+        env=env, stdout=subprocess.DEVNULL,
+    ).returncode
 
 
 def main() -> int:
-    lines, failed = [], False
+    lines, digests, failed = [], {}, False
     with tempfile.TemporaryDirectory() as tmp:
-        for name, cmd, overrides in RUNS:
+        for name, cmd, overrides in RUNS + [PROCESS_RUN]:
             cfg = Path(tmp) / f"{name}.cfg"
             cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**BASE, **overrides}.items()))
             out = Path(tmp) / name
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli_main([cmd, "--config", str(cfg), "--out-dir", str(out)])
+            argv = [cmd, "--config", str(cfg), "--out-dir", str(out)]
+            if name == PROCESS_RUN[0]:
+                code = process_main(argv)
+            else:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli_main(argv)
             print(f"exit {code}  {name}")
             failed |= code != 0
+            digests[name] = {}
             for path in sorted(out.iterdir()):
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                lines.append(f"{digest}  {name}/{path.name}")
+                digests[name][path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+                lines.append(f"{digests[name][path.name]}  {name}/{path.name}")
     print("\n".join(lines))
+    if digests[PROCESS_RUN[0]] != digests[PROCESS_RUN[1]]:
+        print(f"{PROCESS_RUN[0]}'s files differ from {PROCESS_RUN[1]}'s", file=sys.stderr)
+        failed = True
     return 1 if failed else 0
 
 
